@@ -1,32 +1,30 @@
 """Where should one unit disk go to cover the most points?
 
-Two exact solvers answer this.  The angular sweep anchors each point on the
-disk boundary and sweeps the arcs from which a center would also cover each
-nearby point.  The shifted-grid solver buckets points into four overlapping
-4x4 grids (any unit disk fits inside a single closed cell of one of them)
-and runs the sweep per cell, so its work follows local density instead of
-n^2.  Both return the same optimum count.
+The angular sweep answers this exactly.  Some optimal disk has a covered
+point on its boundary, so the sweep anchors each point on the boundary and
+sweeps the arcs from which a center would also cover each point within
+distance 2.  A KD-tree finds those neighbors, so each anchor only sees the
+few points a disk through it can reach, and the work follows local density
+instead of n^2.
 """
 
-from diskcover import best_disk_grid, best_disk_sweep, generate
+from diskcover import best_disk_sweep, candidate_disks, coverage, generate
 
 inst = generate(n=400, side=25.0, seed=2024)
 pts = inst.points
 
 swept = best_disk_sweep(pts)
-gridded = best_disk_grid(pts)
 
 print(f"instance: {len(pts)} points uniform in [0, {inst.meta.side:g}]^2")
 print()
 print(f"angular sweep : {swept.rho_witness} points covered, "
       f"center ({swept.disk.cx:.4f}, {swept.disk.cy:.4f})")
-print(f"shifted grids : {gridded.rho_witness} points covered, "
-      f"center ({gridded.disk.cx:.4f}, {gridded.disk.cy:.4f})")
-print()
-print(f"sweep scored {swept.placements_examined} canonical placements")
-print(f"grid summed cell work {gridded.cell_work} "
-      f"(sum of squared cell populations over 4 grids, vs n^2 = {len(pts)**2})")
+print(f"sweep scored {swept.placements_examined} canonical placements "
+      f"(vs n^2 = {len(pts)**2})")
 
-assert swept.rho_witness == gridded.rho_witness
+# independent check: the best disk among all candidate disks
+cands = candidate_disks(pts)
+brute = max(coverage(d, pts).count for d in cands)
+assert swept.rho_witness == brute
 print()
-print("the two solvers agree on the optimum; the disks may differ under ties")
+print(f"the best of {len(cands)} candidate disks covers {brute} points too")

@@ -2,14 +2,14 @@
 
 Library layout:
   geometry     points, disks, coverage bitsets, the candidate-disk set
-  single_disk  exact single-disk optimum (angular sweep, shifted grids)
+  single_disk  exact single-disk optimum (angular sweep)
   exact        exact best-k disks by candidate enumeration
   solver       output-sensitive exact solver (greedy + neighborhood re-solve)
   harness      reproducible instances, benchmark, self-verification
   rng          fixed splitmix64/xoshiro256** generator
 """
 
-from .exact import ExactSolveStats, MultiDiskResult, most_points, most_points_excluding
+from .exact import ExactSolveStats, MultiDiskResult, most_points
 from .geometry import (
     EPS_COVER,
     CoverageSet,
@@ -39,11 +39,10 @@ from .harness import (
     write_bench_json,
 )
 from .rng import Xoshiro256StarStar, splitmix64
-from .single_disk import GridSpec, SingleDiskResult, best_disk_grid, best_disk_sweep
+from .single_disk import SingleDiskResult, best_disk_sweep
 from .solver import (
     NEIGHBOR_RADIUS,
     IterationTrace,
-    NeighborhoodSpec,
     Solution,
     greedy_solve,
     neighbor_points,
@@ -58,11 +57,9 @@ __all__ = [
     "CoverageSet",
     "ExactSolveStats",
     "GeneratorMeta",
-    "GridSpec",
     "Instance",
     "IterationTrace",
     "MultiDiskResult",
-    "NeighborhoodSpec",
     "Point",
     "PointFormatError",
     "SingleDiskResult",
@@ -71,7 +68,6 @@ __all__ = [
     "VerificationReport",
     "Xoshiro256StarStar",
     "bench",
-    "best_disk_grid",
     "best_disk_sweep",
     "candidate_disks",
     "coverage",
@@ -82,7 +78,6 @@ __all__ = [
     "greedy_solve",
     "load_points",
     "most_points",
-    "most_points_excluding",
     "neighbor_points",
     "parse_points",
     "save_points",

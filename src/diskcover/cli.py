@@ -67,7 +67,11 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if not pts:
         print(f"{args.input}: no points", file=sys.stderr)
         return 1
-    sol = solve(pts, args.m, prune=args.prune)
+    try:
+        sol = solve(pts, args.m, prune=args.prune)
+    except ValueError as exc:
+        print(f"solve: {exc}", file=sys.stderr)
+        return 1
     if args.json:
         print(json.dumps(_solution_dict(sol), indent=2))
         return 0
@@ -123,9 +127,13 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verify(
-        args.trials, args.n_max, args.m_max, args.seed, max_seconds=args.max_seconds
-    )
+    try:
+        report = verify(
+            args.trials, args.n_max, args.m_max, args.seed, max_seconds=args.max_seconds
+        )
+    except ValueError as exc:
+        print(f"verify: {exc}", file=sys.stderr)
+        return 1
     print(
         f"verify: {report.passes}/{report.trials_run} trials passed"
         + (

@@ -184,23 +184,3 @@ def most_points(
     chosen = sorted((disks[i] for i in combo), key=lambda d: (d.cx, d.cy))
     return MultiDiskResult(chosen, CoverageSet(union), stats)
 
-
-def most_points_excluding(
-    pts: list[Point], k: int, excluded: CoverageSet, dedup: bool = True,
-    prune: bool = False,
-) -> MultiDiskResult:
-    """most_points on the points whose ids are not in ``excluded``.
-
-    Coverage stays in the original instance's id space.  If every point is
-    excluded there is nothing to gain: returns empty coverage and k copies
-    of a disk centered on the first input point.
-    """
-    if not pts:
-        raise ValueError("most_points_excluding requires a non-empty point list")
-    if k < 1:
-        raise ValueError("most_points_excluding requires k >= 1")
-    remaining = [p for p in pts if p.idx not in excluded]
-    if not remaining:
-        disk = UnitDisk(pts[0].x, pts[0].y)
-        return MultiDiskResult([disk] * k, CoverageSet(0), ExactSolveStats())
-    return most_points(remaining, k, dedup=dedup, prune=prune)

@@ -112,7 +112,7 @@ def coverage(d: UnitDisk, pts: Sequence[Point]) -> CoverageSet:
     """Exact coverage of one disk over a point list, by direct membership.
 
     This deliberately *is* the naive per-point loop: it is the reference
-    semantics every faster path (grids, sweeps, batch kernels) must match.
+    semantics every faster path (the sweep, batch kernels) must match.
     """
     bits = 0
     cx, cy = d.cx, d.cy

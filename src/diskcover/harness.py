@@ -123,8 +123,8 @@ def bench(
     records = []
     for n, side in sorted(configs):
         for seed in sorted(seeds):
-            inst = generate(n, side, seed, m=m)
             try:
+                inst = generate(n, side, seed, m=m)
                 records.append(_bench_one(inst.points, n, side, seed, m, sample_baseline))
             except BenchmarkError:
                 raise

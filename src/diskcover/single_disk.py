@@ -1,23 +1,17 @@
-"""Exact single-disk maximum coverage.
+"""Exact single-disk maximum coverage by angular sweep.
 
-Two interchangeable solvers:
-
-* ``best_disk_sweep`` is the classical angular sweep: an optimal disk can be
-  translated until some covered point lies on its boundary, so it suffices to
-  anchor each point p on the boundary, parameterize the center on the unit
-  circle around p, and sweep the arcs contributed by neighbors within
-  distance 2.  O(n^2 log n) overall.
-
-* ``best_disk_grid`` wraps the sweep in four shifted 4x4 grids.  Every unit
-  disk fits inside a single closed cell of at least one grid, so running the
-  sweep per cell and taking the best over all cells is exact while the work
-  scales with how many points share a cell rather than with n alone.
+An optimal disk can be translated until some covered point lies on its
+boundary, so it suffices to anchor each point p on the boundary,
+parameterize the center on the unit circle around p, and sweep the arcs
+contributed by neighbors within distance 2 (Chazelle & Lee, 1986).  A
+KD-tree finds those neighbors, so each anchor only sees the points that a
+unit disk through it can reach: O(rho) of them by packing, where rho is the
+optimum.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass
 
 from scipy.spatial import cKDTree
@@ -26,66 +20,33 @@ from .geometry import PAIR_EPS, CoverageSet, Point, UnitDisk, coverage
 
 TWO_PI = 2.0 * math.pi
 
-# Points this close to a cell wall belong to the closed cells on both sides,
-# so a disk tangent to a wall still sees its full coverage within one cell.
-CELL_BOUNDARY_TOL = 1e-9
-
-# Brute-force neighbor scan below this size; KD-tree build costs more than
-# it saves on the small per-cell subsets.
-_KDTREE_MIN = 64
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Four axis-aligned grids of 4x4 cells, offset by 0 or 2 per axis."""
-
-    cell_size: float = 4.0
-    shifts: tuple[tuple[float, float], ...] = ((0.0, 0.0), (0.0, 2.0), (2.0, 0.0), (2.0, 2.0))
-
-
-GRID = GridSpec()
-
 
 @dataclass
 class SingleDiskResult:
     disk: UnitDisk
     covered: CoverageSet
     rho_witness: int
-    # instrumentation: canonical placements the sweep scored, and (grid only)
-    # the sum of squared cell populations across all four grids
+    # instrumentation: canonical placements the sweep scored
     placements_examined: int = 0
-    cell_work: int = 0
 
 
 def _neighbor_lists(pts: list[Point]) -> list[list[int]]:
     """Indices of points within distance 2 (+PAIR_EPS) of each point."""
-    n = len(pts)
-    if n >= _KDTREE_MIN:
-        coords = [(p.x, p.y) for p in pts]
-        tree = cKDTree(coords)
-        raw = tree.query_ball_point(coords, r=2.0 + 1e-9)
-        out: list[list[int]] = []
-        r2 = (2.0 + PAIR_EPS) ** 2
-        for i, group in enumerate(raw):
-            pi = pts[i]
-            keep = []
-            for j in group:
-                if j == i:
-                    continue
-                pj = pts[j]
-                if (pi.x - pj.x) ** 2 + (pi.y - pj.y) ** 2 <= r2:
-                    keep.append(j)
-            out.append(keep)
-        return out
+    coords = [(p.x, p.y) for p in pts]
+    tree = cKDTree(coords)
+    raw = tree.query_ball_point(coords, r=2.0 + 1e-9)
+    out: list[list[int]] = []
     r2 = (2.0 + PAIR_EPS) ** 2
-    out = [[] for _ in range(n)]
-    for i in range(n):
+    for i, group in enumerate(raw):
         pi = pts[i]
-        for j in range(i + 1, n):
+        keep = []
+        for j in group:
+            if j == i:
+                continue
             pj = pts[j]
             if (pi.x - pj.x) ** 2 + (pi.y - pj.y) ** 2 <= r2:
-                out[i].append(j)
-                out[j].append(i)
+                keep.append(j)
+        out.append(keep)
     return out
 
 
@@ -170,45 +131,3 @@ def best_disk_sweep(pts: list[Point]) -> SingleDiskResult:
     cov = coverage(disk, pts)
     return SingleDiskResult(disk, cov, cov.count, placements_examined=placements)
 
-
-def _bucket_axis(value: float, lo: float, shift: float, cell: float) -> list[int]:
-    """Closed-cell indices this coordinate belongs to (1 or 2)."""
-    u = value - lo - shift
-    i = math.floor(u / cell)
-    r = u - cell * i
-    cells = [i]
-    if r <= CELL_BOUNDARY_TOL:
-        cells.append(i - 1)
-    elif cell - r <= CELL_BOUNDARY_TOL:
-        cells.append(i + 1)
-    return cells
-
-
-def best_disk_grid(pts: list[Point], grid: GridSpec = GRID) -> SingleDiskResult:
-    """Unit disk covering the maximum number of points, via shifted grids.
-
-    Same optimum value as ``best_disk_sweep``; the returned disk may differ
-    when several placements tie.  Work is the sweep cost per cell, so total
-    time scales with the cell occupancy rather than n^2.
-    """
-    if not pts:
-        raise ValueError("best_disk_grid requires a non-empty point list")
-    minx = min(p.x for p in pts)
-    miny = min(p.y for p in pts)
-    cell = grid.cell_size
-    candidates: list[tuple[int, float, float]] = []
-    cell_work = 0
-    for sx, sy in grid.shifts:
-        buckets: dict[tuple[int, int], list[Point]] = defaultdict(list)
-        for p in pts:
-            for ix in _bucket_axis(p.x, minx, sx, cell):
-                for iy in _bucket_axis(p.y, miny, sy, cell):
-                    buckets[(ix, iy)].append(p)
-        for members in buckets.values():
-            cell_work += len(members) * len(members)
-            count, cx, cy, _ = _sweep_best(members)
-            candidates.append((count, cx, cy))
-    best = min(candidates, key=lambda t: (-t[0], t[1], t[2]))
-    disk = UnitDisk(best[1], best[2])
-    cov = coverage(disk, pts)
-    return SingleDiskResult(disk, cov, cov.count, cell_work=cell_work)

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .exact import most_points, most_points_excluding
+from .exact import most_points
 from .geometry import CoverageSet, Point, UnitDisk, coverage, union_cover
-from .single_disk import best_disk_grid
+from .single_disk import best_disk_sweep
 
 # Neighborhood circles have radius 3 around each chosen center: a unit disk
 # that shares a point with a chosen unit disk has its center within 2 of
@@ -31,14 +31,6 @@ NEIGHBOR_RADIUS = 3.0
 # Same closed-boundary philosophy as disk coverage, scaled to radius 3
 # (slack applies to the squared distance).
 NEIGHBOR_EPS = 9e-9
-
-
-@dataclass(frozen=True)
-class NeighborhoodSpec:
-    """Search region around chosen centers; 3 = 1 (own radius) + 2 (any
-    unit disk through one of the covered points)."""
-
-    radius: float = NEIGHBOR_RADIUS
 
 
 @dataclass
@@ -62,15 +54,11 @@ class Solution:
     total_combos: int = 0
 
 
-def neighbor_points(
-    pts: list[Point],
-    disks: list[UnitDisk],
-    spec: NeighborhoodSpec = NeighborhoodSpec(),
-) -> list[Point]:
-    """Points within spec.radius of at least one disk center (ids preserved)."""
+def neighbor_points(pts: list[Point], disks: list[UnitDisk]) -> list[Point]:
+    """Points within NEIGHBOR_RADIUS of at least one disk center (ids preserved)."""
     if not disks:
         raise ValueError("neighbor_points requires at least one disk")
-    limit = spec.radius * spec.radius + NEIGHBOR_EPS
+    limit = NEIGHBOR_RADIUS * NEIGHBOR_RADIUS + NEIGHBOR_EPS
     out = []
     for p in pts:
         for d in disks:
@@ -82,13 +70,28 @@ def neighbor_points(
     return out
 
 
+def _greedy_step(
+    pts: list[Point], covered: CoverageSet
+) -> tuple[UnitDisk, CoverageSet]:
+    """Best single disk on the points outside ``covered``, and the new union.
+
+    If every point is already covered there is nothing to gain: the disk is
+    centered on the first input point and coverage is unchanged.
+    """
+    remaining = [p for p in pts if p.idx not in covered]
+    if not remaining:
+        return UnitDisk(pts[0].x, pts[0].y), covered
+    step = best_disk_sweep(remaining)
+    return step.disk, union_cover([covered, step.covered])
+
+
 def solve(pts: list[Point], m: int, prune: bool = False) -> Solution:
     """Exactly cover the maximum number of points with m unit disks.
 
-    The first disk comes from the shifted-grid single-disk solver; each later
-    disk is the better of the greedy extension and the exact neighborhood
-    re-solve (ties go to the re-solve).  ``prune`` enables branch-and-bound
-    inside the neighborhood searches; it changes combo counts, never values.
+    The first disk comes from the single-disk angular sweep; each later disk
+    is the better of the greedy extension and the exact neighborhood re-solve
+    (ties go to the re-solve).  ``prune`` enables branch-and-bound inside the
+    neighborhood searches; it changes combo counts, never values.
 
     combos_evaluated in each trace counts the complete disk combinations the
     neighborhood search scored; the greedy branch contributes none.
@@ -98,7 +101,7 @@ def solve(pts: list[Point], m: int, prune: bool = False) -> Solution:
     if m < 1:
         raise ValueError("solve requires m >= 1")
 
-    first = best_disk_grid(pts)
+    first = best_disk_sweep(pts)
     rho = first.rho_witness
     disks: list[UnitDisk] = [first.disk]
     covered = first.covered
@@ -106,8 +109,7 @@ def solve(pts: list[Point], m: int, prune: bool = False) -> Solution:
     total_combos = 0
 
     for i in range(2, m + 1):
-        greedy = most_points_excluding(pts, 1, covered)
-        greedy_union = union_cover([covered, greedy.covered])
+        greedy_disk, greedy_union = _greedy_step(pts, covered)
 
         nbr = neighbor_points(pts, disks)
         refined = most_points(nbr, i, dedup=True, prune=prune)
@@ -117,7 +119,7 @@ def solve(pts: list[Point], m: int, prune: bool = False) -> Solution:
 
         chose_greedy = greedy_union.count > refined_cover.count
         if chose_greedy:
-            disks.append(greedy.disks[0])
+            disks.append(greedy_disk)
             covered = greedy_union
         else:
             disks = list(refined.disks)
@@ -148,11 +150,10 @@ def greedy_solve(pts: list[Point], m: int) -> Solution:
         raise ValueError("greedy_solve requires a non-empty point list")
     if m < 1:
         raise ValueError("greedy_solve requires m >= 1")
-    first = best_disk_grid(pts)
+    first = best_disk_sweep(pts)
     disks = [first.disk]
     covered = first.covered
     for _ in range(2, m + 1):
-        step = most_points_excluding(pts, 1, covered)
-        disks.append(step.disks[0])
-        covered = union_cover([covered, step.covered])
+        disk, covered = _greedy_step(pts, covered)
+        disks.append(disk)
     return Solution(disks, covered, first.rho_witness)

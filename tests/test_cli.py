@@ -84,6 +84,28 @@ class TestUsageErrors:
             main(["frobnicate"])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "--m", "0"],
+            ["verify", "--trials", "0", "--n-max", "5", "--m-max", "2", "--seed", "1"],
+            ["bench", "--config", "0:5", "--seeds", "1"],
+            ["bench", "--config", "5:-1", "--seeds", "1"],
+        ],
+        ids=["solve-m0", "verify-trials0", "bench-n0", "bench-side-negative"],
+    )
+    def test_out_of_range_value_one_line_exit_1(self, argv, tmp_path, capsys):
+        if argv[0] == "solve":
+            path = tmp_path / "p.txt"
+            path.write_text("0 0\n")
+            argv = argv + ["--input", str(path)]
+        if argv[0] == "bench":
+            argv = argv + ["--out", str(tmp_path / "x.csv")]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
 
 class TestBenchCommand:
     def test_csv_written_and_deterministic(self, tmp_path, capsys):

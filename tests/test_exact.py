@@ -4,14 +4,11 @@ import math
 import pytest
 
 from diskcover import (
-    CoverageSet,
-    best_disk_grid,
     best_disk_sweep,
     candidate_disks,
     coverage,
     greedy_solve,
     most_points,
-    most_points_excluding,
 )
 from diskcover.rng import Xoshiro256StarStar
 
@@ -95,7 +92,6 @@ class TestMostPoints:
             pts = uniform_points(rng.next_u64(), rng.randint(1, 60), 0.0, 8.0)
             c = most_points(pts, 1).covered.count
             assert c == best_disk_sweep(pts).rho_witness
-            assert c == best_disk_grid(pts).rho_witness
 
     def test_dedup_changes_stats_not_value(self):
         rng = Xoshiro256StarStar(18)
@@ -159,34 +155,3 @@ class TestMostPoints:
         with pytest.raises(ValueError):
             most_points(make_points([(0, 0)]), 0)
 
-
-class TestMostPointsExcluding:
-    def test_exclusion_moves_target(self):
-        pts = make_points([(0, 0), (0.1, 0), (10, 0)])
-        res = most_points_excluding(pts, 1, CoverageSet.from_ids([0, 1]))
-        assert res.covered.count == 1
-        assert 2 in res.covered
-
-    def test_all_excluded_degenerate(self):
-        pts = make_points([(3, 4), (3.1, 4)])
-        res = most_points_excluding(pts, 1, CoverageSet.from_ids([0, 1]))
-        assert res.covered.count == 0
-        assert (res.disks[0].cx, res.disks[0].cy) == (3.0, 4.0)
-
-    def test_matches_filtered_brute_force(self):
-        # oracle: candidate re-enumeration on the filtered point list
-        pts = uniform_points(9, 20, 0.0, 8.0)
-        first = best_disk_sweep(pts)
-        remaining = [p for p in pts if p.idx not in first.covered]
-        expected = max(coverage(d, remaining).count for d in candidate_disks(remaining))
-        res = most_points_excluding(pts, 1, first.covered)
-        assert res.covered.count == expected
-
-    def test_ids_stay_in_original_space(self):
-        pts = make_points([(0, 0), (5, 5), (5.2, 5)])
-        res = most_points_excluding(pts, 1, CoverageSet.from_ids([0]))
-        assert set(res.covered.ids()) == {1, 2}
-
-    def test_errors(self):
-        with pytest.raises(ValueError):
-            most_points_excluding([], 1, CoverageSet())

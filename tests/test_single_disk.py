@@ -1,15 +1,6 @@
-import math
-
 import pytest
 
-from diskcover import (
-    best_disk_grid,
-    best_disk_sweep,
-    candidate_disks,
-    coverage,
-)
-from diskcover.single_disk import GRID, CELL_BOUNDARY_TOL
-from diskcover.rng import Xoshiro256StarStar
+from diskcover import best_disk_sweep, candidate_disks, coverage
 
 from conftest import make_points, uniform_points
 
@@ -38,9 +29,10 @@ class TestSweep:
             assert best_disk_sweep(pts).rho_witness == brute_force_rho(pts)
 
     def test_singleton_fallback_lexicographic(self):
-        res = best_disk_sweep(make_points([(4, 4), (0, 0), (9, 1)]))
-        assert res.rho_witness == 1
-        assert (res.disk.cx, res.disk.cy) == (0.0, 0.0)
+        for coords in ([(4, 4), (0, 0), (9, 1)], [(0, 0)]):
+            res = best_disk_sweep(make_points(coords))
+            assert res.rho_witness == 1
+            assert (res.disk.cx, res.disk.cy) == (0.0, 0.0)
 
     def test_duplicate_points(self):
         pts = make_points([(1, 1), (1, 1), (1, 1), (8, 8)])
@@ -56,63 +48,3 @@ class TestSweep:
         with pytest.raises(ValueError):
             best_disk_sweep([])
 
-
-class TestGrid:
-    def test_single_point(self):
-        res = best_disk_grid(make_points([(0, 0)]))
-        assert res.rho_witness == 1
-        assert (res.disk.cx, res.disk.cy) == (0.0, 0.0)
-
-    def test_matches_sweep_small(self):
-        pts = make_points([(0, 0), (0.5, 0), (5, 5)])
-        assert best_disk_grid(pts).rho_witness == best_disk_sweep(pts).rho_witness == 2
-
-    def test_matches_sweep_500(self):
-        pts = uniform_points(11, 500, 0.0, 100.0)
-        assert best_disk_grid(pts).rho_witness == best_disk_sweep(pts).rho_witness
-
-    def test_equivalence_random_instances(self):
-        # density varies from sparse to packed; values must always agree
-        rng = Xoshiro256StarStar(23)
-        for _ in range(25):
-            n = rng.randint(2, 400)
-            side = rng.uniform(math.sqrt(n) / 2, 4 * math.sqrt(n))
-            pts = uniform_points(rng.next_u64(), n, 0.0, side)
-            assert best_disk_grid(pts).rho_witness == best_disk_sweep(pts).rho_witness
-
-    def test_coverage_recomputes(self):
-        pts = uniform_points(29, 120, 0.0, 15.0)
-        res = best_disk_grid(pts)
-        assert coverage(res.disk, pts).bits == res.covered.bits
-
-    def test_cell_work_counter(self):
-        pts = uniform_points(31, 200, 0.0, 30.0)
-        res = best_disk_grid(pts)
-        # every point lands in at least one cell of each of the 4 grids
-        assert res.cell_work >= 4 * len(pts)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            best_disk_grid([])
-
-
-class TestGridContainment:
-    def test_unit_disk_fits_some_closed_cell(self):
-        # for any center, one of the four shifted grids has a closed 4x4
-        # cell containing the disk's bounding square
-        rng = Xoshiro256StarStar(41)
-        cell = GRID.cell_size
-        for _ in range(10_000):
-            cx = rng.uniform(-50.0, 50.0)
-            cy = rng.uniform(-50.0, 50.0)
-            found = False
-            for sx, sy in GRID.shifts:
-                kx = math.floor((cx - 1 - sx) / cell)
-                ky = math.floor((cy - 1 - sy) / cell)
-                if (
-                    cx + 1 <= cell * (kx + 1) + sx + CELL_BOUNDARY_TOL
-                    and cy + 1 <= cell * (ky + 1) + sy + CELL_BOUNDARY_TOL
-                ):
-                    found = True
-                    break
-            assert found, (cx, cy)

@@ -3,7 +3,8 @@ import math
 import pytest
 
 from diskcover import (
-    best_disk_grid,
+    best_disk_sweep,
+    candidate_disks,
     coverage,
     greedy_solve,
     most_points,
@@ -53,7 +54,7 @@ class TestNeighborPoints:
     def test_matches_naive_distance_loop(self):
         # oracle: per-point distance check with the same radius and slack
         pts = uniform_points(5, 300, 0.0, 50.0)
-        g1 = best_disk_grid(pts)
+        g1 = best_disk_sweep(pts)
         nbr = neighbor_points(pts, [g1.disk])
         expected = [
             p.idx
@@ -76,13 +77,13 @@ class TestSolve:
         assert sol.covered.count == 4
         assert sol.traces[0].chose_greedy is True
 
-    def test_m1_identical_to_grid(self):
+    def test_m1_identical_to_sweep(self):
         pts = uniform_points(77, 40, 0.0, 8.0)
         sol = solve(pts, 1)
-        grid = best_disk_grid(pts)
-        assert sol.covered.bits == grid.covered.bits
-        assert sol.disks[0] == grid.disk
-        assert sol.rho == grid.rho_witness
+        first = best_disk_sweep(pts)
+        assert sol.covered.bits == first.covered.bits
+        assert sol.disks[0] == first.disk
+        assert sol.rho == first.rho_witness
         assert sol.traces == [] and sol.total_combos == 0
 
     def test_matches_exact_baseline(self):
@@ -202,6 +203,38 @@ class TestGreedySolve:
             assert grd <= opt
             assert grd >= (1 - 1 / math.e) * opt - 1e-9
 
+    def test_second_disk_is_best_on_uncovered_points(self):
+        # oracle: candidate re-enumeration on the points the first disk misses
+        for pts in (
+            uniform_points(9, 20, 0.0, 8.0),
+            make_points([(0, 0), (0.1, 0), (10, 0)]),
+            # the uncovered point is not a prefix of the input: ids must
+            # stay in the original space, not the filtered list's
+            make_points([(5, 5), (5.2, 5), (0, 0)]),
+        ):
+            first = best_disk_sweep(pts)
+            remaining = [p for p in pts if p.idx not in first.covered]
+            expected = max(
+                coverage(d, remaining).count for d in candidate_disks(remaining)
+            )
+            sol = greedy_solve(pts, 2)
+            assert sol.disks[0] == first.disk
+            assert coverage(sol.disks[1], remaining).count == expected
+            assert sol.covered.bits == first.covered.bits | coverage(sol.disks[1], pts).bits
+            assert sol.covered.count == first.rho_witness + expected
+
     def test_disk_count(self):
-        sol = greedy_solve(make_points([(0, 0)]), 3)
-        assert len(sol.disks) == 3
+        # once every point is covered, each further disk sits on the first
+        # input point and leaves coverage unchanged
+        for coords in ([(0, 0)], [(3, 4), (3.1, 4)]):
+            pts = make_points(coords)
+            sol = greedy_solve(pts, 3)
+            assert len(sol.disks) == 3
+            assert sol.covered.count == len(pts)
+            assert sol.disks[1:] == [UnitDisk(*coords[0])] * 2
+
+    def test_errors(self):
+        with pytest.raises(ValueError):
+            greedy_solve([], 1)
+        with pytest.raises(ValueError):
+            greedy_solve(make_points([(0, 0)]), 0)
