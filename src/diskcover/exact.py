@@ -22,7 +22,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geometry import CoverageSet, Point, UnitDisk, candidate_disks, coverage_bits_many
+from .geometry import (
+    CoverageSet,
+    Point,
+    UnitDisk,
+    candidate_centers,
+    center_coverage_bits,
+)
 from .single_disk import best_disk_sweep
 
 
@@ -144,35 +150,23 @@ def most_points(
         )
         return MultiDiskResult([res.disk], res.covered, stats)
 
-    cands = candidate_disks(pts)
-    bits_all = coverage_bits_many(cands, pts)
-    stats = ExactSolveStats(candidates_generated=len(cands))
+    cx, cy = candidate_centers(pts)
+    rows, bits = center_coverage_bits(cx, cy, pts, distinct=dedup)
+    xs, ys = cx[rows].tolist(), cy[rows].tolist()
+    stats = ExactSolveStats(
+        candidates_generated=len(cx), candidates_after_dedup=len(bits)
+    )
 
-    if dedup:
-        seen: set[int] = set()
-        disks: list[UnitDisk] = []
-        bits: list[int] = []
-        for d, b in zip(cands, bits_all):
-            if b in seen:
-                continue
-            seen.add(b)
-            disks.append(d)
-            bits.append(b)
-    else:
-        disks = cands
-        bits = bits_all
-    stats.candidates_after_dedup = len(disks)
-
-    if k >= len(disks):
+    if k >= len(bits):
         # every candidate can be used; pad with the single best disk
         union = 0
         for b in bits:
             union |= b
         best_single = min(
-            range(len(disks)),
-            key=lambda i: (-bits[i].bit_count(), disks[i].cx, disks[i].cy),
+            range(len(bits)), key=lambda i: (-bits[i].bit_count(), xs[i], ys[i])
         )
-        chosen = list(disks) + [disks[best_single]] * (k - len(disks))
+        chosen = [UnitDisk(x, y) for x, y in zip(xs, ys)]
+        chosen += [chosen[best_single]] * (k - len(bits))
         stats.combos_evaluated = 1
         return MultiDiskResult(chosen, CoverageSet(union), stats)
 
@@ -181,6 +175,5 @@ def most_points(
     union = 0
     for i in combo:
         union |= bits[i]
-    chosen = sorted((disks[i] for i in combo), key=lambda d: (d.cx, d.cy))
+    chosen = sorted((UnitDisk(xs[i], ys[i]) for i in combo), key=lambda d: (d.cx, d.cy))
     return MultiDiskResult(chosen, CoverageSet(union), stats)
-

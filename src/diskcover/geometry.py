@@ -5,6 +5,15 @@ Coverage of a disk is represented as a bitset over point indices so that
 multi-disk unions and exclusions are single integer operations; all solvers
 agree on membership through one closed-disk predicate with a small epsilon,
 because candidate disks routinely place points exactly on their boundary.
+
+The candidate set and the coverage of many disks are computed on whole numpy
+arrays.  Candidate centers apply the per-pair formula to every KD-tree pair
+at once.  Coverage first asks a KD-tree for the points within
+COVER_QUERY_RADIUS of each center, a radius slightly larger than the
+predicate's, and then applies the predicate itself to those pairs; so
+membership is bit for bit that of testing every point (``coverage``), while
+the work grows with the number of covered points instead of with the number
+of centers times the number of points.
 """
 
 from __future__ import annotations
@@ -29,6 +38,14 @@ PAIR_EPS = 1e-12
 
 # Candidate centers closer than this (per coordinate) are duplicates.
 CENTER_DEDUP_EPS = 1e-12
+
+# KD-tree search radius for coverage: a superset of every point the exact
+# predicate admits.  That predicate allows distance sqrt(1 + EPS_COVER), about
+# 1 + 5e-10.  The tree measures distance from the same float coordinates, so
+# its value differs from the predicate's only by rounding, about 1e-16 times
+# the coordinate magnitude; the 1e-6 margin covers that for any coordinates
+# below about 1e9.
+COVER_QUERY_RADIUS = 1.0 + 1e-6
 
 
 class PointFormatError(ValueError):
@@ -125,27 +142,67 @@ def coverage(d: UnitDisk, pts: Sequence[Point]) -> CoverageSet:
     return CoverageSet(bits)
 
 
-def coverage_bits_many(disks: Sequence[UnitDisk], pts: Sequence[Point]) -> list[int]:
-    """Coverage bitmasks for many disks at once (vectorized per disk).
+def candidate_centers(pts: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
+    """Centers of ``candidate_disks`` as two float arrays, in the same order.
 
-    Matches ``coverage`` bit-for-bit; only the evaluation order differs.
+    Point centers come first, then the through-pair centers in KD-tree pair
+    order, each from the formula in ``candidate_disks`` in that formula's
+    float operations; then a stable sort by (cx, cy) and the merge of
+    near-coincident centers.
     """
     if not pts:
-        return [0 for _ in disks]
-    px = np.fromiter((p.x for p in pts), dtype=np.float64, count=len(pts))
-    py = np.fromiter((p.y for p in pts), dtype=np.float64, count=len(pts))
-    ids = np.fromiter((p.idx for p in pts), dtype=np.int64, count=len(pts))
-    width = int(ids.max()) + 1
-    limit = 1.0 + EPS_COVER
-    out = []
-    mask_arr = np.zeros(width, dtype=bool)
-    for d in disks:
-        hit = (px - d.cx) ** 2 + (py - d.cy) ** 2 <= limit
-        mask_arr[:] = False
-        mask_arr[ids[hit]] = True
-        packed = np.packbits(mask_arr, bitorder="little").tobytes()
-        out.append(int.from_bytes(packed, "little"))
-    return out
+        raise ValueError("candidate_disks requires a non-empty point list")
+    xy = np.array([(p.x, p.y) for p in pts], dtype=np.float64)
+    xs, ys = xy[:, 0], xy[:, 1]
+    cx_parts, cy_parts = [xs], [ys]
+    if len(pts) >= 2:
+        pairs = cKDTree(xy).query_pairs(r=2.0 + 1e-9, output_type="ndarray")
+        ax, ay = xs[pairs[:, 0]], ys[pairs[:, 0]]
+        bx, by = xs[pairs[:, 1]], ys[pairs[:, 1]]
+        dx, dy = bx - ax, by - ay
+        d2 = dx * dx + dy * dy
+        d = np.sqrt(d2)
+        ok = (d > PAIR_EPS) & (d <= 2.0 + PAIR_EPS)
+        ax, ay, bx, by, dx, dy, d2, d = (v[ok] for v in (ax, ay, bx, by, dx, dy, d2, d))
+        mx, my = (ax + bx) / 2.0, (ay + by) / 2.0
+        mid = np.abs(d - 2.0) <= PAIR_EPS
+        h = np.sqrt(np.maximum(1.0 - d2 / 4.0, 0.0))
+        ux, uy = dx / d, dy / d
+        # per pair: the first center (the midpoint when d == 2), then the
+        # mirror center unless d == 2; C-order masking keeps pair order
+        both = np.stack((np.ones_like(mid), ~mid), axis=1)
+        first_x = np.where(mid, mx, mx - h * uy)
+        first_y = np.where(mid, my, my + h * ux)
+        cx_parts.append(np.stack((first_x, mx + h * uy), axis=1)[both])
+        cy_parts.append(np.stack((first_y, my - h * ux), axis=1)[both])
+    cx, cy = np.concatenate(cx_parts), np.concatenate(cy_parts)
+    order = np.lexsort((cy, cx))
+    cx, cy = cx[order], cy[order]
+    return _merge_near_centers(cx, cy)
+
+
+def _merge_near_centers(cx: np.ndarray, cy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Drop each sorted center within CENTER_DEDUP_EPS of the last kept one.
+
+    A center whose x exceeds its predecessor's by more than the tolerance is
+    farther than that from every earlier center, so it is kept; only the
+    others need the sequential comparison with the last kept center.
+    """
+    close = np.flatnonzero(cx[1:] - cx[:-1] <= CENTER_DEDUP_EPS) + 1
+    keep = np.ones(len(cx), dtype=bool)
+    # the last index at or before each position that is kept for sure
+    sure = np.arange(len(cx))
+    sure[close] = -1
+    last_sure = np.maximum.accumulate(sure)
+    xs, ys = cx.tolist(), cy.tolist()
+    last_kept = 0
+    for i in close.tolist():
+        k = max(last_kept, int(last_sure[i - 1]))
+        if abs(xs[i] - xs[k]) <= CENTER_DEDUP_EPS and abs(ys[i] - ys[k]) <= CENTER_DEDUP_EPS:
+            keep[i] = False
+        else:
+            last_kept = i
+    return cx[keep], cy[keep]
 
 
 def candidate_disks(pts: Sequence[Point]) -> list[UnitDisk]:
@@ -156,42 +213,105 @@ def candidate_disks(pts: Sequence[Point]) -> list[UnitDisk]:
     (one disk, at the midpoint, when d is 2 within PAIR_EPS).  Any disk can
     be translated until two covered points lie on its boundary or it covers
     at most one point, so some optimal solution of best-k disks uses only
-    these candidates.  Near-coincident centers are merged.
+    these candidates.  For a pair a, b with d = |b - a|, m = (a + b) / 2,
+    h = sqrt(max(1 - d^2 / 4, 0)) and u = (b - a) / d, the centers are
+    (m.x - h u.y, m.y + h u.x) and (m.x + h u.y, m.y - h u.x).  Centers are
+    sorted by (cx, cy); a center within CENTER_DEDUP_EPS (per coordinate) of
+    the last kept one is merged into it.
     """
-    if not pts:
-        raise ValueError("candidate_disks requires a non-empty point list")
-    centers: list[tuple[float, float]] = [(p.x, p.y) for p in pts]
-    if len(pts) >= 2:
-        coords = np.array([[p.x, p.y] for p in pts])
-        tree = cKDTree(coords)
-        pairs = tree.query_pairs(r=2.0 + 1e-9, output_type="ndarray")
-        for i, j in pairs:
-            ax, ay = pts[i].x, pts[i].y
-            bx, by = pts[j].x, pts[j].y
-            dx, dy = bx - ax, by - ay
-            d2 = dx * dx + dy * dy
-            d = math.sqrt(d2)
-            if d <= PAIR_EPS or d > 2.0 + PAIR_EPS:
-                continue
-            mx, my = (ax + bx) / 2.0, (ay + by) / 2.0
-            if abs(d - 2.0) <= PAIR_EPS:
-                centers.append((mx, my))
-                continue
-            h = math.sqrt(max(1.0 - d2 / 4.0, 0.0))
-            ux, uy = dx / d, dy / d
-            centers.append((mx - h * uy, my + h * ux))
-            centers.append((mx + h * uy, my - h * ux))
-    centers.sort()
-    kept: list[tuple[float, float]] = []
-    for c in centers:
-        if (
-            kept
-            and abs(c[0] - kept[-1][0]) <= CENTER_DEDUP_EPS
-            and abs(c[1] - kept[-1][1]) <= CENTER_DEDUP_EPS
-        ):
-            continue
-        kept.append(c)
-    return [UnitDisk(cx, cy) for cx, cy in kept]
+    cx, cy = candidate_centers(pts)
+    return [UnitDisk(x, y) for x, y in zip(cx.tolist(), cy.tolist())]
+
+
+def center_coverage_bits(
+    cx: np.ndarray, cy: np.ndarray, pts: Sequence[Point], distinct: bool = False
+) -> tuple[np.ndarray, list[int]]:
+    """Coverage bitmasks of the unit disks centered at (cx[r], cy[r]).
+
+    Returns (rows, bits): ``bits[t]`` is the coverage of center ``rows[t]``.
+    Without ``distinct`` every center is a row; with it, only the first
+    center of each distinct coverage set, so no bitmask is built twice.
+
+    Membership is ``coverage``'s predicate, bit for bit: a KD-tree over the
+    centers pairs them with the points within COVER_QUERY_RADIUS, a superset
+    of the covered points, and the squared-distance test is then applied to
+    each pair exactly as ``coverage`` writes it.
+    """
+    n_rows = len(cx)
+    if n_rows == 0 or not pts:
+        rows = np.arange(min(n_rows, 1) if distinct else n_rows)
+        return rows, [0] * len(rows)
+    indptr, ids = _coverage_rows(cx, cy, pts)
+    rows = _first_distinct_rows(indptr, ids) if distinct else np.arange(n_rows)
+    shift = (1).__lshift__
+    bits: list[int] = []
+    # a few thousand rows at a time, so that the ids never all exist as
+    # Python ints at once (about 2 MB of peak RSS on 5000 points)
+    for lo in range(0, len(rows), 4096):
+        part = rows[lo : lo + 4096]
+        first, last = indptr[part[0]], indptr[part[-1] + 1]
+        id_list = ids[first:last].tolist()
+        starts, ends = (indptr[part] - first).tolist(), (indptr[part + 1] - first).tolist()
+        # ids within a row are distinct, so the sum of their bits is their union
+        bits += [sum(map(shift, id_list[a:b])) for a, b in zip(starts, ends)]
+    return rows, bits
+
+
+def _coverage_rows(
+    cx: np.ndarray, cy: np.ndarray, pts: Sequence[Point]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Covered point ids of each center as CSR rows (indptr, ids).
+
+    Ids are ascending and distinct within a row.
+    """
+    gid = np.array([p.idx for p in pts], dtype=np.int64)
+    # points in id order, so that sorting a row by point position sorts its ids
+    by_id = np.argsort(gid, kind="stable")
+    gid = gid[by_id]
+    xy = np.array([(p.x, p.y) for p in pts], dtype=np.float64)[by_id]
+    near = cKDTree(np.column_stack((cx, cy))).sparse_distance_matrix(
+        cKDTree(xy), COVER_QUERY_RADIUS, output_type="ndarray"
+    )
+    row, col = near["i"], near["j"]
+    dx = xy[col, 0] - cx[row]
+    dy = xy[col, 1] - cy[row]
+    hit = dx * dx + dy * dy <= 1.0 + EPS_COVER
+    row, col = row[hit], col[hit]
+    order = np.argsort(row * len(pts) + col)
+    row, ids = row[order], gid[col[order]]
+    # a repeated point id is one member, as in coverage
+    fresh = np.ones(len(row), dtype=bool)
+    fresh[1:] = (row[1:] != row[:-1]) | (ids[1:] != ids[:-1])
+    indptr = np.zeros(len(cx) + 1, dtype=np.int64)
+    np.cumsum(np.bincount(row[fresh], minlength=len(cx)), out=indptr[1:])
+    return indptr, ids[fresh]
+
+
+def _first_distinct_rows(indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Ascending indices of the first row of each distinct CSR row."""
+    lengths = np.diff(indptr)
+    row = np.repeat(np.arange(len(lengths)), lengths)
+    # one column per row, padded with -1; a stable sort on the columns puts
+    # equal rows next to each other with the first one leading
+    padded = np.full((max(int(lengths.max()), 1), len(lengths)), -1, dtype=ids.dtype)
+    padded[np.arange(len(ids)) - indptr[row], row] = ids
+    order = np.lexsort(padded[::-1])
+    grouped = padded[:, order]
+    leads = np.ones(len(order), dtype=bool)
+    leads[1:] = (grouped[:, 1:] != grouped[:, :-1]).any(axis=0)
+    return np.sort(order[leads])
+
+
+def coverage_bits_many(disks: Sequence[UnitDisk], pts: Sequence[Point]) -> list[int]:
+    """Coverage bitmasks for many disks at once.
+
+    Matches ``coverage`` bit-for-bit: see ``center_coverage_bits``, which
+    finds each disk's points through a KD-tree instead of testing every
+    point against every disk.
+    """
+    cx = np.array([d.cx for d in disks], dtype=np.float64)
+    cy = np.array([d.cy for d in disks], dtype=np.float64)
+    return center_coverage_bits(cx, cy, pts)[1]
 
 
 def union_cover(sets: Sequence[CoverageSet]) -> CoverageSet:

@@ -21,7 +21,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from .exact import most_points
-from .geometry import Point, candidate_disks, coverage_bits_many, union_cover
+from .geometry import Point, candidate_centers, candidate_disks, coverage_bits_many, union_cover
 from .rng import Xoshiro256StarStar
 from .solver import solve
 
@@ -149,7 +149,7 @@ def _bench_one(
     time_ours = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    n_candidates = len(candidate_disks(pts))
+    n_candidates = len(candidate_centers(pts)[0])
     accelerated = sample_baseline is not None and n_candidates > sample_baseline
     if accelerated:
         baseline = most_points(pts, m, dedup=True, prune=True)
@@ -228,10 +228,13 @@ def verify(
     exact enumeration optimum, assert the neighborhood packing bound
     (neighborhood size <= 21 * rho * (i - 1)) on every iteration, and check
     the coverage-set identities on sampled disks.  Failures carry a
-    reproducer (seed, n, m).  ``max_seconds`` stops early on a time budget.
+    reproducer (seed, n, m).  ``max_seconds`` (positive and finite) stops
+    early on a time budget.
     """
     if trials < 1 or n_max < 1 or m_max < 1:
         raise ValueError("verify requires positive trials, n_max, m_max")
+    if max_seconds is not None and not (math.isfinite(max_seconds) and max_seconds > 0):
+        raise ValueError(f"verify requires a positive finite max_seconds, got {max_seconds}")
     rng = Xoshiro256StarStar(seed)
     report = VerificationReport(trials_requested=trials, trials_run=0, passes=0)
     t_start = time.perf_counter()

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .exact import most_points
 from .geometry import CoverageSet, Point, UnitDisk, coverage, union_cover
 from .single_disk import best_disk_sweep
@@ -58,16 +60,15 @@ def neighbor_points(pts: list[Point], disks: list[UnitDisk]) -> list[Point]:
     """Points within NEIGHBOR_RADIUS of at least one disk center (ids preserved)."""
     if not disks:
         raise ValueError("neighbor_points requires at least one disk")
+    if not pts:
+        return []
     limit = NEIGHBOR_RADIUS * NEIGHBOR_RADIUS + NEIGHBOR_EPS
-    out = []
-    for p in pts:
-        for d in disks:
-            dx = p.x - d.cx
-            dy = p.y - d.cy
-            if dx * dx + dy * dy <= limit:
-                out.append(p)
-                break
-    return out
+    xy = np.array([(p.x, p.y) for p in pts], dtype=np.float64)
+    centers = np.array([(d.cx, d.cy) for d in disks], dtype=np.float64)
+    dx = xy[:, 0, None] - centers[None, :, 0]
+    dy = xy[:, 1, None] - centers[None, :, 1]
+    near = (dx * dx + dy * dy <= limit).any(axis=1)
+    return [p for p, keep in zip(pts, near.tolist()) if keep]
 
 
 def _greedy_step(

@@ -1,9 +1,16 @@
 """Shared helpers for building point sets in tests."""
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
 
 from diskcover import Point
 from diskcover.rng import Xoshiro256StarStar
+
+# Property tests draw the same examples on every run and have no per-example
+# time limit, so a slow shared host can neither flake nor change Tier-1.
+settings.register_profile("deterministic", derandomize=True, deadline=None)
+settings.load_profile("deterministic")
 
 
 def make_points(coords):
@@ -15,6 +22,33 @@ def uniform_points(seed, n, lo, hi):
     """n points uniform in [lo, hi]^2 from the package RNG (x then y)."""
     rng = Xoshiro256StarStar(seed)
     return [Point(rng.uniform(lo, hi), rng.uniform(lo, hi), i) for i in range(n)]
+
+
+# Lattice coordinates (a 3 x 3 lattice, so they repeat often) give duplicate
+# points and pairs at distance exactly 2; the jitter, a multiple of 4e-13,
+# gives chains of centers closer than CENTER_DEDUP_EPS = 1e-12 to their
+# neighbors but not to each other.
+_coord = st.one_of(
+    st.integers(-1, 1).map(float),
+    st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False),
+)
+_jitter = st.integers(-4, 4).map(lambda k: k * 4e-13)
+
+
+@st.composite
+def point_sets(draw, min_size=0, max_size=24):
+    """Hypothesis point lists: lattice and free coordinates, near-coincident
+    jitter, a common translation up to 1e6, and ids that are distinct but
+    neither contiguous nor sorted, as a neighborhood subset has."""
+    raw = draw(
+        st.lists(st.tuples(_coord, _coord, _jitter, _jitter), min_size=min_size, max_size=max_size)
+    )
+    ox = draw(st.sampled_from([0.0, 0.0, 1e3, -37.25, 1e6]))
+    oy = draw(st.sampled_from([0.0, 0.0, -1e3, 512.5, 1e6]))
+    ids = draw(st.permutations(range(3 * len(raw))))[: len(raw)]
+    return [
+        Point(x + jx + ox, y + jy + oy, i) for (x, y, jx, jy), i in zip(raw, ids)
+    ]
 
 
 @pytest.fixture

@@ -91,8 +91,19 @@ class TestUsageErrors:
             ["verify", "--trials", "0", "--n-max", "5", "--m-max", "2", "--seed", "1"],
             ["bench", "--config", "0:5", "--seeds", "1"],
             ["bench", "--config", "5:-1", "--seeds", "1"],
+            ["verify", "--trials", "3", "--n-max", "5", "--m-max", "2", "--seed", "1",
+             "--max-seconds", "-1"],
+            ["verify", "--trials", "3", "--n-max", "5", "--m-max", "2", "--seed", "1",
+             "--max-seconds", "nan"],
         ],
-        ids=["solve-m0", "verify-trials0", "bench-n0", "bench-side-negative"],
+        ids=[
+            "solve-m0",
+            "verify-trials0",
+            "bench-n0",
+            "bench-side-negative",
+            "verify-budget-negative",
+            "verify-budget-nan",
+        ],
     )
     def test_out_of_range_value_one_line_exit_1(self, argv, tmp_path, capsys):
         if argv[0] == "solve":

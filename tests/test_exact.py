@@ -2,6 +2,8 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diskcover import (
     best_disk_sweep,
@@ -12,7 +14,7 @@ from diskcover import (
 )
 from diskcover.rng import Xoshiro256StarStar
 
-from conftest import make_points, uniform_points
+from conftest import make_points, point_sets, uniform_points
 
 
 def brute_force_best_k(pts, k):
@@ -35,7 +37,53 @@ def brute_force_best_k(pts, k):
     return best
 
 
+def reference_best_pair(pts, dedup):
+    """Oracle for most_points(pts, 2, dedup, prune=False), from per-disk coverage.
+
+    Dedup keeps the first candidate (in center order) of each coverage set;
+    pairs are scored in lexicographic order and the first maximum wins.
+    Returns (centers, covered bits, combos, candidates, candidates kept).
+    """
+    cands = candidate_disks(pts)
+    disks, bitsets = [], []
+    for d in cands:
+        b = coverage(d, pts).bits
+        if dedup and b in bitsets:
+            continue
+        disks.append(d)
+        bitsets.append(b)
+    if len(disks) <= 2:
+        best = min(range(len(disks)), key=lambda i: (-bitsets[i].bit_count(), disks[i].cx, disks[i].cy))
+        chosen = disks + [disks[best]] * (2 - len(disks))
+        union = 0
+        for b in bitsets:
+            union |= b
+        combos = 1
+    else:
+        best, pair = -1, None
+        for i, j in itertools.combinations(range(len(disks)), 2):
+            c = (bitsets[i] | bitsets[j]).bit_count()
+            if c > best:
+                best, pair = c, (i, j)
+        chosen = sorted((disks[i] for i in pair), key=lambda d: (d.cx, d.cy))
+        union = bitsets[pair[0]] | bitsets[pair[1]]
+        combos = math.comb(len(disks), 2)
+    return [(d.cx, d.cy) for d in chosen], union, combos, len(cands), len(disks)
+
+
 class TestMostPoints:
+    @given(point_sets(min_size=1, max_size=12), st.booleans())
+    def test_matches_reference_pair_loop(self, pts, dedup):
+        res = most_points(pts, 2, dedup=dedup)
+        got = (
+            [(d.cx, d.cy) for d in res.disks],
+            res.covered.bits,
+            res.stats.combos_evaluated,
+            res.stats.candidates_generated,
+            res.stats.candidates_after_dedup,
+        )
+        assert got == reference_best_pair(pts, dedup)
+
     def test_two_far_clusters(self):
         pts = make_points([(0, 0), (0.1, 0), (10, 0), (10.1, 0)])
         res = most_points(pts, 2)

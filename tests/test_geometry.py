@@ -1,6 +1,10 @@
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from diskcover import (
     CoverageSet,
@@ -17,9 +21,55 @@ from diskcover import (
     load_points,
     union_cover,
 )
+from diskcover.geometry import CENTER_DEDUP_EPS, PAIR_EPS
 from diskcover.rng import Xoshiro256StarStar
 
-from conftest import make_points, uniform_points
+from conftest import make_points, point_sets, uniform_points
+
+
+def reference_candidate_centers(pts):
+    """Oracle: the per-pair loop that defines the candidate centers.
+
+    Point centers, then two centers per KD-tree pair (one at the midpoint
+    when the distance is 2 within PAIR_EPS), sorted, each merged into the
+    last kept center when within CENTER_DEDUP_EPS of it per coordinate.
+    """
+    centers = [(p.x, p.y) for p in pts]
+    if len(pts) >= 2:
+        coords = np.array([[p.x, p.y] for p in pts])
+        pairs = cKDTree(coords).query_pairs(r=2.0 + 1e-9, output_type="ndarray")
+        for i, j in pairs:
+            ax, ay = pts[i].x, pts[i].y
+            bx, by = pts[j].x, pts[j].y
+            dx, dy = bx - ax, by - ay
+            d2 = dx * dx + dy * dy
+            d = math.sqrt(d2)
+            if d <= PAIR_EPS or d > 2.0 + PAIR_EPS:
+                continue
+            mx, my = (ax + bx) / 2.0, (ay + by) / 2.0
+            if abs(d - 2.0) <= PAIR_EPS:
+                centers.append((mx, my))
+                continue
+            h = math.sqrt(max(1.0 - d2 / 4.0, 0.0))
+            ux, uy = dx / d, dy / d
+            centers.append((mx - h * uy, my + h * ux))
+            centers.append((mx + h * uy, my - h * ux))
+    centers.sort()
+    kept = []
+    for c in centers:
+        if (
+            kept
+            and abs(c[0] - kept[-1][0]) <= CENTER_DEDUP_EPS
+            and abs(c[1] - kept[-1][1]) <= CENTER_DEDUP_EPS
+        ):
+            continue
+        kept.append(c)
+    return kept
+
+
+def exact_floats(centers):
+    """Centers as hex strings, so -0.0 and the last bit both count."""
+    return [(float(x).hex(), float(y).hex()) for x, y in centers]
 
 
 class TestCovers:
@@ -80,6 +130,28 @@ class TestCoverage:
         pts = [Point(0.0, 0.0, 3), Point(0.5, 0.0, 7)]
         bits = coverage_bits_many([UnitDisk(0, 0)], pts)[0]
         assert bits == (1 << 3) | (1 << 7)
+        # a repeated id is one bit, as in coverage
+        pts = [Point(0.0, 0.0, 3), Point(0.5, 0.0, 3)]
+        assert coverage_bits_many([UnitDisk(0, 0)], pts) == [coverage(UnitDisk(0, 0), pts).bits]
+
+    def test_batch_kernel_empty_inputs(self):
+        pts = make_points([(0, 0), (0.5, 0)])
+        assert coverage_bits_many([], pts) == []
+        assert coverage_bits_many([], []) == []
+        assert coverage_bits_many([UnitDisk(0, 0), UnitDisk(5, 5)], []) == [0, 0]
+
+    @given(
+        point_sets(),
+        st.lists(st.tuples(st.floats(-4, 4), st.floats(-4, 4)), max_size=6),
+    )
+    def test_batch_kernel_matches_per_disk_coverage(self, pts, extra):
+        # candidate disks put points exactly on their boundary; the extra
+        # disks are placed anywhere near the (translated) points
+        ox, oy = (pts[0].x, pts[0].y) if pts else (0.0, 0.0)
+        disks = (candidate_disks(pts) if pts else []) + [
+            UnitDisk(ox + x, oy + y) for x, y in extra
+        ]
+        assert coverage_bits_many(disks, pts) == [coverage(d, pts).bits for d in disks]
 
 
 class TestCandidateDisks:
@@ -134,6 +206,30 @@ class TestCandidateDisks:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             candidate_disks([])
+
+    @given(point_sets(min_size=1))
+    def test_matches_reference_loop_bit_for_bit(self, pts):
+        got = [(d.cx, d.cy) for d in candidate_disks(pts)]
+        assert exact_floats(got) == exact_floats(reference_candidate_centers(pts))
+
+    def test_merge_compares_with_last_kept_center(self):
+        # point centers 0, 4e-13, 8e-13, 1.2e-12 up the y axis (through-pair
+        # centers lie near x = +-1): each is within CENTER_DEDUP_EPS of its
+        # predecessor, but 1.2e-12 is not within it of 0, the last center
+        # kept, so it is kept too
+        pts = make_points([(0, 0), (0, 4e-13), (0, 8e-13), (0, 1.2e-12)])
+        on_axis = [(d.cx, d.cy) for d in candidate_disks(pts) if abs(d.cx) < 0.5]
+        assert on_axis == [(0.0, 0.0), (0.0, 1.2e-12)]
+        # here the third center is farther than the tolerance from the second
+        # (in y) yet within it of the first, which is the last kept
+        pts = make_points([(0, 0), (1e-13, 9e-13), (2e-13, -5e-13)])
+        near_origin = [
+            (d.cx, d.cy) for d in candidate_disks(pts) if abs(d.cx) + abs(d.cy) < 1e-11
+        ]
+        assert near_origin == [(0.0, 0.0)]
+        assert exact_floats(
+            [(d.cx, d.cy) for d in candidate_disks(pts)]
+        ) == exact_floats(reference_candidate_centers(pts))
 
 
 class TestSetAlgebra:

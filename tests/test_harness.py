@@ -138,3 +138,6 @@ class TestVerify:
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             verify(0, 10, 1, seed=0)
+        for budget in (-1.0, 0.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                verify(3, 10, 1, seed=0, max_seconds=budget)

@@ -14,7 +14,7 @@ from diskcover import (
 )
 from diskcover.solver import NEIGHBOR_RADIUS, NEIGHBOR_EPS
 from diskcover.rng import Xoshiro256StarStar
-from diskcover import UnitDisk
+from diskcover import Point, UnitDisk
 
 from conftest import make_points, uniform_points
 
@@ -63,6 +63,31 @@ class TestNeighborPoints:
             <= NEIGHBOR_RADIUS**2 + NEIGHBOR_EPS
         ]
         assert [p.idx for p in nbr] == expected
+
+    def test_matches_double_loop_reference(self):
+        # oracle: the point-by-disk double loop, on random instances with
+        # points placed exactly at distance 3 (and just past it) from a center
+        def reference(pts, disks):
+            limit = NEIGHBOR_RADIUS * NEIGHBOR_RADIUS + NEIGHBOR_EPS
+            out = []
+            for p in pts:
+                for d in disks:
+                    dx = p.x - d.cx
+                    dy = p.y - d.cy
+                    if dx * dx + dy * dy <= limit:
+                        out.append(p)
+                        break
+            return out
+
+        rng = Xoshiro256StarStar(31)
+        for _ in range(40):
+            disks = [UnitDisk(rng.uniform(0, 20), rng.uniform(0, 20)) for _ in range(rng.randint(1, 3))]
+            coords = [(rng.uniform(-3, 23), rng.uniform(-3, 23)) for _ in range(rng.randint(0, 120))]
+            for d in disks:
+                coords += [(d.cx + 3.0, d.cy), (d.cx, d.cy - 3.0), (d.cx + 1.8, d.cy + 2.4)]
+                coords += [(d.cx - 3.0 - 1e-6, d.cy)]
+            pts = [Point(x, y, 2 * i + 1) for i, (x, y) in enumerate(coords)]
+            assert neighbor_points(pts, disks) == reference(pts, disks)
 
     def test_union_over_multiple_disks(self):
         pts = make_points([(0, 0), (6, 0), (12, 0)])
