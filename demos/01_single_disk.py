@@ -10,12 +10,12 @@ instead of n^2.
 
 from diskcover import best_disk_sweep, candidate_disks, coverage, generate
 
-inst = generate(n=400, side=25.0, seed=2024)
-pts = inst.points
+SIDE = 25.0
+pts = generate(n=400, side=SIDE, seed=2024).points
 
 swept = best_disk_sweep(pts)
 
-print(f"instance: {len(pts)} points uniform in [0, {inst.meta.side:g}]^2")
+print(f"instance: {len(pts)} points uniform in [0, {SIDE:g}]^2")
 print()
 print(f"angular sweep : {swept.rho_witness} points covered, "
       f"center ({swept.disk.cx:.4f}, {swept.disk.cy:.4f})")

@@ -29,7 +29,6 @@ from .geometry import (
 from .harness import (
     BenchRecord,
     BenchmarkError,
-    GeneratorMeta,
     Instance,
     VerificationReport,
     bench,
@@ -56,7 +55,6 @@ __all__ = [
     "BenchmarkError",
     "CoverageSet",
     "ExactSolveStats",
-    "GeneratorMeta",
     "Instance",
     "IterationTrace",
     "MultiDiskResult",

@@ -116,12 +116,19 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         )
     try:
         records = bench(configs, seeds, m=args.m, sample_baseline=args.sample_baseline)
+    except ValueError as exc:
+        print(f"bench: {exc}", file=sys.stderr)
+        return 1
     except BenchmarkError as exc:
         print(f"benchmark failed: {exc}", file=sys.stderr)
         return 1
-    write_bench_csv(records, args.out)
-    if args.json_out:
-        write_bench_json(records, args.json_out)
+    try:
+        write_bench_csv(records, args.out)
+        if args.json_out:
+            write_bench_json(records, args.json_out)
+    except OSError as exc:
+        print(f"cannot write bench output: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {len(records)} records to {args.out}")
     return 0
 
@@ -153,7 +160,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"gen: {exc}", file=sys.stderr)
         return 1
-    save_points(args.out, inst.points)
+    try:
+        save_points(args.out, inst.points)
+    except OSError as exc:
+        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
+        return 1
     print(f"wrote {args.n} points to {args.out}")
     return 0
 

@@ -118,6 +118,26 @@ class TestUsageErrors:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bench", "--config", "10:5", "--seeds", ",", "--out", "{tmp}/x.csv"],
+            ["bench", "--config", "10:5", "--seeds", "1", "--out", "{missing}/x.csv"],
+            ["bench", "--config", "10:5", "--seeds", "1", "--out", "{tmp}/x.csv",
+             "--json-out", "{missing}/x.json"],
+            ["gen", "--n", "5", "--side", "2", "--seed", "1", "--out", "{missing}/g.txt"],
+        ],
+        ids=["bench-no-seeds", "bench-out-missing-dir", "bench-json-out-missing-dir",
+             "gen-out-missing-dir"],
+    )
+    def test_unusable_argument_one_line_exit_1(self, argv, tmp_path, capsys):
+        argv = [a.format(tmp=tmp_path, missing=tmp_path / "no-such-dir") for a in argv]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert "Traceback" not in err
+
+
 class TestBenchCommand:
     def test_csv_written_and_deterministic(self, tmp_path, capsys):
         out1 = tmp_path / "a.csv"

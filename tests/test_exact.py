@@ -37,11 +37,11 @@ def brute_force_best_k(pts, k):
     return best
 
 
-def reference_best_pair(pts, dedup):
-    """Oracle for most_points(pts, 2, dedup, prune=False), from per-disk coverage.
+def reference_best_k(pts, k, dedup):
+    """Oracle for most_points(pts, k, dedup, prune=False), from per-disk coverage.
 
     Dedup keeps the first candidate (in center order) of each coverage set;
-    pairs are scored in lexicographic order and the first maximum wins.
+    k-subsets are scored in lexicographic order and the first maximum wins.
     Returns (centers, covered bits, combos, candidates, candidates kept).
     """
     cands = candidate_disks(pts)
@@ -52,29 +52,30 @@ def reference_best_pair(pts, dedup):
             continue
         disks.append(d)
         bitsets.append(b)
-    if len(disks) <= 2:
+    if len(disks) <= k:
         best = min(range(len(disks)), key=lambda i: (-bitsets[i].bit_count(), disks[i].cx, disks[i].cy))
-        chosen = disks + [disks[best]] * (2 - len(disks))
+        chosen = disks + [disks[best]] * (k - len(disks))
         union = 0
         for b in bitsets:
             union |= b
         combos = 1
     else:
-        best, pair = -1, None
-        for i, j in itertools.combinations(range(len(disks)), 2):
-            c = (bitsets[i] | bitsets[j]).bit_count()
-            if c > best:
-                best, pair = c, (i, j)
-        chosen = sorted((disks[i] for i in pair), key=lambda d: (d.cx, d.cy))
-        union = bitsets[pair[0]] | bitsets[pair[1]]
-        combos = math.comb(len(disks), 2)
+        best, union, combo = -1, 0, None
+        for c in itertools.combinations(range(len(disks)), k):
+            u = 0
+            for i in c:
+                u |= bitsets[i]
+            if u.bit_count() > best:
+                best, union, combo = u.bit_count(), u, c
+        chosen = sorted((disks[i] for i in combo), key=lambda d: (d.cx, d.cy))
+        combos = math.comb(len(disks), k)
     return [(d.cx, d.cy) for d in chosen], union, combos, len(cands), len(disks)
 
 
 class TestMostPoints:
-    @given(point_sets(min_size=1, max_size=12), st.booleans())
-    def test_matches_reference_pair_loop(self, pts, dedup):
-        res = most_points(pts, 2, dedup=dedup)
+    @given(point_sets(min_size=1, max_size=12), st.sampled_from([1, 2]), st.booleans())
+    def test_matches_reference_pair_loop(self, pts, k, dedup):
+        res = most_points(pts, k, dedup=dedup)
         got = (
             [(d.cx, d.cy) for d in res.disks],
             res.covered.bits,
@@ -82,7 +83,7 @@ class TestMostPoints:
             res.stats.candidates_generated,
             res.stats.candidates_after_dedup,
         )
-        assert got == reference_best_pair(pts, dedup)
+        assert got == reference_best_k(pts, k, dedup)
 
     def test_two_far_clusters(self):
         pts = make_points([(0, 0), (0.1, 0), (10, 0), (10.1, 0)])

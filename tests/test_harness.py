@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 
 import pytest
 
@@ -11,6 +12,7 @@ from diskcover import (
     write_bench_csv,
     write_bench_json,
 )
+from diskcover import single_disk
 from diskcover.harness import BENCH_FIELDS, TIMING_FIELDS
 
 
@@ -40,12 +42,6 @@ class TestGenerate:
         c = generate(50, 30.0, 10).points
         assert [(p.x, p.y) for p in a] == [(p.x, p.y) for p in b]
         assert [(p.x, p.y) for p in a] != [(p.x, p.y) for p in c]
-
-    def test_meta(self):
-        inst = generate(5, 3.0, 77, m=2)
-        assert inst.meta.kind == "uniform-square"
-        assert (inst.meta.n, inst.meta.side, inst.meta.seed) == (5, 3.0, 77)
-        assert inst.m == 2
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
@@ -81,6 +77,15 @@ class TestBench:
         n_candidates = len(candidate_disks(generate(60, 12.0, 5).points))
         assert capped.pairs_baseline == math.comb(n_candidates, 2)
         assert capped.pairs_baseline == full.pairs_baseline
+
+    def test_pairs_baseline_independent_of_sample_baseline(self):
+        # one candidate (n=1) and two far-apart ones (n=2): m >= candidates
+        # makes the faithful enumeration score one padded combo
+        for config in [(1, 5.0), (2, 50.0)]:
+            for m in (1, 2, 3):
+                full = bench([config], seeds=[1], m=m)[0]
+                capped = bench([config], seeds=[1], m=m, sample_baseline=0)[0]
+                assert capped.pairs_baseline == full.pairs_baseline, (config, m)
 
     def test_empty_arguments_rejected(self):
         with pytest.raises(ValueError):
@@ -134,6 +139,21 @@ class TestVerify:
         report = verify(10_000, 20, 2, seed=2, max_seconds=0.2)
         assert report.trials_run < 10_000
         assert report.failures == []
+
+    def test_single_disk_oracle_is_independent_of_the_sweep(self, monkeypatch):
+        # a sweep that never looks past the first point, installed in every
+        # module that holds the sweep: the m=1 oracle must still catch it
+        real = single_disk.best_disk_sweep
+
+        def wrong_sweep(pts):
+            return real(pts[:1])
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("diskcover") and getattr(module, "best_disk_sweep", None) is real:
+                monkeypatch.setattr(module, "best_disk_sweep", wrong_sweep)
+        report = verify(40, 30, 1, seed=7)
+        assert report.trials_run == 40
+        assert report.failures
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
