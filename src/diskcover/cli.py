@@ -7,15 +7,18 @@ Subcommands:
   gen     generate a reproducible uniform-square point file
 
 Exit codes: 0 success, 1 usage or input parse error, 2 verification failure.
+Every library error (``ValueError``, ``OSError``, ``BenchmarkError``) is caught
+in ``main`` alone and printed as one line, ``<command>: <message>``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
-from .geometry import PointFormatError, load_points, save_points
+from .geometry import load_points, save_points
 from .harness import (
     BenchmarkError,
     bench,
@@ -56,22 +59,10 @@ def _solution_dict(sol: Solution) -> dict:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    try:
-        pts = load_points(args.input)
-    except PointFormatError as exc:
-        print(f"{args.input}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"cannot read {args.input}: {exc}", file=sys.stderr)
-        return 1
+    pts = load_points(args.input)
     if not pts:
-        print(f"{args.input}: no points", file=sys.stderr)
-        return 1
-    try:
-        sol = solve(pts, args.m, prune=args.prune)
-    except ValueError as exc:
-        print(f"solve: {exc}", file=sys.stderr)
-        return 1
+        raise ValueError(f"{args.input}: no points")
+    sol = solve(pts, args.m, prune=args.prune)
     if args.json:
         print(json.dumps(_solution_dict(sol), indent=2))
         return 0
@@ -101,46 +92,41 @@ def _parse_configs(text: str) -> list[tuple[int, float]]:
     return configs
 
 
+def _check_writable(path: str) -> None:
+    """Raise OSError unless ``path`` can be written; creates and truncates nothing."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(f"cannot write {path}: no directory {directory}")
+    target = path if os.path.exists(path) else directory
+    if os.path.isdir(path) or not os.access(target, os.W_OK):
+        raise PermissionError(f"cannot write {path}")
+
+
 def _cmd_bench(args: argparse.Namespace) -> int:
-    try:
-        configs = _parse_configs(args.config)
-        seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    except ValueError as exc:
-        print(f"bad --config/--seeds: {exc}", file=sys.stderr)
-        return 1
+    configs = _parse_configs(args.config)
+    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+    # fail before the benchmark runs, not after
+    for path in (args.out, args.json_out):
+        if path:
+            _check_writable(path)
     if args.m >= 3:
         print(
             "warning: m >= 3 enumerates all m-combinations of candidate disks; "
             "expect combinatorial cost growth",
             file=sys.stderr,
         )
-    try:
-        records = bench(configs, seeds, m=args.m, sample_baseline=args.sample_baseline)
-    except ValueError as exc:
-        print(f"bench: {exc}", file=sys.stderr)
-        return 1
-    except BenchmarkError as exc:
-        print(f"benchmark failed: {exc}", file=sys.stderr)
-        return 1
-    try:
-        write_bench_csv(records, args.out)
-        if args.json_out:
-            write_bench_json(records, args.json_out)
-    except OSError as exc:
-        print(f"cannot write bench output: {exc}", file=sys.stderr)
-        return 1
+    records = bench(configs, seeds, m=args.m, sample_baseline=args.sample_baseline)
+    write_bench_csv(records, args.out)
+    if args.json_out:
+        write_bench_json(records, args.json_out)
     print(f"wrote {len(records)} records to {args.out}")
     return 0
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    try:
-        report = verify(
-            args.trials, args.n_max, args.m_max, args.seed, max_seconds=args.max_seconds
-        )
-    except ValueError as exc:
-        print(f"verify: {exc}", file=sys.stderr)
-        return 1
+    report = verify(
+        args.trials, args.n_max, args.m_max, args.seed, max_seconds=args.max_seconds
+    )
     print(
         f"verify: {report.passes}/{report.trials_run} trials passed"
         + (
@@ -155,16 +141,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    try:
-        inst = generate(args.n, args.side, args.seed)
-    except ValueError as exc:
-        print(f"gen: {exc}", file=sys.stderr)
-        return 1
-    try:
-        save_points(args.out, inst.points)
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return 1
+    inst = generate(args.n, args.side, args.seed)
+    save_points(args.out, inst.points)
     print(f"wrote {args.n} points to {args.out}")
     return 0
 
@@ -216,7 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    # the one error boundary: a library error is one line and exit 1
+    try:
+        return args.func(args)
+    except (ValueError, OSError, BenchmarkError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 1
 
 
 def entry() -> None:

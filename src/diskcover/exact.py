@@ -16,12 +16,15 @@ tie-breaks are reproducible.  Two optional reductions:
   (smallest-center) representative.  Never changes the optimum value.
 * prune: branch-and-bound over candidates re-sorted by coverage count
   descending; a partial selection is abandoned when its union plus the best
-  remaining counts cannot beat the incumbent.  Never changes the optimum
-  value, but may return a different equally-good disk set.
+  remaining counts cannot beat the incumbent, and the search stops once the
+  incumbent covers every point (on dense inputs that bound exceeds the point
+  count and cuts nothing).  Never changes the optimum value, but may return
+  a different equally-good disk set.
 """
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 from .geometry import (
@@ -75,24 +78,32 @@ def _greedy_seed(
     return union.bit_count(), tuple(sorted(chosen))
 
 
+class _AllCovered(Exception):
+    """A pruned search found a combination covering every point."""
+
+
 def _enumerate_exact(
-    bits: list[int], counts: list[int], k: int, prune: bool
+    bits: list[int], counts: list[int], k: int, prune: bool, full: int
 ) -> tuple[int, tuple[int, ...], int]:
     """Best k-subset of coverage bitmasks (k <= len(bits)).
 
-    ``counts[i]`` is the popcount of ``bits[i]``.  Returns (count, chosen
-    index tuple, combos evaluated), where combos counts complete k-subsets
-    whose union was scored.  Without pruning the enumeration is lexicographic
-    over indices and the first maximum wins, which (for center-sorted
-    candidates) realizes the smallest-sorted-center tie-break.  With pruning
-    the incumbent starts at the greedy solution, so abandoning branches that
-    can at best tie never loses the optimum value.
+    ``counts[i]`` is the popcount of ``bits[i]``, and ``full`` (the point
+    count) bounds the popcount of every union.  Returns (count, chosen index
+    tuple, combos evaluated), where combos counts complete k-subsets whose
+    union was scored.  Without pruning the enumeration is lexicographic over
+    indices and the first maximum wins, which (for center-sorted candidates)
+    realizes the smallest-sorted-center tie-break.  With pruning the
+    incumbent starts at the greedy solution, so abandoning branches that can
+    at best tie never loses the optimum value, and reaching ``full`` ends the
+    search.
     """
     m = len(bits)
     order = list(range(m))
     if prune:
         order.sort(key=lambda i: -counts[i])
         best_count, best_combo = _greedy_seed(bits, counts, order, k)
+        if best_count == full:
+            return best_count, best_combo, 0
     else:
         best_count = -1
         best_combo = ()
@@ -114,6 +125,9 @@ def _enumerate_exact(
                 if c > best_count:
                     best_count = c
                     best_combo = tuple(chosen) + (order[t],)
+                    if prune and c == full:
+                        combos += evaluated
+                        raise _AllCovered
             combos += evaluated
             return
         for t in range(pos, m - remaining + 1):
@@ -128,7 +142,8 @@ def _enumerate_exact(
             descend(t + 1, chosen, union | bits[idx])
             chosen.pop()
 
-    descend(0, [], 0)
+    with suppress(_AllCovered):
+        descend(0, [], 0)
     return best_count, best_combo, combos
 
 
@@ -168,7 +183,7 @@ def most_points(
         stats.combos_evaluated = 1
         return MultiDiskResult(chosen, CoverageSet(union), stats)
 
-    count, combo, combos = _enumerate_exact(bits, counts, k, prune)
+    count, combo, combos = _enumerate_exact(bits, counts, k, prune, len(pts))
     stats.combos_evaluated = combos
     union = 0
     for i in combo:

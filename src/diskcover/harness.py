@@ -83,8 +83,8 @@ def generate(n: int, side: float, seed: int) -> Instance:
     """
     if n < 1:
         raise ValueError("generate requires n >= 1")
-    if not (side > 0):
-        raise ValueError("generate requires side > 0")
+    if not (math.isfinite(side) and side > 0):
+        raise ValueError(f"generate requires a finite side > 0, got {side}")
     rng = Xoshiro256StarStar(seed)
     pts = []
     for i in range(n):
@@ -140,14 +140,11 @@ def _bench_one(
     time_ours = (time.perf_counter() - t0) * 1000.0
 
     t0 = time.perf_counter()
-    n_candidates = len(candidate_centers(pts)[0])
-    accelerated = sample_baseline is not None and n_candidates > sample_baseline
-    if accelerated:
-        baseline = most_points(pts, m, dedup=True, prune=True)
-        pairs_baseline = math.comb(n_candidates, m) if m < n_candidates else 1
-    else:
-        baseline = most_points(pts, m, dedup=False, prune=False)
-        pairs_baseline = baseline.stats.combos_evaluated
+    fast = sample_baseline is not None and len(candidate_centers(pts)[0]) > sample_baseline
+    baseline = most_points(pts, m, dedup=fast, prune=fast)
+    # the faithful enumeration scores exactly this many combinations
+    n_candidates = baseline.stats.candidates_generated
+    pairs_baseline = math.comb(n_candidates, m) if m < n_candidates else 1
     time_baseline = (time.perf_counter() - t0) * 1000.0
 
     if baseline.covered.count != ours.covered.count:
@@ -199,8 +196,9 @@ def verify(
     m (m=1 too, so the single-disk sweep is checked against an independent
     path), and assert the neighborhood packing bound (neighborhood size
     <= 21 * rho * (i - 1)) on every iteration.  Failures carry a reproducer
-    (seed, n, m).  ``max_seconds`` (positive and finite) stops early on a
-    time budget.
+    (seed, n, m, side), side at full (repr) precision, so
+    ``generate(n, side, seed)`` rebuilds the instance.  ``max_seconds``
+    (positive and finite) stops early on a time budget.
     """
     if trials < 1 or n_max < 1 or m_max < 1:
         raise ValueError("verify requires positive trials, n_max, m_max")
@@ -217,7 +215,7 @@ def verify(
         side = rng.uniform(1.0, 3.0 * math.sqrt(n))
         inst_seed = rng.next_u64()
         inst = generate(n, side, inst_seed)
-        tag = f"seed={inst_seed} n={n} m={m} side={side:.6f}"
+        tag = f"seed={inst_seed} n={n} m={m} side={side!r}"
         report.trials_run += 1
 
         sol = solve(inst.points, m, prune=True)

@@ -95,6 +95,7 @@ class TestUsageErrors:
              "--max-seconds", "-1"],
             ["verify", "--trials", "3", "--n-max", "5", "--m-max", "2", "--seed", "1",
              "--max-seconds", "nan"],
+            ["gen", "--n", "3", "--side", "inf", "--seed", "1"],
         ],
         ids=[
             "solve-m0",
@@ -103,6 +104,7 @@ class TestUsageErrors:
             "bench-side-negative",
             "verify-budget-negative",
             "verify-budget-nan",
+            "gen-side-inf",
         ],
     )
     def test_out_of_range_value_one_line_exit_1(self, argv, tmp_path, capsys):
@@ -110,7 +112,7 @@ class TestUsageErrors:
             path = tmp_path / "p.txt"
             path.write_text("0 0\n")
             argv = argv + ["--input", str(path)]
-        if argv[0] == "bench":
+        if argv[0] in ("bench", "gen"):
             argv = argv + ["--out", str(tmp_path / "x.csv")]
         code, _, err = run(argv, capsys)
         assert code == 1
@@ -186,6 +188,26 @@ class TestBenchCommand:
         assert code == 0
         data = json.loads(jout.read_text())
         assert data[0]["cover_baseline"] == data[0]["cover_ours"]
+
+    @pytest.mark.parametrize("missing", ["--out", "--json-out"])
+    def test_unwritable_output_fails_before_running(
+        self, missing, tmp_path, capsys, monkeypatch
+    ):
+        calls = []
+        monkeypatch.setattr(cli_module, "bench", lambda *a, **kw: calls.append(a) or [])
+        csv_out, json_out = tmp_path / "x.csv", tmp_path / "x.json"
+        csv_out.write_text("keep\n")
+        paths = {"--out": str(csv_out), "--json-out": str(json_out)}
+        paths[missing] = str(tmp_path / "no-such-dir" / "y")
+        argv = ["bench", "--config", "10:5", "--seeds", "1"]
+        for flag, path in paths.items():
+            argv += [flag, path]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert calls == []
+        assert csv_out.read_text() == "keep\n"
+        assert not json_out.exists()
 
     def test_bad_config_exits_1(self, tmp_path, capsys):
         code, _, err = run(

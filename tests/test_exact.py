@@ -9,6 +9,7 @@ from diskcover import (
     best_disk_sweep,
     candidate_disks,
     coverage,
+    generate,
     greedy_solve,
     most_points,
 )
@@ -162,6 +163,21 @@ class TestMostPoints:
             a = most_points(pts, k, dedup=True, prune=True)
             b = most_points(pts, k, dedup=True, prune=False)
             assert a.covered.count == b.covered.count
+
+    def test_prune_stops_once_every_point_is_covered(self):
+        # every candidate here covers a large share of the 24 points, so the
+        # bound (union plus the next counts) exceeds 24 and cuts nothing;
+        # the greedy seed already covers every point
+        res = most_points(generate(24, 1.6, 1).points, 3, prune=True)
+        assert res.covered.count == 24
+        assert res.stats.combos_evaluated == 0
+        # here the greedy seed covers 9 of 10 and the search reaches 10 at
+        # its 92nd combo; going on to the end of the search scores 154
+        pts = generate(10, 0.9 * math.sqrt(10), 19).points
+        res = most_points(pts, 2, prune=True)
+        assert res.covered.count == 10
+        assert res.stats.combos_evaluated == 92
+        assert res.covered == most_points(pts, 2).covered
 
     def test_stats_invariant(self):
         rng = Xoshiro256StarStar(20)

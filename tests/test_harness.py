@@ -8,11 +8,13 @@ from diskcover import (
     bench,
     candidate_disks,
     generate,
+    most_points,
+    solve,
     verify,
     write_bench_csv,
     write_bench_json,
 )
-from diskcover import single_disk
+from diskcover import exact, harness, single_disk
 from diskcover.harness import BENCH_FIELDS, TIMING_FIELDS
 
 
@@ -21,6 +23,31 @@ def csv_without_timing(path):
         rows = [line.rstrip("\n").split(",") for line in fh if line.strip()]
     keep = [i for i, name in enumerate(rows[0]) if name not in TIMING_FIELDS]
     return [[row[i] for i in keep] for row in rows]
+
+
+def record_generated(monkeypatch):
+    """Make the harness log every instance it generates: seed -> points."""
+    generated = {}
+
+    def recording(n, side, seed):
+        inst = generate(n, side, seed)
+        generated[seed] = inst.points
+        return inst
+
+    monkeypatch.setattr(harness, "generate", recording)
+    return generated
+
+
+def install_first_point_sweep(monkeypatch):
+    """A sweep that never looks past the first point, in every module holding it."""
+    real = single_disk.best_disk_sweep
+
+    def wrong_sweep(pts):
+        return real(pts[:1])
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("diskcover") and getattr(module, "best_disk_sweep", None) is real:
+            monkeypatch.setattr(module, "best_disk_sweep", wrong_sweep)
 
 
 class TestGenerate:
@@ -50,6 +77,9 @@ class TestGenerate:
             generate(1, 0.0, 0)
         with pytest.raises(ValueError):
             generate(1, -2.0, 0)
+        for side in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                generate(1, side, 0)
 
 
 class TestBench:
@@ -86,6 +116,26 @@ class TestBench:
                 full = bench([config], seeds=[1], m=m)[0]
                 capped = bench([config], seeds=[1], m=m, sample_baseline=0)[0]
                 assert capped.pairs_baseline == full.pairs_baseline, (config, m)
+
+    def test_faithful_baseline_generates_candidates_once(self, monkeypatch):
+        generated = record_generated(monkeypatch)
+        real = harness.candidate_centers
+        whole_instance_calls = []
+
+        def counting(pts):
+            # neighborhood searches in solve pass other lists; count only
+            # the calls on a whole instance
+            if any(pts is inst for inst in generated.values()):
+                whole_instance_calls.append(len(pts))
+            return real(pts)
+
+        monkeypatch.setattr(harness, "candidate_centers", counting)
+        monkeypatch.setattr(exact, "candidate_centers", counting)
+        record = bench([(30, 8.0)], seeds=[1], m=2)[0]
+        assert whole_instance_calls == [30]
+        assert record.pairs_baseline == math.comb(
+            len(candidate_disks(generated[1])), 2
+        )
 
     def test_empty_arguments_rejected(self):
         with pytest.raises(ValueError):
@@ -141,19 +191,29 @@ class TestVerify:
         assert report.failures == []
 
     def test_single_disk_oracle_is_independent_of_the_sweep(self, monkeypatch):
-        # a sweep that never looks past the first point, installed in every
-        # module that holds the sweep: the m=1 oracle must still catch it
-        real = single_disk.best_disk_sweep
-
-        def wrong_sweep(pts):
-            return real(pts[:1])
-
-        for name, module in list(sys.modules.items()):
-            if name.startswith("diskcover") and getattr(module, "best_disk_sweep", None) is real:
-                monkeypatch.setattr(module, "best_disk_sweep", wrong_sweep)
+        # the m=1 oracle must catch a wrong sweep even where every module
+        # that holds the sweep uses the wrong one
+        install_first_point_sweep(monkeypatch)
         report = verify(40, 30, 1, seed=7)
         assert report.trials_run == 40
         assert report.failures
+
+    def test_failure_line_reproduces_its_instance(self, monkeypatch):
+        install_first_point_sweep(monkeypatch)
+        generated = record_generated(monkeypatch)
+        report = verify(40, 30, 1, seed=7)
+        assert report.failures
+        for line in report.failures:
+            tag, _, mismatch = line.partition(": ")
+            fields = dict(field.split("=") for field in tag.split())
+            n, m, seed = int(fields["n"]), int(fields["m"]), int(fields["seed"])
+            pts = generate(n, float(fields["side"]), seed).points
+            assert pts == generated[seed], line
+            sol = solve(pts, m, prune=True)
+            opt = most_points(pts, m, dedup=True, prune=True)
+            assert mismatch == (
+                f"solver covered {sol.covered.count}, optimum {opt.covered.count}"
+            )
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
