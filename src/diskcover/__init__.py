@@ -2,7 +2,7 @@
 
 Library layout:
   geometry     points, disks, coverage bitsets, the candidate-disk set
-  single_disk  exact single-disk optimum (angular sweep)
+  single_disk  exact single-disk optimum (angular sweep, one anchor table)
   exact        exact best-k disks by candidate enumeration
   solver       output-sensitive exact solver (greedy + neighborhood re-solve)
   harness      reproducible instances, benchmark, self-verification

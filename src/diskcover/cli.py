@@ -22,6 +22,7 @@ from .geometry import load_points, save_points
 from .harness import (
     BenchmarkError,
     bench,
+    check_generate_args,
     generate,
     verify,
     write_bench_csv,
@@ -79,16 +80,32 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_configs(text: str) -> list[tuple[int, float]]:
-    configs = []
+def _parse_list(text: str, option: str, form: str, convert) -> list:
+    """Comma-separated values of ``option``; a bad or missing one names the
+    option and the expected form."""
+    values = []
     for part in text.split(","):
         part = part.strip()
         if not part:
             continue
-        n_str, _, side_str = part.partition(":")
-        configs.append((int(n_str), float(side_str)))
-    if not configs:
-        raise ValueError("no configs")
+        try:
+            values.append(convert(part))
+        except ValueError:
+            raise ValueError(f"{option} expects {form}, got {part!r}") from None
+    if not values:
+        raise ValueError(f"{option} expects {form}, got {text!r}")
+    return values
+
+
+def _config(part: str) -> tuple[int, float]:
+    n_str, _, side_str = part.partition(":")
+    return int(n_str), float(side_str)
+
+
+def _parse_configs(text: str) -> list[tuple[int, float]]:
+    configs = _parse_list(text, "--config", "n:side pairs such as 1000:200,5000:100", _config)
+    for n, side in configs:
+        check_generate_args(n, side)
     return configs
 
 
@@ -103,9 +120,9 @@ def _check_writable(path: str) -> None:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    # a bad argument fails here, before the cost warning and the run
     configs = _parse_configs(args.config)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    # fail before the benchmark runs, not after
+    seeds = _parse_list(args.seeds, "--seeds", "integers such as 1,2,3", int)
     for path in (args.out, args.json_out):
         if path:
             _check_writable(path)

@@ -76,15 +76,20 @@ class VerificationReport:
         return not self.failures and self.trials_run > 0
 
 
+def check_generate_args(n: int, side: float) -> None:
+    """Raise ValueError unless ``generate`` accepts this n and side."""
+    if n < 1:
+        raise ValueError("generate requires n >= 1")
+    if not (math.isfinite(side) and side > 0):
+        raise ValueError(f"generate requires a finite side > 0, got {side}")
+
+
 def generate(n: int, side: float, seed: int) -> Instance:
     """n points i.i.d. uniform in [0, side]^2, deterministic in the seed.
 
     Draw order is fixed: x then y per point, points in index order.
     """
-    if n < 1:
-        raise ValueError("generate requires n >= 1")
-    if not (math.isfinite(side) and side > 0):
-        raise ValueError(f"generate requires a finite side > 0, got {side}")
+    check_generate_args(n, side)
     rng = Xoshiro256StarStar(seed)
     pts = []
     for i in range(n):

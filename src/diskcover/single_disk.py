@@ -1,4 +1,4 @@
-"""Exact single-disk maximum coverage by angular sweep.
+"""Exact single-disk maximum coverage by angular sweep, kept as one anchor table.
 
 An optimal disk can be translated until some covered point lies on its
 boundary, so it suffices to anchor each point p on the boundary,
@@ -7,6 +7,17 @@ contributed by neighbors within distance 2 (Chazelle & Lee, 1986).  A
 KD-tree finds those neighbors, so each anchor only sees the points that a
 unit disk through it can reach: O(rho) of them by packing, where rho is the
 optimum.
+
+``anchor_table`` runs the sweep of every anchor at once on numpy arrays and
+keeps, per anchor, its best placement ``(count, cx, cy)``.  The best disk of
+the instance is the best table entry.  Removing points changes the entry of
+an anchor only if one of its neighbors is removed, so ``best_placement``
+answers "the best disk on the points outside ``covered``" by sweeping again
+only the uncovered anchors that have a covered neighbor, over their
+uncovered neighbors, and reading every other entry from the table.  A greedy
+step thus costs the few anchors near the disks already placed, not a sweep
+of the whole residual instance; and since the table always describes the
+full instance, any ``covered`` set works, not only a growing one.
 """
 
 from __future__ import annotations
@@ -14,11 +25,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.spatial import cKDTree
 
 from .geometry import PAIR_EPS, CoverageSet, Point, UnitDisk, coverage
 
 TWO_PI = 2.0 * math.pi
+
+# Directed neighbor pairs per block of the table's sweep; a block's events
+# peak at about 200 bytes per pair.
+SWEEP_BLOCK = 4096
 
 
 @dataclass
@@ -26,108 +42,184 @@ class SingleDiskResult:
     disk: UnitDisk
     covered: CoverageSet
     rho_witness: int
-    # instrumentation: canonical placements the sweep scored
-    placements_examined: int = 0
 
 
-def _neighbor_lists(pts: list[Point]) -> list[list[int]]:
-    """Indices of points within distance 2 (+PAIR_EPS) of each point."""
-    coords = [(p.x, p.y) for p in pts]
-    tree = cKDTree(coords)
-    raw = tree.query_ball_point(coords, r=2.0 + 1e-9)
-    out: list[list[int]] = []
-    r2 = (2.0 + PAIR_EPS) ** 2
-    for i, group in enumerate(raw):
-        pi = pts[i]
-        keep = []
-        for j in group:
-            if j == i:
-                continue
-            pj = pts[j]
-            if (pi.x - pj.x) ** 2 + (pi.y - pj.y) ** 2 <= r2:
-                keep.append(j)
-        out.append(keep)
-    return out
+@dataclass(frozen=True)
+class AnchorTable:
+    """The sweep of one instance: its neighbor arcs and each anchor's best.
 
-
-def _sweep_best(pts: list[Point]) -> tuple[int, float, float, int]:
-    """Best (count, cx, cy) over canonical placements, plus placements count.
-
-    For anchor p and neighbor q at distance d, a center at angle a on the
-    unit circle around p covers q iff a lies in the closed arc of half-width
-    arccos(d/2) centered on the direction p->q.  Sweeping arc endpoints
-    (starts before ends at equal angle, matching closed disks) yields the
-    densest placement with p on the boundary.  Coincident duplicates of p
-    are covered from every angle and enter as a base depth.  Anchors with no
-    neighbors contribute the disk centered on the point itself.
-
-    Ties break toward the lexicographically smallest (cx, cy).
+    Arrays are indexed by position in the point list (``x``, ``y``, ``ids``,
+    ``count``, ``cx``, ``cy``) or by directed neighbor pair (``anchor``,
+    ``neighbor``, ``dup``, ``start``, ``end``).  A pair's arc is the closed
+    range of angles, from ``start`` to ``end`` and wrapping past 0 when
+    ``start > end``, at which a center on the unit circle around the anchor
+    also covers the neighbor; a duplicate (``dup``) is covered from every
+    angle.  ``count`` is the most points a disk with the anchor on its
+    boundary covers, and ``(cx, cy)`` the smallest such center.
     """
-    neighbor_lists = _neighbor_lists(pts)
-    best_count = -1
-    best_cx = best_cy = 0.0
-    placements = 0
-    for i, p in enumerate(pts):
-        placements += 1
-        base = 0
-        events: list[tuple[float, int, int]] = []
-        for j in neighbor_lists[i]:
-            q = pts[j]
-            dx, dy = q.x - p.x, q.y - p.y
-            d = math.hypot(dx, dy)
-            if d <= PAIR_EPS:
-                base += 1
-                continue
-            placements += 1
-            half = math.acos(min(d / 2.0, 1.0))
-            theta = math.atan2(dy, dx)
-            a = (theta - half) % TWO_PI
-            b = (theta + half) % TWO_PI
-            if a <= b:
-                events.append((a, 0, 1))
-                events.append((b, 1, -1))
-            else:
-                # arc wraps past 0: split into [a, 2pi] and [0, b]
-                events.append((a, 0, 1))
-                events.append((TWO_PI, 1, -1))
-                events.append((0.0, 0, 1))
-                events.append((b, 1, -1))
-        if not events:
-            count = 1 + base
-            if count > best_count or (
-                count == best_count and (p.x, p.y) < (best_cx, best_cy)
-            ):
-                best_count, best_cx, best_cy = count, p.x, p.y
-            continue
-        events.sort()
-        depth = base
-        max_depth = -1
-        angles: list[float] = []
-        for angle, _, delta in events:
-            depth += delta
-            if delta > 0:
-                if depth > max_depth:
-                    max_depth = depth
-                    angles = [angle]
-                elif depth == max_depth:
-                    angles.append(angle)
-        count = max_depth + 1
-        for angle in angles:
-            cx = p.x + math.cos(angle)
-            cy = p.y + math.sin(angle)
-            if count > best_count or (
-                count == best_count and (cx, cy) < (best_cx, best_cy)
-            ):
-                best_count, best_cx, best_cy = count, cx, cy
-    return best_count, best_cx, best_cy, placements
+
+    x: np.ndarray
+    y: np.ndarray
+    ids: np.ndarray
+    anchor: np.ndarray
+    neighbor: np.ndarray
+    dup: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    count: np.ndarray
+    cx: np.ndarray
+    cy: np.ndarray
+
+
+def _math_map(fn, *arrays: np.ndarray) -> np.ndarray:
+    # numpy's SIMD hypot, arctan2 and arccos can differ from the C library's
+    # (which math calls) in the last ulp, and a moved arc endpoint can move a
+    # tie-break; numpy's cos, sin and float mod agree with math exactly, so
+    # only these three go through math.  A memoryview yields Python floats
+    # one at a time, without the list that .tolist() would build.
+    views = [memoryview(np.ascontiguousarray(a)) for a in arrays]
+    return np.fromiter(map(fn, *views), dtype=np.float64, count=len(arrays[0]))
+
+
+def anchor_table(pts: list[Point]) -> AnchorTable:
+    """Sweep every anchor of ``pts`` once and tabulate its best placement."""
+    if not pts:
+        raise ValueError("the sweep requires a non-empty point list")
+    x = np.array([p.x for p in pts], dtype=np.float64)
+    y = np.array([p.y for p in pts], dtype=np.float64)
+    ids = np.array([p.idx for p in pts], dtype=np.int64)
+    pairs = cKDTree(np.column_stack([x, y])).query_pairs(
+        r=2.0 + 1e-9, output_type="ndarray"
+    ).reshape(-1, 2)
+    i, j = pairs[:, 0], pairs[:, 1]
+    near = (x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2 <= (2.0 + PAIR_EPS) ** 2
+    i, j = i[near], j[near]
+    # a pair's two directions share the distance and the arc half-width, but
+    # each takes its own differences: negating one would turn +0.0 into -0.0
+    # and atan2(+0.0, -1) = pi into atan2(-0.0, -1) = -pi
+    d = _math_map(math.hypot, x[j] - x[i], y[j] - y[i])
+    half = np.tile(_math_map(math.acos, np.minimum(d / 2.0, 1.0)), 2)
+    dup = np.tile(d <= PAIR_EPS, 2)
+    anchor = np.concatenate([i, j])
+    neighbor = np.concatenate([j, i])
+    theta = _math_map(math.atan2, y[neighbor] - y[anchor], x[neighbor] - x[anchor])
+    start = np.mod(theta - half, TWO_PI)
+    end = np.mod(theta + half, TWO_PI)
+    # sweep in blocks of about SWEEP_BLOCK pairs, cut between anchors, so
+    # that the event arrays stay small whatever the instance size
+    by_anchor = np.argsort(anchor, kind="stable")
+    table = AnchorTable(
+        x, y, ids, *(a[by_anchor] for a in (anchor, neighbor, dup, start, end)),
+        count=np.ones(len(x), dtype=np.int64), cx=x.copy(), cy=y.copy(),
+    )
+    anchor = table.anchor
+    cuts = np.unique(np.searchsorted(anchor, anchor[::SWEEP_BLOCK])).tolist()
+    for lo, hi in zip(cuts, cuts[1:] + [len(anchor)]):
+        part = slice(anchor[lo], anchor[hi - 1] + 1)
+        for column, swept in zip((table.count, table.cx, table.cy), _sweep(table, slice(lo, hi))):
+            column[part] = swept[part]
+    return table
+
+
+def _sweep(table: AnchorTable, pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best ``(count, cx, cy)`` of every anchor over the pairs ``pairs`` selects.
+
+    Each anchor's arc endpoints are sorted by angle, starts before ends at
+    equal angle (closed arcs), and the depth after a start is the number of
+    neighbors its angle covers; duplicates of the anchor add a base depth.
+    Per anchor, the count is one more than the deepest start, and among the
+    starts at that depth the smallest ``(cx, cy)`` wins, the first in angle
+    order on exact ties.  An anchor with no arcs keeps the disk centered on
+    itself.  Every arc adds +1 and -1 to the depth, so one running sum over
+    all anchors' events resets to zero between anchors.
+    """
+    x, y = table.x, table.y
+    anchor, dup = table.anchor[pairs], table.dup[pairs]
+    start, end = table.start[pairs], table.end[pairs]
+    n = len(x)
+    count = 1 + np.bincount(anchor[dup], minlength=n)
+    cx, cy = x.copy(), y.copy()
+    arc = ~dup
+    a_anchor, a_start, a_end = anchor[arc], start[arc], end[arc]
+    if not len(a_anchor):
+        return count, cx, cy
+    # an arc that wraps past 0 is split into [start, 2pi] and [0, end]
+    wrap = a_start > a_end
+    w_anchor = a_anchor[wrap]
+    ev_anchor = np.concatenate([a_anchor, w_anchor, a_anchor, w_anchor])
+    ev_angle = np.concatenate(
+        [a_start, np.zeros(len(w_anchor)), a_end, np.full(len(w_anchor), TWO_PI)]
+    )
+    n_starts = len(a_anchor) + len(w_anchor)
+    ev_is_end = np.arange(2 * n_starts) >= n_starts
+    # sort by (anchor, angle, start before end) in two passes, each cheaper
+    # than a lexsort: first by (angle, end bit) as one integer (a float >= 0
+    # orders like its bits), then by anchor with that order as the tie-break
+    order = np.argsort((ev_angle.view(np.uint64) << np.uint64(1)) | ev_is_end)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    order = np.argsort(ev_anchor * len(order) + rank)
+    ev_anchor, ev_angle, ev_is_end = ev_anchor[order], ev_angle[order], ev_is_end[order]
+    depth = count[ev_anchor] - 1 + np.cumsum(np.where(ev_is_end, -1, 1))
+
+    s_anchor, s_angle, s_depth = ev_anchor[~ev_is_end], ev_angle[~ev_is_end], depth[~ev_is_end]
+    first = np.flatnonzero(np.r_[True, s_anchor[1:] != s_anchor[:-1]])
+    swept = s_anchor[first]
+    deepest = np.zeros(n, dtype=np.int64)
+    deepest[swept] = np.maximum.reduceat(s_depth, first)
+    top = s_depth == deepest[s_anchor]
+    t_anchor, t_angle = s_anchor[top], s_angle[top]
+    t_cx = x[t_anchor] + np.cos(t_angle)
+    t_cy = y[t_anchor] + np.sin(t_angle)
+    # per anchor, the smallest (cx, cy): the least cx, then the least cy at
+    # it.  x + cos(a) and y + sin(a) are never -0.0, so equal values have
+    # equal bits and any minimal center is the first one
+    t_new = np.r_[True, t_anchor[1:] != t_anchor[:-1]]
+    t_first, t_group = np.flatnonzero(t_new), np.cumsum(t_new) - 1
+    least_cx = np.minimum.reduceat(t_cx, t_first)
+    least_cy = np.minimum.reduceat(
+        np.where(t_cx == least_cx[t_group], t_cy, np.inf), t_first
+    )
+    count[swept] = deepest[swept] + 1
+    cx[swept] = least_cx
+    cy[swept] = least_cy
+    return count, cx, cy
+
+
+def _covered_mask(table: AnchorTable, covered: CoverageSet) -> np.ndarray:
+    """True at each position whose point id is in ``covered``."""
+    width = max(int(table.ids.max()) + 1, covered.bits.bit_length())
+    raw = np.frombuffer(covered.bits.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, bitorder="little")[table.ids].astype(bool)
+
+
+def best_placement(table: AnchorTable, covered: CoverageSet) -> tuple[int, UnitDisk] | None:
+    """The sweep's count and disk on the table's points outside ``covered``.
+
+    This is exactly what a sweep of only those points returns: the most
+    points, then the smallest ``(cx, cy)``, the first anchor on exact ties.
+    None when every point is covered.
+    """
+    live = ~_covered_mask(table, covered)
+    if not live.any():
+        return None
+    # uncovered anchors that lose a neighbor: sweep them again over their
+    # uncovered neighbors; every other uncovered anchor keeps its entry
+    touched = np.zeros(len(live), dtype=bool)
+    touched[table.anchor[~live[table.neighbor]]] = True
+    touched &= live
+    swept = _sweep(table, touched[table.anchor] & live[table.neighbor])
+    count, cx, cy = (
+        np.where(touched, new, old) for new, old in zip(swept, (table.count, table.cx, table.cy))
+    )
+    best = np.flatnonzero(live)
+    best = best[count[best] == count[best].max()]
+    i = best[np.lexsort((cy[best], cx[best]))[0]]
+    return int(count[i]), UnitDisk(float(cx[i]), float(cy[i]))
 
 
 def best_disk_sweep(pts: list[Point]) -> SingleDiskResult:
     """Unit disk covering the maximum number of points, by angular sweep."""
-    if not pts:
-        raise ValueError("best_disk_sweep requires a non-empty point list")
-    _, cx, cy, placements = _sweep_best(pts)
-    disk = UnitDisk(cx, cy)
+    _, disk = best_placement(anchor_table(pts), CoverageSet())
     cov = coverage(disk, pts)
-    return SingleDiskResult(disk, cov, cov.count, placements_examined=placements)
-
+    return SingleDiskResult(disk, cov, cov.count)

@@ -4,7 +4,10 @@ The driver keeps an optimal set of i disks and grows it one disk at a time.
 At each step two branches are compared on full-instance coverage:
 
 * greedy extension: the incumbent plus the single best disk on the points it
-  does not cover yet;
+  does not cover yet.  The instance's anchor table (``single_disk``) is
+  built once, for the first disk; each extension sweeps again only the
+  anchors that lost a neighbor to the incumbent's cover, so it costs the
+  few points near the chosen disks, not a sweep of the residual instance;
 * neighborhood re-solve: an exact best-(i) search restricted to the points
   within distance 3 of the incumbent's centers.  Any disk sharing a covered
   point with the incumbent lies entirely inside that region, so whenever the
@@ -23,7 +26,7 @@ import numpy as np
 
 from .exact import most_points
 from .geometry import CoverageSet, Point, UnitDisk, coverage, union_cover
-from .single_disk import best_disk_sweep
+from .single_disk import AnchorTable, anchor_table, best_placement
 
 # Neighborhood circles have radius 3 around each chosen center: a unit disk
 # that shares a point with a chosen unit disk has its center within 2 of
@@ -72,24 +75,26 @@ def neighbor_points(pts: list[Point], disks: list[UnitDisk]) -> list[Point]:
 
 
 def _greedy_step(
-    pts: list[Point], covered: CoverageSet
+    table: AnchorTable, pts: list[Point], covered: CoverageSet
 ) -> tuple[UnitDisk, CoverageSet]:
     """Best single disk on the points outside ``covered``, and the new union.
 
-    If every point is already covered there is nothing to gain: the disk is
-    centered on the first input point and coverage is unchanged.
+    The disk is the sweep's on the uncovered points, read from the instance's
+    anchor table (``table``, built from ``pts``).  If every point is already
+    covered there is nothing to gain: the disk is centered on the first input
+    point and coverage is unchanged.
     """
-    remaining = [p for p in pts if p.idx not in covered]
-    if not remaining:
+    found = best_placement(table, covered)
+    if found is None:
         return UnitDisk(pts[0].x, pts[0].y), covered
-    step = best_disk_sweep(remaining)
-    return step.disk, union_cover([covered, step.covered])
+    _, disk = found
+    return disk, union_cover([covered, coverage(disk, pts)])
 
 
 def solve(pts: list[Point], m: int, prune: bool = False) -> Solution:
     """Exactly cover the maximum number of points with m unit disks.
 
-    The first disk comes from the single-disk angular sweep; each later disk
+    The first disk is the best entry of the anchor table; each later disk
     is the better of the greedy extension and the exact neighborhood re-solve
     (ties go to the re-solve).  ``prune`` enables branch-and-bound inside the
     neighborhood searches; it changes combo counts, never values.
@@ -102,15 +107,15 @@ def solve(pts: list[Point], m: int, prune: bool = False) -> Solution:
     if m < 1:
         raise ValueError("solve requires m >= 1")
 
-    first = best_disk_sweep(pts)
-    rho = first.rho_witness
-    disks: list[UnitDisk] = [first.disk]
-    covered = first.covered
+    table = anchor_table(pts)
+    first, covered = _greedy_step(table, pts, CoverageSet())
+    disks: list[UnitDisk] = [first]
+    rho = covered.count
     traces: list[IterationTrace] = []
     total_combos = 0
 
     for i in range(2, m + 1):
-        greedy_disk, greedy_union = _greedy_step(pts, covered)
+        greedy_disk, greedy_union = _greedy_step(table, pts, covered)
 
         nbr = neighbor_points(pts, disks)
         refined = most_points(nbr, i, dedup=True, prune=prune)
@@ -151,10 +156,11 @@ def greedy_solve(pts: list[Point], m: int) -> Solution:
         raise ValueError("greedy_solve requires a non-empty point list")
     if m < 1:
         raise ValueError("greedy_solve requires m >= 1")
-    first = best_disk_sweep(pts)
-    disks = [first.disk]
-    covered = first.covered
+    table = anchor_table(pts)
+    first, covered = _greedy_step(table, pts, CoverageSet())
+    disks = [first]
+    rho = covered.count
     for _ in range(2, m + 1):
-        disk, covered = _greedy_step(pts, covered)
+        disk, covered = _greedy_step(table, pts, covered)
         disks.append(disk)
-    return Solution(disks, covered, first.rho_witness)
+    return Solution(disks, covered, rho)

@@ -216,6 +216,45 @@ class TestBenchCommand:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "option, value, form",
+        [
+            ("--config", "abc", "n:side"),
+            ("--config", "10", "n:side"),
+            ("--config", "10:x", "n:side"),
+            ("--config", "10:5:1", "n:side"),
+            ("--config", "10:5,2.5:3", "n:side"),
+            ("--seeds", "x", "integers"),
+            ("--seeds", "1,2.5", "integers"),
+        ],
+    )
+    def test_malformed_value_names_option_and_form(self, option, value, form, tmp_path, capsys):
+        args = {"--config": "10:5", "--seeds": "1", option: value}
+        argv = ["bench", "--out", str(tmp_path / "x.csv")]
+        for flag, text in args.items():
+            argv += [flag, text]
+        code, _, err = run(argv, capsys)
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert err.startswith(f"bench: {option} expects ")
+        # the form, and the part that broke it
+        assert form in err and repr(value.split(",")[-1]) in err
+        assert "invalid literal" not in err and "could not convert" not in err
+
+    @pytest.mark.parametrize(
+        "config, seeds", [("0:5", "1"), ("5:-1", "1"), ("abc", "1"), ("10:5", ",")]
+    )
+    def test_bad_argument_with_m3_is_one_line(self, config, seeds, tmp_path, capsys):
+        # the m >= 3 cost warning comes only after every argument is checked
+        code, _, err = run(
+            ["bench", "--m", "3", "--config", config, "--seeds", seeds,
+             "--out", str(tmp_path / "x.csv")],
+            capsys,
+        )
+        assert code == 1
+        assert len(err.strip().splitlines()) == 1
+        assert "warning" not in err
+
 
 class TestVerifyCommand:
     def test_success_exit_0(self, capsys):

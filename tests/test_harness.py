@@ -39,15 +39,17 @@ def record_generated(monkeypatch):
 
 
 def install_first_point_sweep(monkeypatch):
-    """A sweep that never looks past the first point, in every module holding it."""
-    real = single_disk.best_disk_sweep
+    """A sweep table that never looks past the first point, in every module
+    holding it; ``solve``, ``greedy_solve`` and ``best_disk_sweep`` all read
+    their single disks from that table."""
+    real = single_disk.anchor_table
 
-    def wrong_sweep(pts):
+    def wrong_table(pts):
         return real(pts[:1])
 
     for name, module in list(sys.modules.items()):
-        if name.startswith("diskcover") and getattr(module, "best_disk_sweep", None) is real:
-            monkeypatch.setattr(module, "best_disk_sweep", wrong_sweep)
+        if name.startswith("diskcover") and getattr(module, "anchor_table", None) is real:
+            monkeypatch.setattr(module, "anchor_table", wrong_table)
 
 
 class TestGenerate:

@@ -1,8 +1,116 @@
+import math
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
-from diskcover import best_disk_sweep, candidate_disks, coverage
+from diskcover import CoverageSet, best_disk_sweep, candidate_disks, coverage, generate
+from diskcover.geometry import PAIR_EPS
+from diskcover import single_disk
+from diskcover.single_disk import anchor_table, best_placement
 
-from conftest import make_points, uniform_points
+from conftest import make_points, point_sets, uniform_points
+
+TWO_PI = 2.0 * math.pi
+
+
+def _better(count, cx, cy, best):
+    """The loop's tie-break: more points, then a smaller (cx, cy); the first
+    one met stays on exact ties."""
+    return best is None or count > best[0] or (count == best[0] and (cx, cy) < best[1:])
+
+
+def reference_entries(pts):
+    """The per-anchor angular sweep as a plain loop: for each point, in order,
+    the best (count, cx, cy) of a disk with that point on its boundary.
+
+    For anchor p and neighbor q at distance d, a center at angle a on the
+    unit circle around p covers q iff a lies in the closed arc of half-width
+    arccos(d/2) centered on the direction p->q.  Sweeping arc endpoints
+    (starts before ends at equal angle) yields the densest placement with p
+    on the boundary; duplicates of p enter as a base depth, and an anchor
+    with no arcs contributes the disk centered on itself.
+    """
+    coords = [(p.x, p.y) for p in pts]
+    groups = cKDTree(coords).query_ball_point(coords, r=2.0 + 1e-9)
+    r2 = (2.0 + PAIR_EPS) ** 2
+    entries = []
+    for i, p in enumerate(pts):
+        base = 0
+        events = []
+        for j in groups[i]:
+            q = pts[j]
+            if j == i or (p.x - q.x) ** 2 + (p.y - q.y) ** 2 > r2:
+                continue
+            dx, dy = q.x - p.x, q.y - p.y
+            d = math.hypot(dx, dy)
+            if d <= PAIR_EPS:
+                base += 1
+                continue
+            half = math.acos(min(d / 2.0, 1.0))
+            theta = math.atan2(dy, dx)
+            a = (theta - half) % TWO_PI
+            b = (theta + half) % TWO_PI
+            if a <= b:
+                events += [(a, 0, 1), (b, 1, -1)]
+            else:
+                # arc wraps past 0: split into [a, 2pi] and [0, b]
+                events += [(a, 0, 1), (TWO_PI, 1, -1), (0.0, 0, 1), (b, 1, -1)]
+        if not events:
+            entries.append((1 + base, p.x, p.y))
+            continue
+        events.sort()
+        depth = base
+        max_depth = -1
+        angles = []
+        for angle, _, delta in events:
+            depth += delta
+            if delta > 0:
+                if depth > max_depth:
+                    max_depth, angles = depth, [angle]
+                elif depth == max_depth:
+                    angles.append(angle)
+        entry = None
+        for a in angles:
+            if _better(max_depth + 1, p.x + math.cos(a), p.y + math.sin(a), entry):
+                entry = (max_depth + 1, p.x + math.cos(a), p.y + math.sin(a))
+        entries.append(entry)
+    return entries
+
+
+def reference_sweep(pts):
+    """The loop sweep's disk: the best entry over all anchors, in order."""
+    best = None
+    for entry in reference_entries(pts):
+        if _better(*entry, best):
+            best = entry
+    return best
+
+
+def table_entries(table):
+    return [
+        exact_bits(*entry)
+        for entry in zip(table.count.tolist(), table.cx.tolist(), table.cy.tolist())
+    ]
+
+
+def exact_bits(count, cx, cy):
+    """(count, cx, cy) with the floats as hex, so -0.0 and ulps count."""
+    return count, float(cx).hex(), float(cy).hex()
+
+
+def table_choice(table, covered=CoverageSet()):
+    count, disk = best_placement(table, covered)
+    return exact_bits(count, disk.cx, disk.cy)
+
+
+def residual(pts, covered):
+    return [p for p in pts if p.idx not in covered]
+
+
+def lattice(k, copies=1):
+    return make_points([(x, y) for x in range(k) for y in range(k) for _ in range(copies)])
 
 
 def brute_force_rho(pts):
@@ -48,3 +156,87 @@ class TestSweep:
         with pytest.raises(ValueError):
             best_disk_sweep([])
 
+
+
+class TestAnchorTableMatchesReferenceSweep:
+    """The table's choices equal the loop's bit for bit, first disk and greedy
+    steps alike (floats compared as hex)."""
+
+    @given(point_sets(min_size=1))
+    def test_first_disk_on_generated_sets(self, pts):
+        table = anchor_table(pts)
+        assert table_entries(table) == [exact_bits(*e) for e in reference_entries(pts)]
+        assert table_choice(table) == exact_bits(*reference_sweep(pts))
+
+    def test_every_entry_of_a_multi_block_table(self):
+        pts = generate(2000, 40.0, 101).points
+        table = anchor_table(pts)
+        assert len(table.anchor) > 4 * single_disk.SWEEP_BLOCK
+        assert table_entries(table) == [exact_bits(*e) for e in reference_entries(pts)]
+
+    @given(point_sets(min_size=1), st.data())
+    def test_step_on_any_covered_subset(self, pts, data):
+        # any covered set, as a neighborhood re-solve leaves, not only a
+        # growing one
+        chosen = data.draw(st.sets(st.sampled_from([p.idx for p in pts])))
+        covered = CoverageSet.from_ids(chosen)
+        rest = residual(pts, covered)
+        found = best_placement(anchor_table(pts), covered)
+        if not rest:
+            assert found is None
+        else:
+            assert table_choice(anchor_table(pts), covered) == exact_bits(*reference_sweep(rest))
+
+    @pytest.mark.parametrize(
+        "seed, n, side",
+        [(1, 60, 4.0), (2, 120, 6.0), (3, 200, 12.0), (4, 40, 1.5), (5, 300, 30.0)],
+    )
+    def test_seeded_instances_and_their_greedy_steps(self, seed, n, side):
+        pts = uniform_points(seed, n, 0.0, side)
+        table = anchor_table(pts)
+        assert table_choice(table) == exact_bits(*reference_sweep(pts))
+        covered = CoverageSet()
+        for _ in range(3):
+            rest = residual(pts, covered)
+            if not rest:
+                assert best_placement(table, covered) is None
+                break
+            count, disk = best_placement(table, covered)
+            assert exact_bits(count, disk.cx, disk.cy) == exact_bits(*reference_sweep(rest))
+            covered = CoverageSet(covered.bits | coverage(disk, pts).bits)
+        # an arbitrary subset: every third point
+        covered = CoverageSet.from_ids(p.idx for p in pts[::3])
+        assert table_choice(table, covered) == exact_bits(*reference_sweep(residual(pts, covered)))
+
+    def test_generated_instance_step(self):
+        pts = generate(2000, 40.0, 101).points
+        table = anchor_table(pts)
+        assert table_choice(table) == exact_bits(*reference_sweep(pts))
+        covered = coverage(best_placement(table, CoverageSet())[1], pts)
+        assert table_choice(table, covered) == exact_bits(*reference_sweep(residual(pts, covered)))
+
+    @pytest.mark.parametrize("copies", [1, 2])
+    def test_lattice_with_pairs_at_distance_two(self, copies):
+        # spacing 1: pairs at distance exactly 2 along rows and columns;
+        # copies=2 duplicates every point
+        pts = lattice(5, copies)
+        table = anchor_table(pts)
+        assert table_choice(table) == exact_bits(*reference_sweep(pts))
+        for ids in ([0, 1, 2], range(0, len(pts), 2), range(len(pts) - 1)):
+            covered = CoverageSet.from_ids(ids)
+            assert table_choice(table, covered) == exact_bits(
+                *reference_sweep(residual(pts, covered))
+            )
+
+    def test_anchor_whose_neighbors_are_all_covered(self):
+        # point 0 keeps only itself once 1 and 2 are covered; point 3 is far
+        # away and sits lower-left of nothing, so the tie-break picks 0
+        pts = make_points([(0.0, 0.0), (1.0, 0.0), (1.5, 0.5), (9.0, 9.0)])
+        covered = CoverageSet.from_ids([1, 2])
+        choice = table_choice(anchor_table(pts), covered)
+        assert choice == exact_bits(*reference_sweep(residual(pts, covered)))
+        assert choice == exact_bits(1, 0.0, 0.0)
+
+    def test_everything_covered(self):
+        pts = make_points([(0, 0), (0.5, 0)])
+        assert best_placement(anchor_table(pts), CoverageSet.from_ids([0, 1])) is None
