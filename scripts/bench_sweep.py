@@ -6,7 +6,8 @@ The base revision's ``src/`` is exported with ``git archive`` into a
 temporary directory; the head is this checkout's ``src/``.  Each repeat runs
 one child process per tree, base and head alternating, so a slow spell of a
 shared host falls on both; every figure is the median over the repeats.
-Instances are ``generate(n, side, 101)``.  Rows:
+Instances are ``generate(n, side, 101)``, timed after one warm-up ``solve``
+on a small instance.  Rows:
 
 * ``sweep``: ``best_disk_sweep`` on the whole instance (the first disk);
 * ``greedy_step``: ``solver._greedy_step`` on the points its first disk
@@ -49,6 +50,8 @@ def measure() -> dict:
     """One run of every row on the ``diskcover`` found first on sys.path."""
     from diskcover import best_disk_sweep, generate, single_disk, solve, solver
 
+    # first calls pay one-time costs (lazy imports, first allocations)
+    solve(generate(50, 5.0, SEED).points, 2)
     rows = {}
     for n, side in STEP_SIZES:
         pts = generate(n, side, SEED).points
