@@ -74,9 +74,10 @@ class AnchorTable:
 def _math_map(fn, *arrays: np.ndarray) -> np.ndarray:
     # numpy's SIMD hypot, arctan2 and arccos can differ from the C library's
     # (which math calls) in the last ulp, and a moved arc endpoint can move a
-    # tie-break; numpy's cos, sin and float mod agree with math exactly, so
-    # only these three go through math.  A memoryview yields Python floats
-    # one at a time, without the list that .tolist() would build.
+    # tie-break.  numpy's cos, sin and float mod matched math on every value
+    # tried (x86-64 with AVX-512), so only these three go through math; the
+    # reference-loop tests pin the whole pipeline.  A memoryview yields
+    # Python floats one at a time, without the list .tolist() would build.
     views = [memoryview(np.ascontiguousarray(a)) for a in arrays]
     return np.fromiter(map(fn, *views), dtype=np.float64, count=len(arrays[0]))
 
