@@ -1,22 +1,28 @@
-"""Time the single-disk sweep, one greedy step and ``solve`` m=2 at two revisions.
+"""Time the single-disk sweep, greedy steps, ``solve`` and the combination kernel at two revisions.
 
-    python3 scripts/bench_sweep.py --base REV --out BENCH.json [--repeats 5]
+    python3 scripts/bench_sweep.py --base REV --out BENCH.json [--repeats 5] [--slow]
 
 The base revision's ``src/`` is exported with ``git archive`` into a
 temporary directory; the head is this checkout's ``src/``.  Each repeat runs
 one child process per tree, base and head alternating, so a slow spell of a
 shared host falls on both; every figure is the median over the repeats.
-Instances are ``generate(n, side, 101)``, timed after one warm-up ``solve``
-on a small instance.  Rows:
+Instances are ``generate(n, side, 101)`` unless a row names another seed,
+timed after one warm-up ``solve`` on a small instance.  Rows:
 
 * ``sweep``: ``best_disk_sweep`` on the whole instance (the first disk);
 * ``greedy_step``: ``solver._greedy_step`` on the points its first disk
   leaves uncovered (at a head that keeps an anchor table, the table is built
   outside the timed region, as ``solve`` builds it once for every step);
-* ``solve_m2``: ``solve(pts, 2)`` end to end.
+* ``solve_m2``: ``solve(pts, 2)`` end to end;
+* ``kernel``: the combination enumeration, on ``most_points(pts, 2,
+  dedup=False)`` for 300:20 seed 5 (the ``bench`` baseline column), ``solve``
+  m=3 on dense 64:10, and ``most_points(pts, 2, dedup=True, prune=True)``
+  on 5000:100 (the ``verify`` oracle);
+* ``--slow`` adds ``solve`` m=3 on 2000:40: 171,868,741 combos, which took
+  about 70 s a run with Python-int bitsets.
 
-Each row also records what the call returned, so the two trees can be seen
-to agree.
+Each row also records what the call returned (coverage, and combos where the
+call counts them), so the two trees can be seen to agree.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 101
 STEP_SIZES = [(5000, 100.0), (20000, 200.0)]
 SOLVE_SIZES = [(1000, 200.0), (5000, 100.0), (20000, 200.0), (2000, 40.0)]
+SLOW_SIZE = (2000, 40.0)
 
 
 def _timed(fn):
@@ -46,9 +53,16 @@ def _timed(fn):
     return 1e3 * (time.perf_counter() - t0), out
 
 
-def measure() -> dict:
+def _counts(result) -> dict:
+    """Coverage and combos of a ``Solution`` or a ``MultiDiskResult``."""
+    if hasattr(result, "total_combos"):
+        return {"covered": result.covered.count, "combos": result.total_combos}
+    return {"covered": result.covered.count, "combos": result.stats.combos_evaluated}
+
+
+def measure(slow: bool) -> dict:
     """One run of every row on the ``diskcover`` found first on sys.path."""
-    from diskcover import best_disk_sweep, generate, single_disk, solve, solver
+    from diskcover import best_disk_sweep, generate, most_points, single_disk, solve, solver
 
     # first calls pay one-time costs (lazy imports, first allocations)
     solve(generate(50, 5.0, SEED).points, 2)
@@ -57,9 +71,12 @@ def measure() -> dict:
         pts = generate(n, side, SEED).points
         ms, first = _timed(lambda: best_disk_sweep(pts))
         rows[f"sweep {n}:{side:g}"] = {"ms": ms, "rho": first.rho_witness}
-        args = (pts, first.covered)
-        if "table" in inspect.signature(solver._greedy_step).parameters:
-            args = (single_disk.anchor_table(pts),) + args
+        # _greedy_step takes some of (table, pts, covered), by revision
+        given = {"pts": pts, "covered": first.covered}
+        params = inspect.signature(solver._greedy_step).parameters
+        if "table" in params:
+            given["table"] = single_disk.anchor_table(pts)
+        args = [given[name] for name in params]
         ms, (disk, union) = _timed(lambda: solver._greedy_step(*args))
         rows[f"greedy_step {n}:{side:g}"] = {
             "ms": ms,
@@ -75,6 +92,20 @@ def measure() -> dict:
             "rho": sol.rho,
             "combos": sol.total_combos,
         }
+    kernel = [
+        ("most_points_m2_nodedup 300:20 seed 5", 300, 20.0, 5,
+         lambda pts: most_points(pts, 2, dedup=False)),
+        ("solve_m3 64:10", 64, 10.0, SEED, lambda pts: solve(pts, 3)),
+        ("most_points_m2_prune 5000:100", 5000, 100.0, SEED,
+         lambda pts: most_points(pts, 2, dedup=True, prune=True)),
+    ]
+    if slow:
+        n, side = SLOW_SIZE
+        kernel.append((f"solve_m3 {n}:{side:g}", n, side, SEED, lambda pts: solve(pts, 3)))
+    for name, n, side, seed, call in kernel:
+        pts = generate(n, side, seed).points
+        ms, result = _timed(lambda: call(pts))
+        rows[f"kernel {name}"] = {"ms": ms, **_counts(result)}
     return rows
 
 
@@ -84,9 +115,9 @@ def _git(*args: str) -> str:
     ).stdout.strip()
 
 
-def _child(src: Path) -> dict:
+def _child(src: Path, slow: bool) -> dict:
     out = subprocess.run(
-        [sys.executable, __file__, "--measure", str(src)],
+        [sys.executable, __file__, "--measure", str(src)] + ["--slow"] * slow,
         check=True, capture_output=True, text=True,
     ).stdout
     return json.loads(out)
@@ -97,11 +128,15 @@ def main() -> None:
     parser.add_argument("--base", help="git revision to compare against")
     parser.add_argument("--out", help="JSON file to write")
     parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument(
+        "--slow", action="store_true",
+        help=f"also time solve m=3 on {SLOW_SIZE[0]}:{SLOW_SIZE[1]:g} (minutes per run at old revisions)",
+    )
     parser.add_argument("--measure", help=argparse.SUPPRESS)
     args = parser.parse_args()
     if args.measure:
         sys.path.insert(0, args.measure)
-        print(json.dumps(measure()))
+        print(json.dumps(measure(args.slow)))
         return
     if not args.base or not args.out:
         parser.error("--base and --out are required")
@@ -121,7 +156,7 @@ def main() -> None:
         runs = {name: [] for name in trees}
         for _ in range(args.repeats):
             for name, src in trees.items():
-                runs[name].append(_child(src))
+                runs[name].append(_child(src, args.slow))
 
     rows = {}
     for row in runs["base"][0]:
@@ -138,6 +173,7 @@ def main() -> None:
         "head_rev": _git("rev-parse", "HEAD"),
         "head_dirty": bool(_git("status", "--porcelain", "--", "src")),
         "repeats": args.repeats,
+        "slow_rows": args.slow,
         "statistic": "median",
         "seed": SEED,
         "python": platform.python_version(),
@@ -152,7 +188,7 @@ def main() -> None:
         fh.write("\n")
     for row, entry in rows.items():
         print(
-            f"{row:26s} base {entry['base']['median_ms']:9.1f} ms   "
+            f"{row:48s} base {entry['base']['median_ms']:9.1f} ms   "
             f"head {entry['head']['median_ms']:9.1f} ms   x{entry['speedup']:.2f}"
         )
 

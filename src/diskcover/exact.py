@@ -2,12 +2,15 @@
 
 The search space is the finite candidate set from ``geometry.candidate_disks``
 (at most n^2 disks); the optimum over all k-subsets of candidates equals the
-optimum over arbitrary disk placements.  Coverage sets are integer bitmasks,
-so scoring a combination is a union plus a popcount.  Every k, k=1 included,
-goes through the same enumeration, so this module is an oracle independent of
-the single-disk sweep.  The number of complete k-combinations scored is
-recorded: for k=2 it is exactly the "pairs of disks processed" cost metric
-the benchmark harness compares across solvers.
+optimum over arbitrary disk placements.  Each candidate's coverage is one row
+of uint64 words over the instance's local point ids
+(``geometry.center_coverage_bits``), so scoring a combination is an OR of
+rows and a popcount, and a block of combinations is scored by one numpy
+expression.  Every k, k=1 included, goes through the same enumeration, so
+this module is an oracle independent of the single-disk sweep.  The number
+of complete k-combinations scored is recorded: for k=2 it is exactly the
+"pairs of disks processed" cost metric the benchmark harness compares across
+solvers.
 
 Enumeration is lexicographic over candidates sorted by center, so stats and
 tie-breaks are reproducible.  Two optional reductions:
@@ -20,12 +23,20 @@ tie-breaks are reproducible.  Two optional reductions:
   incumbent covers every point (on dense inputs that bound exceeds the point
   count and cuts nothing).  Never changes the optimum value, but may return
   a different equally-good disk set.
+
+Both searches score their combinations in blocks of at most BLOCK_WORDS
+words; a block reproduces, combination for combination, the counts and the
+first-maximum-wins order of scoring the combinations one at a time.
 """
 
 from __future__ import annotations
 
+import itertools
+import math
 from contextlib import suppress
 from dataclasses import dataclass
+
+import numpy as np
 
 from .geometry import (
     CoverageSet,
@@ -33,7 +44,12 @@ from .geometry import (
     UnitDisk,
     candidate_centers,
     center_coverage_bits,
+    unpack_coverage,
 )
+
+# The most uint64 words one scoring block ORs together (1 MB); it bounds the
+# memory a block adds, whatever the number of candidates.
+BLOCK_WORDS = 1 << 17
 
 
 @dataclass
@@ -50,101 +66,196 @@ class MultiDiskResult:
     stats: ExactSolveStats
 
 
+def _union_counts(words: np.ndarray, union: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """popcount(union | words[r]) for every r in ``rows``, a block at a time."""
+    out = np.empty(len(rows), dtype=np.int64)
+    step = max(1, BLOCK_WORDS // words.shape[1])
+    for lo in range(0, len(rows), step):
+        block = words[rows[lo : lo + step]]
+        block |= union
+        out[lo : lo + step] = np.bitwise_count(block).sum(axis=1, dtype=np.int32)
+    return out
+
+
+def _best_pair(cols: np.ndarray) -> tuple[int, tuple[int, int]]:
+    """Best pair j < t of the columns of a word-major matrix, first maximum wins.
+
+    ``cols[w, j]`` is word w of row j.  A block scores a few outer rows j
+    against every later row t, word by word; entries with t <= j are masked,
+    so the row-major argmax of a block is its lexicographically first best
+    pair.  A row too long for one block is cut into column blocks instead,
+    which keeps the order.
+    """
+    width, n = cols.shape
+    span = max(1, BLOCK_WORDS // width)
+    rows_per = max(1, span // n)
+    best, pair = -1, (0, 1)
+    for a in range(0, n - 1, rows_per):
+        b = min(a + rows_per, n - 1)
+        for c0 in range(a + 1, n, span):
+            c1 = min(c0 + span, n)
+            score = np.bitwise_count(cols[0, a:b, None] | cols[0, None, c0:c1]).astype(np.int32)
+            for w in range(1, width):
+                score += np.bitwise_count(cols[w, a:b, None] | cols[w, None, c0:c1])
+            score[np.arange(c0, c1) <= np.arange(a, b)[:, None]] = -1
+            flat = int(score.argmax())
+            if score.flat[flat] > best:
+                j, t = divmod(flat, c1 - c0)
+                best, pair = int(score.flat[flat]), (a + j, c0 + t)
+    return best, pair
+
+
+def _enumerate_all(words: np.ndarray, counts: np.ndarray, k: int) -> tuple[int, tuple[int, ...]]:
+    """First maximum of all k-subsets in lexicographic order (k < len(words)).
+
+    Each prefix of k - 2 rows, in lexicographic order, is followed by one
+    ``_best_pair`` over the rows after it, ORed with the prefix's union.
+    """
+    if k == 1:
+        i = int(counts.argmax())
+        return int(counts[i]), (i,)
+    cols = np.ascontiguousarray(words.T)
+    best, combo = -1, ()
+    # a prefix leaves at least two rows after it
+    for prefix in itertools.combinations(range(len(words) - 2), k - 2):
+        pos = prefix[-1] + 1 if prefix else 0
+        union = np.bitwise_or.reduce(cols[:, prefix], axis=1)
+        count, (j, t) = _best_pair(cols[:, pos:] | union[:, None])
+        if count > best:
+            best, combo = count, prefix + (pos + j, pos + t)
+    return best, combo
+
+
 def _greedy_seed(
-    bits: list[int], counts: list[int], order: list[int], k: int
+    words: np.ndarray, counts: np.ndarray, order: np.ndarray, k: int
 ) -> tuple[int, tuple[int, ...]]:
     """Greedy-by-marginal-gain k-subset; a realizable incumbent for pruning.
 
     Each step takes the smallest index of largest gain.  ``order`` lists the
-    indices by count descending, and a gain never exceeds its count, so a
-    step stops scanning at the first count below the best gain so far.
+    rows by count descending, and a gain never exceeds its count, so a step
+    scores the rows in that order a block at a time and stops at the first
+    block whose leading count is below the best gain so far.
     """
-    union = 0
+    union = np.zeros(words.shape[1], dtype=np.uint64)
     chosen: list[int] = []
+    step = max(1, BLOCK_WORDS // words.shape[1])
     for _ in range(k):
-        best_gain = -1
-        best_i = -1
-        for i in order:
-            if counts[i] < best_gain:
+        base = int(np.bitwise_count(union).sum())
+        best_gain, best_i = -1, -1
+        for lo in range(0, len(order), step):
+            if counts[order[lo]] < best_gain:
                 break
-            if i in chosen:
-                continue
-            gain = (bits[i] & ~union).bit_count()
+            rows = order[lo : lo + step]
+            gains = _union_counts(words, union, rows) - base
+            gains[np.isin(rows, chosen)] = -1
+            gain = int(gains.max())
+            i = int(rows[gains == gain].min())
             if gain > best_gain or (gain == best_gain and i < best_i):
-                best_gain = gain
-                best_i = i
+                best_gain, best_i = gain, i
         chosen.append(best_i)
-        union |= bits[best_i]
-    return union.bit_count(), tuple(sorted(chosen))
+        union |= words[best_i]
+    return int(np.bitwise_count(union).sum()), tuple(sorted(chosen))
 
 
 class _AllCovered(Exception):
     """A pruned search found a combination covering every point."""
 
 
-def _enumerate_exact(
-    bits: list[int], counts: list[int], k: int, prune: bool, full: int
-) -> tuple[int, tuple[int, ...], int]:
-    """Best k-subset of coverage bitmasks (k <= len(bits)).
+class _PrunedSearch:
+    """Branch-and-bound over the rows in count-descending order.
 
-    ``counts[i]`` is the popcount of ``bits[i]``, and ``full`` (the point
-    count) bounds the popcount of every union.  Returns (count, chosen index
-    tuple, combos evaluated), where combos counts complete k-subsets whose
-    union was scored.  Without pruning the enumeration is lexicographic over
-    indices and the first maximum wins, which (for center-sorted candidates)
-    realizes the smallest-sorted-center tie-break.  With pruning the
-    incumbent starts at the greedy solution, so abandoning branches that can
-    at best tie never loses the optimum value, and reaching ``full`` ends the
-    search.
+    The incumbent starts at the greedy solution, so abandoning branches that
+    can at best tie never loses the optimum value, and reaching ``full`` ends
+    the search.  A level computes the bound of every row it may still take
+    at once: the union with that row plus the counts of the rows that would
+    follow it.  ``ucount + ranked[t]`` is non-increasing in ``t`` and the
+    incumbent never decreases, so the last level stops scoring at the first
+    ``t`` where that sum cannot beat the incumbent, which a block finds from
+    the running maximum of its scores.
     """
-    m = len(bits)
-    order = list(range(m))
-    if prune:
-        order.sort(key=lambda i: -counts[i])
-        best_count, best_combo = _greedy_seed(bits, counts, order, k)
-        if best_count == full:
-            return best_count, best_combo, 0
-    else:
-        best_count = -1
-        best_combo = ()
-    ranked = [counts[i] for i in order]
-    combos = 0
 
-    def descend(pos: int, chosen: list[int], union: int) -> None:
-        nonlocal best_count, best_combo, combos
-        remaining = k - len(chosen)
+    def __init__(self, words: np.ndarray, counts: np.ndarray, k: int, full: int):
+        self.words, self.k, self.full = words, k, full
+        self.order = np.argsort(-counts, kind="stable")
+        self.ranked = counts[self.order]
+        self.prefix = np.concatenate(([0], np.cumsum(self.ranked)))
+        self.best, self.combo = _greedy_seed(words, counts, self.order, k)
+        self.combos = 0
+
+    def run(self) -> tuple[int, tuple[int, ...], int]:
+        if self.best < self.full:
+            with suppress(_AllCovered):
+                self._descend(0, (), np.zeros(self.words.shape[1], dtype=np.uint64), 0)
+        return self.best, self.combo, self.combos
+
+    def _descend(self, pos: int, chosen: tuple[int, ...], union: np.ndarray, ucount: int) -> None:
+        remaining = self.k - len(chosen)
         if remaining == 1:
-            ucount = union.bit_count()
-            evaluated = 0
-            for t in range(pos, m):
-                # ranked is descending under prune: nothing later can win
-                if prune and ucount + ranked[t] <= best_count:
-                    break
-                c = (union | bits[order[t]]).bit_count()
-                evaluated += 1
-                if c > best_count:
-                    best_count = c
-                    best_combo = tuple(chosen) + (order[t],)
-                    if prune and c == full:
-                        combos += evaluated
-                        raise _AllCovered
-            combos += evaluated
+            self._last_level(pos, chosen, union, ucount)
             return
-        for t in range(pos, m - remaining + 1):
-            idx = order[t]
-            if prune:
-                bound = (union | bits[idx]).bit_count() + sum(
-                    ranked[t + 1 : t + remaining]
-                )
-                if bound <= best_count:
-                    continue
-            chosen.append(idx)
-            descend(t + 1, chosen, union | bits[idx])
-            chosen.pop()
+        ranked, hi = self.ranked, len(self.order) - remaining + 1
+        # the counts of the remaining - 1 rows after each t
+        after = self.prefix[pos + remaining : hi + remaining] - self.prefix[pos + 1 : hi + 1]
+        # ucount + ranked[t] bounds the union with row t and, like after, does
+        # not increase with t: only a prefix of the rows needs the exact bound
+        loose = ucount + ranked[pos:hi] + after
+        hi = pos + int(np.searchsorted(-loose, -self.best))
+        union_counts = _union_counts(self.words, union, self.order[pos:hi])
+        bound = union_counts + after[: hi - pos]
+        for t in (np.flatnonzero(bound > self.best) + pos).tolist():
+            if bound[t - pos] <= self.best:
+                continue
+            idx = int(self.order[t])
+            self._descend(
+                t + 1, chosen + (idx,), union | self.words[idx], int(union_counts[t - pos])
+            )
 
-    with suppress(_AllCovered):
-        descend(0, [], 0)
-    return best_count, best_combo, combos
+    def _last_level(self, pos: int, chosen: tuple[int, ...], union: np.ndarray, ucount: int) -> None:
+        ranked, order = self.ranked, self.order
+        step = max(1, BLOCK_WORDS // self.words.shape[1])
+        t = pos
+        while True:
+            # from the first t with ucount + ranked[t] <= best on, nothing can
+            # win (-ranked ascends)
+            end = int(np.searchsorted(-ranked, ucount - self.best))
+            if end <= t:
+                return
+            hi = min(end, t + step)
+            score = _union_counts(self.words, union, order[t:hi])
+            # the incumbent as each score is reached
+            before = np.maximum.accumulate(np.concatenate(([self.best], score[:-1])))
+            stop = np.flatnonzero(ucount + ranked[t:hi] <= before)
+            n = int(stop[0]) if len(stop) else hi - t
+            covered_all = np.flatnonzero(score[:n] == self.full)
+            if len(covered_all):
+                n = int(covered_all[0]) + 1
+            self.combos += n
+            j = int(score[:n].argmax())
+            if score[j] > self.best:
+                self.best, self.combo = int(score[j]), chosen + (int(order[t + j]),)
+            if len(covered_all):
+                raise _AllCovered
+            if n < hi - t:
+                return
+            t = hi
+
+
+def _enumerate_exact(
+    words: np.ndarray, counts: np.ndarray, k: int, prune: bool, full: int
+) -> tuple[int, tuple[int, ...], int]:
+    """Best k-subset of the coverage rows ``words`` (k < len(words)).
+
+    ``counts[i]`` is the popcount of row i, as int64 (the pruned search
+    negates it), and ``full`` (the point count) bounds the popcount of every
+    union.  Returns (count, chosen index tuple, combos evaluated), where
+    combos counts complete k-subsets whose union was scored.  Without pruning every k-subset is scored, in lexicographic
+    order, and the first maximum wins, which (for center-sorted candidates)
+    realizes the smallest-sorted-center tie-break.
+    """
+    if prune:
+        return _PrunedSearch(words, counts, k, full).run()
+    count, combo = _enumerate_all(words, counts, k)
+    return count, combo, math.comb(len(words), k)
 
 
 def most_points(
@@ -165,28 +276,27 @@ def most_points(
         raise ValueError("most_points requires k >= 1")
 
     cx, cy = candidate_centers(pts)
-    rows, bits = center_coverage_bits(cx, cy, pts, distinct=dedup)
-    xs, ys = cx[rows].tolist(), cy[rows].tolist()
-    counts = [b.bit_count() for b in bits]
+    rows, words, gids = center_coverage_bits(cx, cy, pts, distinct=dedup)
+    counts = _union_counts(words, np.zeros(words.shape[1], dtype=np.uint64), np.arange(len(rows)))
     stats = ExactSolveStats(
-        candidates_generated=len(cx), candidates_after_dedup=len(bits)
+        candidates_generated=len(cx), candidates_after_dedup=len(rows)
     )
 
-    if k >= len(bits):
+    if k >= len(rows):
         # every candidate can be used; pad with the single best disk
-        union = 0
-        for b in bits:
-            union |= b
-        best_single = min(range(len(bits)), key=lambda i: (-counts[i], xs[i], ys[i]))
+        xs, ys, count_list = cx[rows].tolist(), cy[rows].tolist(), counts.tolist()
+        best_single = min(range(len(rows)), key=lambda i: (-count_list[i], xs[i], ys[i]))
         chosen = [UnitDisk(x, y) for x, y in zip(xs, ys)]
-        chosen += [chosen[best_single]] * (k - len(bits))
+        chosen += [chosen[best_single]] * (k - len(rows))
         stats.combos_evaluated = 1
-        return MultiDiskResult(chosen, CoverageSet(union), stats)
+        return MultiDiskResult(chosen, unpack_coverage(np.bitwise_or.reduce(words), gids), stats)
 
-    count, combo, combos = _enumerate_exact(bits, counts, k, prune, len(pts))
+    _, combo, combos = _enumerate_exact(words, counts, k, prune, len(pts))
     stats.combos_evaluated = combos
-    union = 0
-    for i in combo:
-        union |= bits[i]
-    chosen = sorted((UnitDisk(xs[i], ys[i]) for i in combo), key=lambda d: (d.cx, d.cy))
-    return MultiDiskResult(chosen, CoverageSet(union), stats)
+    union = np.bitwise_or.reduce(words[list(combo)])
+    centers = rows[list(combo)]
+    chosen = sorted(
+        (UnitDisk(x, y) for x, y in zip(cx[centers].tolist(), cy[centers].tolist())),
+        key=lambda d: (d.cx, d.cy),
+    )
+    return MultiDiskResult(chosen, unpack_coverage(union, gids), stats)

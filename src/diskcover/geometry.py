@@ -1,10 +1,9 @@
 """Planar geometric primitives shared by every solver.
 
 The problem domain is fixed-radius (unit) disks over an indexed point set.
-Coverage of a disk is represented as a bitset over point indices so that
-multi-disk unions and exclusions are single integer operations; all solvers
-agree on membership through one closed-disk predicate with a small epsilon,
-because candidate disks routinely place points exactly on their boundary.
+All solvers agree on membership through one closed-disk predicate with a
+small epsilon, because candidate disks routinely place points exactly on
+their boundary.
 
 The candidate set and the coverage of many disks are computed on whole numpy
 arrays.  Candidate centers apply the per-pair formula to every KD-tree pair
@@ -13,7 +12,11 @@ COVER_QUERY_RADIUS of each center, a radius slightly larger than the
 predicate's, and then applies the predicate itself to those pairs; so
 membership is bit for bit that of testing every point (``coverage``), while
 the work grows with the number of covered points instead of with the number
-of centers times the number of points.
+of centers times the number of points.  The coverage of many centers is
+returned packed: one row of uint64 words per center over the instance's
+local point ids, so a union is a row OR and a count a popcount, for whole
+blocks of rows at once.  A result is reported as a ``CoverageSet`` over the
+original point ids.
 """
 
 from __future__ import annotations
@@ -77,10 +80,11 @@ class UnitDisk:
 
 
 class CoverageSet:
-    """Set of covered point indices, stored as an integer bitmask.
+    """A set of covered point ids, as returned by the solvers.
 
-    Immutable by convention; ``count`` caches the popcount so comparisons
-    during enumeration never re-count bits.
+    ``bits`` is an integer bitmask over point ids and ``count`` its
+    popcount.  Solvers compute coverage on packed word rows and build one
+    CoverageSet per result; it is immutable by convention.
     """
 
     __slots__ = ("bits", "count")
@@ -91,10 +95,12 @@ class CoverageSet:
 
     @classmethod
     def from_ids(cls, ids: Iterable[int]) -> "CoverageSet":
-        bits = 0
-        for i in ids:
-            bits |= 1 << i
-        return cls(bits)
+        ids = np.fromiter(ids, dtype=np.int64)
+        if not len(ids):
+            return cls()
+        flags = np.zeros(int(ids.max()) + 1, dtype=bool)
+        flags[ids] = True
+        return cls(int.from_bytes(np.packbits(flags, bitorder="little").tobytes(), "little"))
 
     def ids(self) -> list[int]:
         out = []
@@ -225,12 +231,17 @@ def candidate_disks(pts: Sequence[Point]) -> list[UnitDisk]:
 
 def center_coverage_bits(
     cx: np.ndarray, cy: np.ndarray, pts: Sequence[Point], distinct: bool = False
-) -> tuple[np.ndarray, list[int]]:
-    """Coverage bitmasks of the unit disks centered at (cx[r], cy[r]).
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Coverage of the unit disks centered at (cx[r], cy[r]), packed into words.
 
-    Returns (rows, bits): ``bits[t]`` is the coverage of center ``rows[t]``.
-    Without ``distinct`` every center is a row; with it, only the first
-    center of each distinct coverage set, so no bitmask is built twice.
+    Returns (rows, words, gids).  ``words[t]`` is the coverage of center
+    ``rows[t]``: a row of uint64 words over local point ids, in which local
+    id ``l`` is bit ``l % 64`` of word ``l // 64`` and stands for the point
+    id ``gids[l]``.  ``gids`` holds the distinct ids of ``pts`` in ascending
+    order, so a row has ceil(len(gids) / 64) words (at least one) whatever
+    the magnitude of the ids.  Without ``distinct`` every center is a row;
+    with it, only the first center of each distinct coverage set, chosen
+    before anything is packed.
 
     Membership is ``coverage``'s predicate, bit for bit: a KD-tree over the
     centers pairs them with the points within COVER_QUERY_RADIUS, a superset
@@ -238,23 +249,41 @@ def center_coverage_bits(
     each pair exactly as ``coverage`` writes it.
     """
     n_rows = len(cx)
+    gids = np.unique(np.array([p.idx for p in pts], dtype=np.int64))
+    width = max(1, -(-len(gids) // 64))
     if n_rows == 0 or not pts:
         rows = np.arange(min(n_rows, 1) if distinct else n_rows)
-        return rows, [0] * len(rows)
+        return rows, np.zeros((len(rows), width), dtype=np.uint64), gids
     indptr, ids = _coverage_rows(cx, cy, pts)
     rows = _first_distinct_rows(indptr, ids) if distinct else np.arange(n_rows)
-    shift = (1).__lshift__
-    bits: list[int] = []
-    # a few thousand rows at a time, so that the ids never all exist as
-    # Python ints at once (about 2 MB of peak RSS on 5000 points)
+    words = np.zeros((len(rows), width), dtype=np.uint64)
+    # a few thousand rows at a time, so that the per-entry arrays stay small
+    # next to the words (all at once, they add about 5 MB to the peak memory
+    # of 5000 points)
     for lo in range(0, len(rows), 4096):
         part = rows[lo : lo + 4096]
-        first, last = indptr[part[0]], indptr[part[-1] + 1]
-        id_list = ids[first:last].tolist()
-        starts, ends = (indptr[part] - first).tolist(), (indptr[part + 1] - first).tolist()
-        # ids within a row are distinct, so the sum of their bits is their union
-        bits += [sum(map(shift, id_list[a:b])) for a, b in zip(starts, ends)]
-    return rows, bits
+        lengths = indptr[part + 1] - indptr[part]
+        if not lengths.any():
+            continue
+        # the part's entries of ids, row after row, as local ids
+        skip = np.repeat(indptr[part] - (np.cumsum(lengths) - lengths), lengths)
+        local = np.searchsorted(gids, ids[np.arange(len(skip)) + skip])
+        # ids ascend within a row, so the (row, word) keys ascend and each
+        # word's bits are one run for reduceat
+        key = np.repeat(np.arange(len(part)), lengths) * width + (local >> 6)
+        runs = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        bit = np.left_shift(np.uint64(1), (local & 63).astype(np.uint64))
+        words[lo : lo + len(part)].reshape(-1)[key[runs]] = np.bitwise_or.reduceat(bit, runs)
+    return rows, words, gids
+
+
+def unpack_coverage(words: np.ndarray, gids: np.ndarray) -> CoverageSet:
+    """The coverage set of one row of ``center_coverage_bits`` words.
+
+    ``gids`` maps the row's local ids to point ids, as returned with it.
+    """
+    bits = np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")
+    return CoverageSet.from_ids(gids[bits[: len(gids)].astype(bool)])
 
 
 def _coverage_rows(
@@ -303,15 +332,16 @@ def _first_distinct_rows(indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
 
 
 def coverage_bits_many(disks: Sequence[UnitDisk], pts: Sequence[Point]) -> list[int]:
-    """Coverage bitmasks for many disks at once.
+    """Coverage bitmasks over point ids for many disks at once.
 
-    Matches ``coverage`` bit-for-bit: see ``center_coverage_bits``, which
-    finds each disk's points through a KD-tree instead of testing every
-    point against every disk.
+    Matches ``coverage`` bit-for-bit: it unpacks the words of
+    ``center_coverage_bits``, which finds each disk's points through a
+    KD-tree instead of testing every point against every disk.
     """
     cx = np.array([d.cx for d in disks], dtype=np.float64)
     cy = np.array([d.cy for d in disks], dtype=np.float64)
-    return center_coverage_bits(cx, cy, pts)[1]
+    _, words, gids = center_coverage_bits(cx, cy, pts)
+    return [unpack_coverage(row, gids).bits for row in words]
 
 
 def union_cover(sets: Sequence[CoverageSet]) -> CoverageSet:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exact import most_points
-from .geometry import CoverageSet, Point, UnitDisk, coverage, union_cover
+from .geometry import EPS_COVER, CoverageSet, Point, UnitDisk, union_cover
 from .single_disk import AnchorTable, anchor_table, best_placement
 
 # Neighborhood circles have radius 3 around each chosen center: a unit disk
@@ -59,36 +59,49 @@ class Solution:
     total_combos: int = 0
 
 
-def neighbor_points(pts: list[Point], disks: list[UnitDisk]) -> list[Point]:
-    """Points within NEIGHBOR_RADIUS of at least one disk center (ids preserved)."""
+def neighbor_points(table: AnchorTable, pts: list[Point], disks: list[UnitDisk]) -> list[Point]:
+    """Points within NEIGHBOR_RADIUS of at least one disk center (ids preserved).
+
+    ``table`` is the anchor table of ``pts``; its coordinate arrays are the
+    points' coordinates, position for position.
+    """
     if not disks:
         raise ValueError("neighbor_points requires at least one disk")
-    if not pts:
-        return []
     limit = NEIGHBOR_RADIUS * NEIGHBOR_RADIUS + NEIGHBOR_EPS
-    xy = np.array([(p.x, p.y) for p in pts], dtype=np.float64)
     centers = np.array([(d.cx, d.cy) for d in disks], dtype=np.float64)
-    dx = xy[:, 0, None] - centers[None, :, 0]
-    dy = xy[:, 1, None] - centers[None, :, 1]
+    dx = table.x[:, None] - centers[None, :, 0]
+    dy = table.y[:, None] - centers[None, :, 1]
     near = (dx * dx + dy * dy <= limit).any(axis=1)
-    return [p for p, keep in zip(pts, near.tolist()) if keep]
+    return [pts[i] for i in np.flatnonzero(near).tolist()]
 
 
-def _greedy_step(
-    table: AnchorTable, pts: list[Point], covered: CoverageSet
-) -> tuple[UnitDisk, CoverageSet]:
+def _cover(table: AnchorTable, disks: list[UnitDisk]) -> CoverageSet:
+    """The points of ``table`` that any of ``disks`` covers.
+
+    Each disk is ``coverage``'s predicate, in the same float operations, on
+    the table's coordinate arrays instead of one point at a time.
+    """
+    hit = np.zeros(len(table.x), dtype=bool)
+    for d in disks:
+        dx = table.x - d.cx
+        dy = table.y - d.cy
+        hit |= dx * dx + dy * dy <= 1.0 + EPS_COVER
+    return CoverageSet.from_ids(table.ids[hit])
+
+
+def _greedy_step(table: AnchorTable, covered: CoverageSet) -> tuple[UnitDisk, CoverageSet]:
     """Best single disk on the points outside ``covered``, and the new union.
 
     The disk is the sweep's on the uncovered points, read from the instance's
-    anchor table (``table``, built from ``pts``).  If every point is already
-    covered there is nothing to gain: the disk is centered on the first input
-    point and coverage is unchanged.
+    anchor table.  If every point is already covered there is nothing to
+    gain: the disk is centered on the first input point and coverage is
+    unchanged.
     """
     found = best_placement(table, covered)
     if found is None:
-        return UnitDisk(pts[0].x, pts[0].y), covered
+        return UnitDisk(float(table.x[0]), float(table.y[0])), covered
     _, disk = found
-    return disk, union_cover([covered, coverage(disk, pts)])
+    return disk, union_cover([covered, _cover(table, [disk])])
 
 
 def solve(pts: list[Point], m: int, prune: bool = False) -> Solution:
@@ -108,20 +121,20 @@ def solve(pts: list[Point], m: int, prune: bool = False) -> Solution:
         raise ValueError("solve requires m >= 1")
 
     table = anchor_table(pts)
-    first, covered = _greedy_step(table, pts, CoverageSet())
+    first, covered = _greedy_step(table, CoverageSet())
     disks: list[UnitDisk] = [first]
     rho = covered.count
     traces: list[IterationTrace] = []
     total_combos = 0
 
     for i in range(2, m + 1):
-        greedy_disk, greedy_union = _greedy_step(table, pts, covered)
+        greedy_disk, greedy_union = _greedy_step(table, covered)
 
-        nbr = neighbor_points(pts, disks)
+        nbr = neighbor_points(table, pts, disks)
         refined = most_points(nbr, i, dedup=True, prune=prune)
         # the refined disks may also cover points outside the neighborhood;
         # both branches are compared on full-instance coverage
-        refined_cover = union_cover([coverage(d, pts) for d in refined.disks])
+        refined_cover = _cover(table, refined.disks)
 
         chose_greedy = greedy_union.count > refined_cover.count
         if chose_greedy:
@@ -157,10 +170,10 @@ def greedy_solve(pts: list[Point], m: int) -> Solution:
     if m < 1:
         raise ValueError("greedy_solve requires m >= 1")
     table = anchor_table(pts)
-    first, covered = _greedy_step(table, pts, CoverageSet())
+    first, covered = _greedy_step(table, CoverageSet())
     disks = [first]
     rho = covered.count
     for _ in range(2, m + 1):
-        disk, covered = _greedy_step(table, pts, covered)
+        disk, covered = _greedy_step(table, covered)
         disks.append(disk)
     return Solution(disks, covered, rho)

@@ -1,18 +1,24 @@
 import itertools
 import math
+from contextlib import suppress
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from diskcover import (
+    Point,
+    UnitDisk,
     best_disk_sweep,
     candidate_disks,
     coverage,
+    exact,
     generate,
     greedy_solve,
     most_points,
 )
+from diskcover.geometry import candidate_centers, center_coverage_bits, unpack_coverage
 from diskcover.rng import Xoshiro256StarStar
 
 from conftest import make_points, point_sets, uniform_points
@@ -71,6 +77,158 @@ def reference_best_k(pts, k, dedup):
         chosen = sorted((disks[i] for i in combo), key=lambda d: (d.cx, d.cy))
         combos = math.comb(len(disks), k)
     return [(d.cx, d.cy) for d in chosen], union, combos, len(cands), len(disks)
+
+
+def reference_greedy_seed(bits, counts, order, k):
+    """Greedy-by-marginal-gain k-subset on Python-int bitsets, one row at a time.
+
+    Each step takes the smallest index of largest gain, scanning ``order``
+    (count descending) until a count falls below the best gain so far.
+    """
+    union = 0
+    chosen = []
+    for _ in range(k):
+        best_gain = -1
+        best_i = -1
+        for i in order:
+            if counts[i] < best_gain:
+                break
+            if i in chosen:
+                continue
+            gain = (bits[i] & ~union).bit_count()
+            if gain > best_gain or (gain == best_gain and i < best_i):
+                best_gain = gain
+                best_i = i
+        chosen.append(best_i)
+        union |= bits[best_i]
+    return union.bit_count(), tuple(sorted(chosen))
+
+
+class _ReferenceAllCovered(Exception):
+    pass
+
+
+def reference_enumerate(bits, counts, k, prune, full):
+    """The enumeration on Python-int bitsets, one combination at a time.
+
+    Returns (count, chosen index tuple, combos evaluated), the contract of
+    ``exact._enumerate_exact``: lexicographic order and first maximum wins
+    without pruning; with it, branch-and-bound over count-descending rows
+    from the greedy incumbent, stopping once every point is covered.
+    """
+    m = len(bits)
+    order = list(range(m))
+    if prune:
+        order.sort(key=lambda i: -counts[i])
+        best_count, best_combo = reference_greedy_seed(bits, counts, order, k)
+        if best_count == full:
+            return best_count, best_combo, 0
+    else:
+        best_count = -1
+        best_combo = ()
+    ranked = [counts[i] for i in order]
+    combos = 0
+
+    def descend(pos, chosen, union):
+        nonlocal best_count, best_combo, combos
+        remaining = k - len(chosen)
+        if remaining == 1:
+            ucount = union.bit_count()
+            evaluated = 0
+            for t in range(pos, m):
+                if prune and ucount + ranked[t] <= best_count:
+                    break
+                c = (union | bits[order[t]]).bit_count()
+                evaluated += 1
+                if c > best_count:
+                    best_count = c
+                    best_combo = tuple(chosen) + (order[t],)
+                    if prune and c == full:
+                        combos += evaluated
+                        raise _ReferenceAllCovered
+            combos += evaluated
+            return
+        for t in range(pos, m - remaining + 1):
+            idx = order[t]
+            if prune:
+                bound = (union | bits[idx]).bit_count() + sum(ranked[t + 1 : t + remaining])
+                if bound <= best_count:
+                    continue
+            chosen.append(idx)
+            descend(t + 1, chosen, union | bits[idx])
+            chosen.pop()
+
+    with suppress(_ReferenceAllCovered):
+        descend(0, [], 0)
+    return best_count, best_combo, combos
+
+
+# rows of the coverage matrix the kernel comparison keeps, by k: enough to
+# cross word and block edges, few enough for the one-at-a-time reference
+KERNEL_ROWS = {1: 300, 2: 80, 3: 28, 4: 16}
+
+
+def kernel_cases(pts, dedup):
+    """(words, Python-int bitsets) of evenly spaced candidate rows, per k.
+
+    The bitsets come from ``coverage``, one disk at a time, so the packer is
+    checked too; the kernel only sees rows, so a subset of them is as good
+    an input as all of them.
+    """
+    cx, cy = candidate_centers(pts)
+    rows, words, gids = center_coverage_bits(cx, cy, pts, distinct=dedup)
+    bits = [coverage(UnitDisk(cx[r], cy[r]), pts).bits for r in rows.tolist()]
+    assert [unpack_coverage(w, gids).bits for w in words] == bits
+    for k in (1, 2, 3, 4):
+        keep = np.unique(np.linspace(0, len(rows) - 1, min(len(rows), KERNEL_ROWS[k])).astype(int))
+        if k < len(keep):
+            yield k, words[keep], [bits[i] for i in keep.tolist()]
+
+
+def assert_kernel_matches_reference(pts, dedup):
+    for k, words, bits in kernel_cases(pts, dedup):
+        counts = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+        for prune in (False, True):
+            got = exact._enumerate_exact(words, counts, k, prune, len(pts))
+            want = reference_enumerate(bits, [b.bit_count() for b in bits], k, prune, len(pts))
+            assert got == want, (k, prune)
+
+
+def word_boundary_points(n, seed, duplicates):
+    """n points (ids 3i + 1) dense enough that unions span several words."""
+    pts = uniform_points(seed, n, 0.0, 0.9 * math.sqrt(n))
+    if duplicates:
+        # every fifth point sits on the one before it
+        pts = [pts[i - 1] if i % 5 == 4 else p for i, p in enumerate(pts)]
+    return [Point(p.x, p.y, 3 * i + 1) for i, p in enumerate(pts)]
+
+
+class TestKernelMatchesReference:
+    @given(point_sets(min_size=1, max_size=16), st.booleans())
+    def test_point_sets(self, pts, dedup):
+        assert_kernel_matches_reference(pts, dedup)
+
+    @pytest.mark.parametrize("n", [63, 64, 65, 128, 129])
+    @pytest.mark.parametrize("duplicates", [False, True])
+    def test_word_boundaries(self, n, duplicates):
+        pts = word_boundary_points(n, 100 + n, duplicates)
+        assert_kernel_matches_reference(pts, dedup=False)
+        assert_kernel_matches_reference(pts, dedup=True)
+
+    @pytest.mark.parametrize("rows_per_block", [1, 2, 3])
+    def test_tiny_blocks(self, monkeypatch, rows_per_block):
+        # ties and the pruned break point fall across block edges: blocks of
+        # 1-3 rows in the greedy seed, the bounds and the last level, and
+        # 1-3 outer rows (or 1-3 columns of one row) in the pair kernel
+        for pts in (
+            generate(10, 0.9 * math.sqrt(10), 19).points,
+            word_boundary_points(65, 7, duplicates=True),
+            make_points([(x, y) for x in range(4) for y in range(3)] * 2),
+        ):
+            width = -(-len({p.idx for p in pts}) // 64)
+            for cols in (1, 24):
+                monkeypatch.setattr(exact, "BLOCK_WORDS", rows_per_block * cols * width)
+                assert_kernel_matches_reference(pts, dedup=True)
 
 
 class TestMostPoints:

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from diskcover import (
     best_disk_sweep,
@@ -12,11 +14,12 @@ from diskcover import (
     solve,
     union_cover,
 )
-from diskcover.solver import NEIGHBOR_RADIUS, NEIGHBOR_EPS
+from diskcover.single_disk import anchor_table
+from diskcover.solver import NEIGHBOR_RADIUS, NEIGHBOR_EPS, _cover
 from diskcover.rng import Xoshiro256StarStar
 from diskcover import Point, UnitDisk
 
-from conftest import make_points, uniform_points
+from conftest import make_points, point_sets, uniform_points
 
 
 def middle_split_instance():
@@ -41,21 +44,25 @@ def middle_split_instance():
 class TestNeighborPoints:
     def test_radius_three_cutoff(self):
         pts = make_points([(0, 0), (2.5, 0), (3.5, 0)])
-        nbr = neighbor_points(pts, [UnitDisk(0, 0)])
+        nbr = neighbor_points(anchor_table(pts), pts, [UnitDisk(0, 0)])
         assert [p.idx for p in nbr] == [0, 1]
 
     def test_empty_points(self):
-        assert neighbor_points([], [UnitDisk(0, 0)]) == []
+        # an instance always has a point (its table needs one); here no
+        # point lies within the radius, so the neighborhood is empty
+        pts = make_points([(3.5, 0), (0, -4)])
+        assert neighbor_points(anchor_table(pts), pts, [UnitDisk(0, 0)]) == []
 
     def test_requires_disks(self):
+        pts = make_points([(0, 0)])
         with pytest.raises(ValueError):
-            neighbor_points(make_points([(0, 0)]), [])
+            neighbor_points(anchor_table(pts), pts, [])
 
     def test_matches_naive_distance_loop(self):
         # oracle: per-point distance check with the same radius and slack
         pts = uniform_points(5, 300, 0.0, 50.0)
         g1 = best_disk_sweep(pts)
-        nbr = neighbor_points(pts, [g1.disk])
+        nbr = neighbor_points(anchor_table(pts), pts, [g1.disk])
         expected = [
             p.idx
             for p in pts
@@ -87,12 +94,29 @@ class TestNeighborPoints:
                 coords += [(d.cx + 3.0, d.cy), (d.cx, d.cy - 3.0), (d.cx + 1.8, d.cy + 2.4)]
                 coords += [(d.cx - 3.0 - 1e-6, d.cy)]
             pts = [Point(x, y, 2 * i + 1) for i, (x, y) in enumerate(coords)]
-            assert neighbor_points(pts, disks) == reference(pts, disks)
+            assert neighbor_points(anchor_table(pts), pts, disks) == reference(pts, disks)
 
     def test_union_over_multiple_disks(self):
         pts = make_points([(0, 0), (6, 0), (12, 0)])
-        nbr = neighbor_points(pts, [UnitDisk(0, 0), UnitDisk(12, 0)])
+        nbr = neighbor_points(anchor_table(pts), pts, [UnitDisk(0, 0), UnitDisk(12, 0)])
         assert [p.idx for p in nbr] == [0, 2]
+
+
+class TestTableCover:
+    @given(
+        point_sets(min_size=1),
+        st.lists(st.tuples(st.floats(-3, 3), st.floats(-3, 3)), max_size=3),
+    )
+    def test_mask_matches_coverage(self, pts, offsets):
+        # candidate disks put points exactly on their boundary; the others
+        # are placed anywhere near the (translated) points
+        disks = candidate_disks(pts)[::7] + [
+            UnitDisk(pts[0].x + x, pts[0].y + y) for x, y in offsets
+        ]
+        table = anchor_table(pts)
+        for d in disks:
+            assert _cover(table, [d]) == coverage(d, pts)
+        assert _cover(table, disks) == union_cover([coverage(d, pts) for d in disks])
 
 
 class TestSolve:
