@@ -193,15 +193,15 @@ class _PrunedSearch:
         if remaining == 1:
             self._last_level(pos, chosen, union, ucount)
             return
-        ranked, hi = self.ranked, len(self.order) - remaining + 1
+        last = len(self.order) - remaining + 1
         # the counts of the remaining - 1 rows after each t
-        after = self.prefix[pos + remaining : hi + remaining] - self.prefix[pos + 1 : hi + 1]
+        after = self.prefix[pos + remaining : last + remaining] - self.prefix[pos + 1 : last + 1]
         # ucount + ranked[t] bounds the union with row t and, like after, does
         # not increase with t: only a prefix of the rows needs the exact bound
-        loose = ucount + ranked[pos:hi] + after
-        hi = pos + int(np.searchsorted(-loose, -self.best))
-        union_counts = _union_counts(self.words, union, self.order[pos:hi])
-        bound = union_counts + after[: hi - pos]
+        loose = ucount + self.ranked[pos:last] + after
+        end = pos + int(np.searchsorted(-loose, -self.best))
+        union_counts = _union_counts(self.words, union, self.order[pos:end])
+        bound = union_counts + after[: end - pos]
         for t in (np.flatnonzero(bound > self.best) + pos).tolist():
             if bound[t - pos] <= self.best:
                 continue
