@@ -10,7 +10,8 @@ anchor's best placement; the best entry is the answer, and a greedy solver
 later re-sweeps only the anchors next to the points it has covered.
 """
 
-from diskcover import best_disk_sweep, candidate_disks, coverage, generate
+from diskcover import UnitDisk, best_disk_sweep, coverage, generate
+from diskcover.geometry import candidate_centers
 from diskcover.single_disk import anchor_table
 
 SIDE = 25.0
@@ -26,8 +27,8 @@ print(f"the sweep's anchor table holds {len(anchor_table(pts).anchor)} directed 
       f"neighbor pairs (vs n^2 = {len(pts)**2})")
 
 # independent check: the best disk among all candidate disks
-cands = candidate_disks(pts)
-brute = max(coverage(d, pts).count for d in cands)
+cx, cy = candidate_centers(pts)
+brute = max(coverage(UnitDisk(x, y), pts).count for x, y in zip(cx.tolist(), cy.tolist()))
 assert swept.rho_witness == brute
 print()
-print(f"the best of {len(cands)} candidate disks covers {brute} points too")
+print(f"the best of {len(cx)} candidate disks covers {brute} points too")

@@ -7,12 +7,13 @@ does to it, how the combination count explodes with k, and that adding a
 disk never reduces coverage.
 """
 
-from diskcover import candidate_disks, generate, most_points
+from diskcover import generate, most_points
+from diskcover.geometry import candidate_centers
 
 inst = generate(n=30, side=7.0, seed=99)
 pts = inst.points
-cands = candidate_disks(pts)
-print(f"{len(pts)} points -> {len(cands)} candidate disks "
+cx, _ = candidate_centers(pts)
+print(f"{len(pts)} points -> {len(cx)} candidate disks "
       f"(bound: n^2 = {len(pts) ** 2})")
 print()
 

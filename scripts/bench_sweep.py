@@ -12,7 +12,9 @@ timed after one warm-up ``solve`` on a small instance.  Rows:
 * ``sweep``: ``best_disk_sweep`` on the whole instance (the first disk);
 * ``greedy_step``: ``solver._greedy_step`` on the points its first disk
   leaves uncovered (at a head that keeps an anchor table, the table is built
-  outside the timed region, as ``solve`` builds it once for every step);
+  outside the timed region, as ``solve`` builds it once for every step; at
+  one that passes coverage as a mask over table positions, so is the first
+  disk's mask);
 * ``solve_m2``: ``solve(pts, 2)`` end to end;
 * ``kernel``: the combination enumeration, on ``most_points(pts, 2,
   dedup=False)`` for 300:20 seed 5 (the ``bench`` baseline column), ``solve``
@@ -71,16 +73,20 @@ def measure(slow: bool) -> dict:
         pts = generate(n, side, SEED).points
         ms, first = _timed(lambda: best_disk_sweep(pts))
         rows[f"sweep {n}:{side:g}"] = {"ms": ms, "rho": first.rho_witness}
-        # _greedy_step takes some of (table, pts, covered), by revision
+        # _greedy_step takes some of (table, pts, covered), by revision, and
+        # covered is a CoverageSet or, where single_disk has _cover, a mask
         given = {"pts": pts, "covered": first.covered}
         params = inspect.signature(solver._greedy_step).parameters
         if "table" in params:
             given["table"] = single_disk.anchor_table(pts)
+        masks = hasattr(single_disk, "_cover")
+        if masks:
+            given["covered"] = single_disk._cover(given["table"], [first.disk])
         args = [given[name] for name in params]
         ms, (disk, union) = _timed(lambda: solver._greedy_step(*args))
         rows[f"greedy_step {n}:{side:g}"] = {
             "ms": ms,
-            "covered": union.count,
+            "covered": int(union.sum()) if masks else union.count,
             "disk": [disk.cx.hex(), disk.cy.hex()],
         }
     for n, side in SOLVE_SIZES:

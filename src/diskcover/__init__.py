@@ -16,9 +16,7 @@ from .geometry import (
     Point,
     PointFormatError,
     UnitDisk,
-    candidate_disks,
     coverage,
-    coverage_bits_many,
     covers,
     exclusive_cover,
     load_points,
@@ -67,9 +65,7 @@ __all__ = [
     "Xoshiro256StarStar",
     "bench",
     "best_disk_sweep",
-    "candidate_disks",
     "coverage",
-    "coverage_bits_many",
     "covers",
     "exclusive_cover",
     "generate",

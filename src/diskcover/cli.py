@@ -22,6 +22,7 @@ from .geometry import load_points, save_points
 from .harness import (
     BenchmarkError,
     bench,
+    check_bench_args,
     check_generate_args,
     generate,
     verify,
@@ -123,6 +124,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     # a bad argument fails here, before the cost warning and the run
     configs = _parse_configs(args.config)
     seeds = _parse_list(args.seeds, "--seeds", "integers such as 1,2,3", int)
+    check_bench_args(args.m, args.sample_baseline)
     for path in (args.out, args.json_out):
         if path:
             _check_writable(path)

@@ -1,6 +1,6 @@
 """Exact best-k disks by enumeration over the candidate set.
 
-The search space is the finite candidate set from ``geometry.candidate_disks``
+The search space is the finite candidate set of ``geometry.candidate_centers``
 (at most n^2 disks); the optimum over all k-subsets of candidates equals the
 optimum over arbitrary disk placements.  Each candidate's coverage is one row
 of uint64 words over the instance's local point ids
@@ -248,9 +248,10 @@ def _enumerate_exact(
     ``counts[i]`` is the popcount of row i, as int64 (the pruned search
     negates it), and ``full`` (the point count) bounds the popcount of every
     union.  Returns (count, chosen index tuple, combos evaluated), where
-    combos counts complete k-subsets whose union was scored.  Without pruning every k-subset is scored, in lexicographic
-    order, and the first maximum wins, which (for center-sorted candidates)
-    realizes the smallest-sorted-center tie-break.
+    combos counts complete k-subsets whose union was scored.  Without
+    pruning every k-subset is scored, in lexicographic order, and the first
+    maximum wins, which (for center-sorted candidates) realizes the
+    smallest-sorted-center tie-break.
     """
     if prune:
         return _PrunedSearch(words, counts, k, full).run()

@@ -83,8 +83,8 @@ class CoverageSet:
     """A set of covered point ids, as returned by the solvers.
 
     ``bits`` is an integer bitmask over point ids and ``count`` its
-    popcount.  Solvers compute coverage on packed word rows and build one
-    CoverageSet per result; it is immutable by convention.
+    popcount.  Solvers compute coverage on packed word rows or table masks
+    and build one CoverageSet per result; it is immutable by convention.
     """
 
     __slots__ = ("bits", "count")
@@ -149,15 +149,25 @@ def coverage(d: UnitDisk, pts: Sequence[Point]) -> CoverageSet:
 
 
 def candidate_centers(pts: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
-    """Centers of ``candidate_disks`` as two float arrays, in the same order.
+    """Centers of the finite candidate set, as two float arrays.
+
+    The candidates are, for every point, the disk centered on it, and for
+    every pair at distance 0 < d <= 2, the two unit disks whose boundary
+    passes through both points (one disk, at the midpoint, when d is 2
+    within PAIR_EPS).  They suffice for exact coverage maximization: any
+    disk can be translated until two covered points lie on its boundary or
+    it covers at most one point, so some optimal solution of best-k disks
+    uses only these candidates.  For a pair a, b with d = |b - a|,
+    m = (a + b) / 2, h = sqrt(max(1 - d^2 / 4, 0)) and u = (b - a) / d, the
+    centers are (m.x - h u.y, m.y + h u.x) and (m.x + h u.y, m.y - h u.x).
 
     Point centers come first, then the through-pair centers in KD-tree pair
-    order, each from the formula in ``candidate_disks`` in that formula's
-    float operations; then a stable sort by (cx, cy) and the merge of
-    near-coincident centers.
+    order, each in that formula's float operations; then a stable sort by
+    (cx, cy), and a center within CENTER_DEDUP_EPS (per coordinate) of the
+    last kept one is merged into it.
     """
     if not pts:
-        raise ValueError("candidate_disks requires a non-empty point list")
+        raise ValueError("candidate_centers requires a non-empty point list")
     xy = np.array([(p.x, p.y) for p in pts], dtype=np.float64)
     xs, ys = xy[:, 0], xy[:, 1]
     cx_parts, cy_parts = [xs], [ys]
@@ -209,24 +219,6 @@ def _merge_near_centers(cx: np.ndarray, cy: np.ndarray) -> tuple[np.ndarray, np.
         else:
             last_kept = i
     return cx[keep], cy[keep]
-
-
-def candidate_disks(pts: Sequence[Point]) -> list[UnitDisk]:
-    """The finite candidate set sufficient for exact coverage maximization.
-
-    For every point, the disk centered on it; for every pair at distance
-    0 < d <= 2, the two unit disks whose boundary passes through both points
-    (one disk, at the midpoint, when d is 2 within PAIR_EPS).  Any disk can
-    be translated until two covered points lie on its boundary or it covers
-    at most one point, so some optimal solution of best-k disks uses only
-    these candidates.  For a pair a, b with d = |b - a|, m = (a + b) / 2,
-    h = sqrt(max(1 - d^2 / 4, 0)) and u = (b - a) / d, the centers are
-    (m.x - h u.y, m.y + h u.x) and (m.x + h u.y, m.y - h u.x).  Centers are
-    sorted by (cx, cy); a center within CENTER_DEDUP_EPS (per coordinate) of
-    the last kept one is merged into it.
-    """
-    cx, cy = candidate_centers(pts)
-    return [UnitDisk(x, y) for x, y in zip(cx.tolist(), cy.tolist())]
 
 
 def center_coverage_bits(
@@ -329,19 +321,6 @@ def _first_distinct_rows(indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
     leads = np.ones(len(order), dtype=bool)
     leads[1:] = (grouped[:, 1:] != grouped[:, :-1]).any(axis=0)
     return np.sort(order[leads])
-
-
-def coverage_bits_many(disks: Sequence[UnitDisk], pts: Sequence[Point]) -> list[int]:
-    """Coverage bitmasks over point ids for many disks at once.
-
-    Matches ``coverage`` bit-for-bit: it unpacks the words of
-    ``center_coverage_bits``, which finds each disk's points through a
-    KD-tree instead of testing every point against every disk.
-    """
-    cx = np.array([d.cx for d in disks], dtype=np.float64)
-    cy = np.array([d.cy for d in disks], dtype=np.float64)
-    _, words, gids = center_coverage_bits(cx, cy, pts)
-    return [unpack_coverage(row, gids).bits for row in words]
 
 
 def union_cover(sets: Sequence[CoverageSet]) -> CoverageSet:

@@ -84,6 +84,14 @@ def check_generate_args(n: int, side: float) -> None:
         raise ValueError(f"generate requires a finite side > 0, got {side}")
 
 
+def check_bench_args(m: int, sample_baseline: int | None) -> None:
+    """Raise ValueError unless ``bench`` accepts this m and sample_baseline."""
+    if m < 1:
+        raise ValueError("bench requires m >= 1")
+    if sample_baseline is not None and sample_baseline < 0:
+        raise ValueError(f"bench requires sample_baseline >= 0, got {sample_baseline}")
+
+
 def generate(n: int, side: float, seed: int) -> Instance:
     """n points i.i.d. uniform in [0, side]^2, deterministic in the seed.
 
@@ -116,6 +124,7 @@ def bench(
     """
     if not configs or not seeds:
         raise ValueError("bench requires at least one config and one seed")
+    check_bench_args(m, sample_baseline)
     records = []
     for n, side in sorted(configs):
         for seed in sorted(seeds):

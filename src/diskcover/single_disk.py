@@ -10,14 +10,16 @@ optimum.
 
 ``anchor_table`` runs the sweep of every anchor at once on numpy arrays and
 keeps, per anchor, its best placement ``(count, cx, cy)``.  The best disk of
-the instance is the best table entry.  Removing points changes the entry of
-an anchor only if one of its neighbors is removed, so ``best_placement``
-answers "the best disk on the points outside ``covered``" by sweeping again
-only the uncovered anchors that have a covered neighbor, over their
-uncovered neighbors, and reading every other entry from the table.  A greedy
-step thus costs the few anchors near the disks already placed, not a sweep
-of the whole residual instance; and since the table always describes the
-full instance, any ``covered`` set works, not only a growing one.
+the instance is the best table entry.  Covered points are a boolean mask
+over table positions, and ``_cover`` gives the mask of a list of disks.
+Removing points changes the entry of an anchor only if one of its neighbors
+is removed, so ``best_placement`` answers "the best disk on the points
+outside ``covered``" by sweeping again only the uncovered anchors that have
+a covered neighbor, over their uncovered neighbors, and reading every other
+entry from the table.  A greedy step thus costs the few anchors near the
+disks already placed, not a sweep of the whole residual instance; and since
+the table always describes the full instance, any ``covered`` mask works,
+not only a growing one.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import PAIR_EPS, CoverageSet, Point, UnitDisk, coverage
+from .geometry import EPS_COVER, PAIR_EPS, CoverageSet, Point, UnitDisk
 
 TWO_PI = 2.0 * math.pi
 
@@ -187,21 +189,29 @@ def _sweep(table: AnchorTable, pairs) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return count, cx, cy
 
 
-def _covered_mask(table: AnchorTable, covered: CoverageSet) -> np.ndarray:
-    """True at each position whose point id is in ``covered``."""
-    width = max(int(table.ids.max()) + 1, covered.bits.bit_length())
-    raw = np.frombuffer(covered.bits.to_bytes((width + 7) // 8, "little"), dtype=np.uint8)
-    return np.unpackbits(raw, bitorder="little")[table.ids].astype(bool)
+def _cover(table: AnchorTable, disks: list[UnitDisk]) -> np.ndarray:
+    """True at each table position whose point one of ``disks`` covers.
+
+    Each disk is ``coverage``'s predicate, in the same float operations, on
+    the table's coordinate arrays instead of one point at a time.
+    """
+    hit = np.zeros(len(table.x), dtype=bool)
+    for d in disks:
+        dx = table.x - d.cx
+        dy = table.y - d.cy
+        hit |= dx * dx + dy * dy <= 1.0 + EPS_COVER
+    return hit
 
 
-def best_placement(table: AnchorTable, covered: CoverageSet) -> tuple[int, UnitDisk] | None:
+def best_placement(table: AnchorTable, covered: np.ndarray) -> tuple[int, UnitDisk] | None:
     """The sweep's count and disk on the table's points outside ``covered``.
 
-    This is exactly what a sweep of only those points returns: the most
-    points, then the smallest ``(cx, cy)``, the first anchor on exact ties.
-    None when every point is covered.
+    ``covered`` is a mask over table positions.  This is exactly what a
+    sweep of only the other points returns: the most points, then the
+    smallest ``(cx, cy)``, the first anchor on exact ties.  None when every
+    point is covered.
     """
-    live = ~_covered_mask(table, covered)
+    live = ~covered
     if not live.any():
         return None
     # uncovered anchors that lose a neighbor: sweep them again over their
@@ -221,6 +231,7 @@ def best_placement(table: AnchorTable, covered: CoverageSet) -> tuple[int, UnitD
 
 def best_disk_sweep(pts: list[Point]) -> SingleDiskResult:
     """Unit disk covering the maximum number of points, by angular sweep."""
-    _, disk = best_placement(anchor_table(pts), CoverageSet())
-    cov = coverage(disk, pts)
+    table = anchor_table(pts)
+    _, disk = best_placement(table, np.zeros(len(table.x), dtype=bool))
+    cov = CoverageSet.from_ids(table.ids[_cover(table, [disk])])
     return SingleDiskResult(disk, cov, cov.count)

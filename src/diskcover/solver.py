@@ -16,6 +16,10 @@ At each step two branches are compared on full-instance coverage:
 The better branch is provably optimal at every step, while the expensive
 exact search only ever sees the neighborhood, whose size is bounded by a
 constant times the single-disk optimum rather than by n.
+
+Both branches are scored as boolean masks over the anchor table's positions,
+and the incumbent's cover is kept as one, from the first disk on; the
+``CoverageSet`` of the result is built from it once.
 """
 
 from __future__ import annotations
@@ -25,8 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exact import most_points
-from .geometry import EPS_COVER, CoverageSet, Point, UnitDisk, union_cover
-from .single_disk import AnchorTable, anchor_table, best_placement
+from .geometry import CoverageSet, Point, UnitDisk
+from .single_disk import AnchorTable, _cover, anchor_table, best_placement
 
 # Neighborhood circles have radius 3 around each chosen center: a unit disk
 # that shares a point with a chosen unit disk has its center within 2 of
@@ -75,24 +79,11 @@ def neighbor_points(table: AnchorTable, pts: list[Point], disks: list[UnitDisk])
     return [pts[i] for i in np.flatnonzero(near).tolist()]
 
 
-def _cover(table: AnchorTable, disks: list[UnitDisk]) -> CoverageSet:
-    """The points of ``table`` that any of ``disks`` covers.
-
-    Each disk is ``coverage``'s predicate, in the same float operations, on
-    the table's coordinate arrays instead of one point at a time.
-    """
-    hit = np.zeros(len(table.x), dtype=bool)
-    for d in disks:
-        dx = table.x - d.cx
-        dy = table.y - d.cy
-        hit |= dx * dx + dy * dy <= 1.0 + EPS_COVER
-    return CoverageSet.from_ids(table.ids[hit])
-
-
-def _greedy_step(table: AnchorTable, covered: CoverageSet) -> tuple[UnitDisk, CoverageSet]:
+def _greedy_step(table: AnchorTable, covered: np.ndarray) -> tuple[UnitDisk, np.ndarray]:
     """Best single disk on the points outside ``covered``, and the new union.
 
-    The disk is the sweep's on the uncovered points, read from the instance's
+    ``covered`` and the union are masks over the table's positions.  The
+    disk is the sweep's on the uncovered points, read from the instance's
     anchor table.  If every point is already covered there is nothing to
     gain: the disk is centered on the first input point and coverage is
     unchanged.
@@ -101,7 +92,7 @@ def _greedy_step(table: AnchorTable, covered: CoverageSet) -> tuple[UnitDisk, Co
     if found is None:
         return UnitDisk(float(table.x[0]), float(table.y[0])), covered
     _, disk = found
-    return disk, union_cover([covered, _cover(table, [disk])])
+    return disk, covered | _cover(table, [disk])
 
 
 def solve(pts: list[Point], m: int, prune: bool = False) -> Solution:
@@ -112,6 +103,12 @@ def solve(pts: list[Point], m: int, prune: bool = False) -> Solution:
     (ties go to the re-solve).  ``prune`` enables branch-and-bound inside the
     neighborhood searches; it changes combo counts, never values.
 
+    Covered points are kept as one mask over the positions of ``pts``, and
+    every count is the number of its set positions.  That equals the number
+    of covered point ids because the ids of an instance are distinct:
+    ``parse_points`` and ``generate`` number the points in order, and
+    ``neighbor_points`` keeps a subset's ids.
+
     combos_evaluated in each trace counts the complete disk combinations the
     neighborhood search scored; the greedy branch contributes none.
     """
@@ -121,9 +118,9 @@ def solve(pts: list[Point], m: int, prune: bool = False) -> Solution:
         raise ValueError("solve requires m >= 1")
 
     table = anchor_table(pts)
-    first, covered = _greedy_step(table, CoverageSet())
+    first, covered = _greedy_step(table, np.zeros(len(table.x), dtype=bool))
     disks: list[UnitDisk] = [first]
-    rho = covered.count
+    rho = int(covered.sum())
     traces: list[IterationTrace] = []
     total_combos = 0
 
@@ -136,7 +133,8 @@ def solve(pts: list[Point], m: int, prune: bool = False) -> Solution:
         # both branches are compared on full-instance coverage
         refined_cover = _cover(table, refined.disks)
 
-        chose_greedy = greedy_union.count > refined_cover.count
+        greedy_count, refined_count = int(greedy_union.sum()), int(refined_cover.sum())
+        chose_greedy = greedy_count > refined_count
         if chose_greedy:
             disks.append(greedy_disk)
             covered = greedy_union
@@ -147,16 +145,16 @@ def solve(pts: list[Point], m: int, prune: bool = False) -> Solution:
         traces.append(
             IterationTrace(
                 i=i,
-                greedy_gain=greedy_union.count,
+                greedy_gain=greedy_count,
                 neighborhood_size=len(nbr),
-                exact_value=refined_cover.count,
+                exact_value=refined_count,
                 chose_greedy=chose_greedy,
                 combos_evaluated=refined.stats.combos_evaluated,
             )
         )
         total_combos += refined.stats.combos_evaluated
 
-    return Solution(disks, covered, rho, traces, total_combos)
+    return Solution(disks, CoverageSet.from_ids(table.ids[covered]), rho, traces, total_combos)
 
 
 def greedy_solve(pts: list[Point], m: int) -> Solution:
@@ -170,10 +168,10 @@ def greedy_solve(pts: list[Point], m: int) -> Solution:
     if m < 1:
         raise ValueError("greedy_solve requires m >= 1")
     table = anchor_table(pts)
-    first, covered = _greedy_step(table, CoverageSet())
+    first, covered = _greedy_step(table, np.zeros(len(table.x), dtype=bool))
     disks = [first]
-    rho = covered.count
+    rho = int(covered.sum())
     for _ in range(2, m + 1):
         disk, covered = _greedy_step(table, covered)
         disks.append(disk)
-    return Solution(disks, covered, rho)
+    return Solution(disks, CoverageSet.from_ids(table.ids[covered]), rho)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from diskcover import Point
+from diskcover import Point, UnitDisk
+from diskcover.geometry import candidate_centers
 from diskcover.rng import Xoshiro256StarStar
 
 # Property tests draw the same examples on every run and have no per-example
@@ -16,6 +17,12 @@ settings.load_profile("deterministic")
 def make_points(coords):
     """Point list from (x, y) tuples, ids in order."""
     return [Point(float(x), float(y), i) for i, (x, y) in enumerate(coords)]
+
+
+def candidates(pts):
+    """The candidate disks of ``pts``, in ``candidate_centers`` order."""
+    cx, cy = candidate_centers(pts)
+    return [UnitDisk(x, y) for x, y in zip(cx.tolist(), cy.tolist())]
 
 
 def uniform_points(seed, n, lo, hi):

@@ -13,8 +13,6 @@ from diskcover import (
     CoverageSet,
     best_disk_sweep,
     bench,
-    candidate_disks,
-    coverage_bits_many,
     exclusive_cover,
     generate,
     greedy_solve,
@@ -23,6 +21,7 @@ from diskcover import (
     union_cover,
     write_bench_csv,
 )
+from diskcover.geometry import candidate_centers, center_coverage_bits, unpack_coverage
 from diskcover.harness import TIMING_FIELDS
 from diskcover.rng import Xoshiro256StarStar
 
@@ -99,9 +98,8 @@ def test_criterion_2_single_disk_equivalence():
     for n, side, seed in instances:
         pts = uniform_points(seed, n, 0.0, side)
         swept = best_disk_sweep(pts).rho_witness
-        brute = max(
-            b.bit_count() for b in coverage_bits_many(candidate_disks(pts), pts)
-        )
+        _, words, gids = center_coverage_bits(*candidate_centers(pts), pts)
+        brute = max(unpack_coverage(row, gids).count for row in words)
         if swept != brute:
             bad.append((n, side, seed, swept, brute))
     _verdict(

@@ -96,6 +96,9 @@ class TestUsageErrors:
             ["verify", "--trials", "3", "--n-max", "5", "--m-max", "2", "--seed", "1",
              "--max-seconds", "nan"],
             ["gen", "--n", "3", "--side", "inf", "--seed", "1"],
+            ["bench", "--config", "10:2", "--seeds", "1", "--m", "0"],
+            # the argument error comes before the m >= 3 cost warning
+            ["bench", "--config", "10:2", "--seeds", "1", "--m", "3", "--sample-baseline", "-3"],
         ],
         ids=[
             "solve-m0",
@@ -105,6 +108,8 @@ class TestUsageErrors:
             "verify-budget-negative",
             "verify-budget-nan",
             "gen-side-inf",
+            "bench-m0",
+            "bench-sample-baseline-negative",
         ],
     )
     def test_out_of_range_value_one_line_exit_1(self, argv, tmp_path, capsys):

@@ -11,7 +11,6 @@ from diskcover import (
     Point,
     UnitDisk,
     best_disk_sweep,
-    candidate_disks,
     coverage,
     exact,
     generate,
@@ -21,7 +20,7 @@ from diskcover import (
 from diskcover.geometry import candidate_centers, center_coverage_bits, unpack_coverage
 from diskcover.rng import Xoshiro256StarStar
 
-from conftest import make_points, point_sets, uniform_points
+from conftest import candidates, make_points, point_sets, uniform_points
 
 
 def brute_force_best_k(pts, k):
@@ -29,7 +28,7 @@ def brute_force_best_k(pts, k):
 
     More disks than candidates means all candidates can be used at once.
     """
-    bitsets = [coverage(d, pts).bits for d in candidate_disks(pts)]
+    bitsets = [coverage(d, pts).bits for d in candidates(pts)]
     if k >= len(bitsets):
         u = 0
         for b in bitsets:
@@ -51,7 +50,7 @@ def reference_best_k(pts, k, dedup):
     k-subsets are scored in lexicographic order and the first maximum wins.
     Returns (centers, covered bits, combos, candidates, candidates kept).
     """
-    cands = candidate_disks(pts)
+    cands = candidates(pts)
     disks, bitsets = [], []
     for d in cands:
         b = coverage(d, pts).bits
@@ -256,7 +255,7 @@ class TestMostPoints:
     def test_matches_unpruned_pair_loop(self):
         # oracle: double loop over candidate coverage bitsets, written here
         pts = uniform_points(3, 14, 0.0, 6.0)
-        bitsets = [coverage(d, pts).bits for d in candidate_disks(pts)]
+        bitsets = [coverage(d, pts).bits for d in candidates(pts)]
         expected = 0
         for i in range(len(bitsets)):
             for j in range(i + 1, len(bitsets)):

@@ -11,9 +11,7 @@ from diskcover import (
     Point,
     PointFormatError,
     UnitDisk,
-    candidate_disks,
     coverage,
-    coverage_bits_many,
     covers,
     exclusive_cover,
     parse_points,
@@ -21,10 +19,24 @@ from diskcover import (
     load_points,
     union_cover,
 )
-from diskcover.geometry import CENTER_DEDUP_EPS, PAIR_EPS
+from diskcover.geometry import (
+    CENTER_DEDUP_EPS,
+    PAIR_EPS,
+    candidate_centers,
+    center_coverage_bits,
+    unpack_coverage,
+)
 from diskcover.rng import Xoshiro256StarStar
 
-from conftest import make_points, point_sets, uniform_points
+from conftest import candidates, make_points, point_sets, uniform_points
+
+
+def packed_bits(disks, pts):
+    """Each disk's coverage bits, unpacked from ``center_coverage_bits``."""
+    cx = np.array([d.cx for d in disks], dtype=np.float64)
+    cy = np.array([d.cy for d in disks], dtype=np.float64)
+    _, words, gids = center_coverage_bits(cx, cy, pts)
+    return [unpack_coverage(row, gids).bits for row in words]
 
 
 def reference_candidate_centers(pts):
@@ -121,24 +133,24 @@ class TestCoverage:
         pts = uniform_points(8, 150, 0.0, 12.0)
         rng = Xoshiro256StarStar(9)
         disks = [UnitDisk(rng.uniform(0, 12), rng.uniform(0, 12)) for _ in range(40)]
-        batch = coverage_bits_many(disks, pts)
+        batch = packed_bits(disks, pts)
         for d, bits in zip(disks, batch):
             assert bits == coverage(d, pts).bits
 
     def test_batch_kernel_sparse_ids(self):
         # sub-lists keep original indices; bits must live in the original space
         pts = [Point(0.0, 0.0, 3), Point(0.5, 0.0, 7)]
-        bits = coverage_bits_many([UnitDisk(0, 0)], pts)[0]
+        bits = packed_bits([UnitDisk(0, 0)], pts)[0]
         assert bits == (1 << 3) | (1 << 7)
         # a repeated id is one bit, as in coverage
         pts = [Point(0.0, 0.0, 3), Point(0.5, 0.0, 3)]
-        assert coverage_bits_many([UnitDisk(0, 0)], pts) == [coverage(UnitDisk(0, 0), pts).bits]
+        assert packed_bits([UnitDisk(0, 0)], pts) == [coverage(UnitDisk(0, 0), pts).bits]
 
     def test_batch_kernel_empty_inputs(self):
         pts = make_points([(0, 0), (0.5, 0)])
-        assert coverage_bits_many([], pts) == []
-        assert coverage_bits_many([], []) == []
-        assert coverage_bits_many([UnitDisk(0, 0), UnitDisk(5, 5)], []) == [0, 0]
+        assert packed_bits([], pts) == []
+        assert packed_bits([], []) == []
+        assert packed_bits([UnitDisk(0, 0), UnitDisk(5, 5)], []) == [0, 0]
 
     @given(
         point_sets(),
@@ -148,27 +160,27 @@ class TestCoverage:
         # candidate disks put points exactly on their boundary; the extra
         # disks are placed anywhere near the (translated) points
         ox, oy = (pts[0].x, pts[0].y) if pts else (0.0, 0.0)
-        disks = (candidate_disks(pts) if pts else []) + [
+        disks = (candidates(pts) if pts else []) + [
             UnitDisk(ox + x, oy + y) for x, y in extra
         ]
-        assert coverage_bits_many(disks, pts) == [coverage(d, pts).bits for d in disks]
+        assert packed_bits(disks, pts) == [coverage(d, pts).bits for d in disks]
 
 
 class TestCandidateDisks:
     def test_single_point(self):
-        disks = candidate_disks(make_points([(0, 0)]))
+        disks = candidates(make_points([(0, 0)]))
         assert len(disks) == 1
         assert disks[0] == UnitDisk(0.0, 0.0)
 
     def test_distance_exactly_two(self):
         # the two circumscribing circles coincide at the midpoint, so the
         # pair contributes exactly one through-disk alongside the centered two
-        disks = candidate_disks(make_points([(0, 0), (2, 0)]))
+        disks = candidates(make_points([(0, 0), (2, 0)]))
         centers = sorted((d.cx, d.cy) for d in disks)
         assert centers == [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
 
     def test_unit_separation_analytic(self):
-        disks = candidate_disks(make_points([(0, 0), (1, 0)]))
+        disks = candidates(make_points([(0, 0), (1, 0)]))
         centers = sorted((d.cx, d.cy) for d in disks)
         h = math.sqrt(1 - 0.25)
         assert len(centers) == 4
@@ -180,7 +192,7 @@ class TestCandidateDisks:
     def test_through_pair_disks_cover_both_generators(self):
         pts = uniform_points(21, 40, 0.0, 8.0)
         by_pos = {(p.x, p.y) for p in pts}
-        for d in candidate_disks(pts):
+        for d in candidates(pts):
             if (d.cx, d.cy) in by_pos:
                 continue
             n_on_boundary = sum(
@@ -193,23 +205,23 @@ class TestCandidateDisks:
     def test_candidate_count_bound(self):
         for seed, n in [(1, 10), (2, 25), (3, 60)]:
             pts = uniform_points(seed, n, 0.0, 5.0)
-            assert len(candidate_disks(pts)) <= n * n
+            assert len(candidates(pts)) <= n * n
 
     def test_duplicate_points_no_through_disks(self):
-        disks = candidate_disks(make_points([(1.5, 2.5), (1.5, 2.5)]))
+        disks = candidates(make_points([(1.5, 2.5), (1.5, 2.5)]))
         assert len(disks) == 1
 
     def test_far_pair_only_centered(self):
-        disks = candidate_disks(make_points([(0, 0), (10, 10)]))
+        disks = candidates(make_points([(0, 0), (10, 10)]))
         assert sorted((d.cx, d.cy) for d in disks) == [(0.0, 0.0), (10.0, 10.0)]
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            candidate_disks([])
+        with pytest.raises(ValueError, match="candidate_centers"):
+            candidate_centers([])
 
     @given(point_sets(min_size=1))
     def test_matches_reference_loop_bit_for_bit(self, pts):
-        got = [(d.cx, d.cy) for d in candidate_disks(pts)]
+        got = [(d.cx, d.cy) for d in candidates(pts)]
         assert exact_floats(got) == exact_floats(reference_candidate_centers(pts))
 
     def test_merge_compares_with_last_kept_center(self):
@@ -218,17 +230,17 @@ class TestCandidateDisks:
         # predecessor, but 1.2e-12 is not within it of 0, the last center
         # kept, so it is kept too
         pts = make_points([(0, 0), (0, 4e-13), (0, 8e-13), (0, 1.2e-12)])
-        on_axis = [(d.cx, d.cy) for d in candidate_disks(pts) if abs(d.cx) < 0.5]
+        on_axis = [(d.cx, d.cy) for d in candidates(pts) if abs(d.cx) < 0.5]
         assert on_axis == [(0.0, 0.0), (0.0, 1.2e-12)]
         # here the third center is farther than the tolerance from the second
         # (in y) yet within it of the first, which is the last kept
         pts = make_points([(0, 0), (1e-13, 9e-13), (2e-13, -5e-13)])
         near_origin = [
-            (d.cx, d.cy) for d in candidate_disks(pts) if abs(d.cx) + abs(d.cy) < 1e-11
+            (d.cx, d.cy) for d in candidates(pts) if abs(d.cx) + abs(d.cy) < 1e-11
         ]
         assert near_origin == [(0.0, 0.0)]
         assert exact_floats(
-            [(d.cx, d.cy) for d in candidate_disks(pts)]
+            [(d.cx, d.cy) for d in candidates(pts)]
         ) == exact_floats(reference_candidate_centers(pts))
 
 

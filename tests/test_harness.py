@@ -6,7 +6,6 @@ import pytest
 
 from diskcover import (
     bench,
-    candidate_disks,
     generate,
     most_points,
     solve,
@@ -15,6 +14,7 @@ from diskcover import (
     write_bench_json,
 )
 from diskcover import exact, harness, single_disk
+from diskcover.geometry import candidate_centers
 from diskcover.harness import BENCH_FIELDS, TIMING_FIELDS
 
 
@@ -106,7 +106,7 @@ class TestBench:
         full = bench([(60, 12.0)], seeds=[5], m=2)[0]
         capped = bench([(60, 12.0)], seeds=[5], m=2, sample_baseline=10)[0]
         assert capped.cover_baseline == full.cover_baseline == full.cover_ours
-        n_candidates = len(candidate_disks(generate(60, 12.0, 5).points))
+        n_candidates = len(candidate_centers(generate(60, 12.0, 5).points)[0])
         assert capped.pairs_baseline == math.comb(n_candidates, 2)
         assert capped.pairs_baseline == full.pairs_baseline
 
@@ -136,7 +136,7 @@ class TestBench:
         record = bench([(30, 8.0)], seeds=[1], m=2)[0]
         assert whole_instance_calls == [30]
         assert record.pairs_baseline == math.comb(
-            len(candidate_disks(generated[1])), 2
+            len(candidate_centers(generated[1])[0]), 2
         )
 
     def test_empty_arguments_rejected(self):
@@ -144,6 +144,15 @@ class TestBench:
             bench([], seeds=[1])
         with pytest.raises(ValueError):
             bench([(10, 2.0)], seeds=[])
+
+    def test_bad_m_or_cap_is_blamed_before_any_config_runs(self):
+        # the message names the argument, not the first config it would hit
+        with pytest.raises(ValueError) as exc:
+            bench([(10, 2.0)], seeds=[1], m=0)
+        assert "m >= 1" in str(exc.value)
+        assert "config" not in str(exc.value)
+        with pytest.raises(ValueError, match="sample_baseline"):
+            bench([(10, 2.0)], seeds=[1], sample_baseline=-3)
 
 
 class TestBenchOutput:

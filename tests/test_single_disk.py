@@ -1,16 +1,17 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from diskcover import CoverageSet, best_disk_sweep, candidate_disks, coverage, generate
+from diskcover import best_disk_sweep, coverage, generate
 from diskcover.geometry import PAIR_EPS
 from diskcover import single_disk
 from diskcover.single_disk import anchor_table, best_placement
 
-from conftest import make_points, point_sets, uniform_points
+from conftest import candidates, make_points, point_sets, uniform_points
 
 TWO_PI = 2.0 * math.pi
 
@@ -100,13 +101,21 @@ def exact_bits(count, cx, cy):
     return count, float(cx).hex(), float(cy).hex()
 
 
-def table_choice(table, covered=CoverageSet()):
+def table_choice(table, covered=None):
+    if covered is None:
+        covered = np.zeros(len(table.x), dtype=bool)
     count, disk = best_placement(table, covered)
     return exact_bits(count, disk.cx, disk.cy)
 
 
+def mask_of(pts, ids):
+    """The covered mask over positions of ``pts`` whose point ids are ``ids``."""
+    ids = set(ids)
+    return np.array([p.idx in ids for p in pts], dtype=bool)
+
+
 def residual(pts, covered):
-    return [p for p in pts if p.idx not in covered]
+    return [p for p, c in zip(pts, covered) if not c]
 
 
 def lattice(k, copies=1):
@@ -115,7 +124,7 @@ def lattice(k, copies=1):
 
 def brute_force_rho(pts):
     """Independent optimum: best coverage count over the candidate set."""
-    return max(coverage(d, pts).count for d in candidate_disks(pts))
+    return max(coverage(d, pts).count for d in candidates(pts))
 
 
 class TestSweep:
@@ -179,7 +188,7 @@ class TestAnchorTableMatchesReferenceSweep:
         # any covered set, as a neighborhood re-solve leaves, not only a
         # growing one
         chosen = data.draw(st.sets(st.sampled_from([p.idx for p in pts])))
-        covered = CoverageSet.from_ids(chosen)
+        covered = mask_of(pts, chosen)
         rest = residual(pts, covered)
         found = best_placement(anchor_table(pts), covered)
         if not rest:
@@ -195,7 +204,7 @@ class TestAnchorTableMatchesReferenceSweep:
         pts = uniform_points(seed, n, 0.0, side)
         table = anchor_table(pts)
         assert table_choice(table) == exact_bits(*reference_sweep(pts))
-        covered = CoverageSet()
+        covered = np.zeros(len(pts), dtype=bool)
         for _ in range(3):
             rest = residual(pts, covered)
             if not rest:
@@ -203,16 +212,17 @@ class TestAnchorTableMatchesReferenceSweep:
                 break
             count, disk = best_placement(table, covered)
             assert exact_bits(count, disk.cx, disk.cy) == exact_bits(*reference_sweep(rest))
-            covered = CoverageSet(covered.bits | coverage(disk, pts).bits)
+            covered = covered | mask_of(pts, coverage(disk, pts).ids())
         # an arbitrary subset: every third point
-        covered = CoverageSet.from_ids(p.idx for p in pts[::3])
+        covered = mask_of(pts, (p.idx for p in pts[::3]))
         assert table_choice(table, covered) == exact_bits(*reference_sweep(residual(pts, covered)))
 
     def test_generated_instance_step(self):
         pts = generate(2000, 40.0, 101).points
         table = anchor_table(pts)
         assert table_choice(table) == exact_bits(*reference_sweep(pts))
-        covered = coverage(best_placement(table, CoverageSet())[1], pts)
+        first = best_placement(table, np.zeros(len(pts), dtype=bool))[1]
+        covered = mask_of(pts, coverage(first, pts).ids())
         assert table_choice(table, covered) == exact_bits(*reference_sweep(residual(pts, covered)))
 
     @pytest.mark.parametrize("copies", [1, 2])
@@ -223,7 +233,7 @@ class TestAnchorTableMatchesReferenceSweep:
         table = anchor_table(pts)
         assert table_choice(table) == exact_bits(*reference_sweep(pts))
         for ids in ([0, 1, 2], range(0, len(pts), 2), range(len(pts) - 1)):
-            covered = CoverageSet.from_ids(ids)
+            covered = mask_of(pts, ids)
             assert table_choice(table, covered) == exact_bits(
                 *reference_sweep(residual(pts, covered))
             )
@@ -232,11 +242,11 @@ class TestAnchorTableMatchesReferenceSweep:
         # point 0 keeps only itself once 1 and 2 are covered; point 3 is far
         # away and sits lower-left of nothing, so the tie-break picks 0
         pts = make_points([(0.0, 0.0), (1.0, 0.0), (1.5, 0.5), (9.0, 9.0)])
-        covered = CoverageSet.from_ids([1, 2])
+        covered = mask_of(pts, [1, 2])
         choice = table_choice(anchor_table(pts), covered)
         assert choice == exact_bits(*reference_sweep(residual(pts, covered)))
         assert choice == exact_bits(1, 0.0, 0.0)
 
     def test_everything_covered(self):
         pts = make_points([(0, 0), (0.5, 0)])
-        assert best_placement(anchor_table(pts), CoverageSet.from_ids([0, 1])) is None
+        assert best_placement(anchor_table(pts), mask_of(pts, [0, 1])) is None

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from diskcover import (
     best_disk_sweep,
-    candidate_disks,
     coverage,
     greedy_solve,
     most_points,
@@ -14,12 +13,12 @@ from diskcover import (
     solve,
     union_cover,
 )
-from diskcover.single_disk import anchor_table
-from diskcover.solver import NEIGHBOR_RADIUS, NEIGHBOR_EPS, _cover
+from diskcover.single_disk import _cover, anchor_table
+from diskcover.solver import NEIGHBOR_RADIUS, NEIGHBOR_EPS
 from diskcover.rng import Xoshiro256StarStar
-from diskcover import Point, UnitDisk
+from diskcover import CoverageSet, Point, UnitDisk
 
-from conftest import make_points, point_sets, uniform_points
+from conftest import candidates, make_points, point_sets, uniform_points
 
 
 def middle_split_instance():
@@ -109,14 +108,19 @@ class TestTableCover:
     )
     def test_mask_matches_coverage(self, pts, offsets):
         # candidate disks put points exactly on their boundary; the others
-        # are placed anywhere near the (translated) points
-        disks = candidate_disks(pts)[::7] + [
+        # are placed anywhere near the (translated) points.  The mask is
+        # over table positions; table.ids maps it to point ids
+        disks = candidates(pts)[::7] + [
             UnitDisk(pts[0].x + x, pts[0].y + y) for x, y in offsets
         ]
         table = anchor_table(pts)
+
+        def cover(ds):
+            return CoverageSet.from_ids(table.ids[_cover(table, ds)])
+
         for d in disks:
-            assert _cover(table, [d]) == coverage(d, pts)
-        assert _cover(table, disks) == union_cover([coverage(d, pts) for d in disks])
+            assert cover([d]) == coverage(d, pts)
+        assert cover(disks) == union_cover([coverage(d, pts) for d in disks])
 
 
 class TestSolve:
@@ -264,7 +268,7 @@ class TestGreedySolve:
             first = best_disk_sweep(pts)
             remaining = [p for p in pts if p.idx not in first.covered]
             expected = max(
-                coverage(d, remaining).count for d in candidate_disks(remaining)
+                coverage(d, remaining).count for d in candidates(remaining)
             )
             sol = greedy_solve(pts, 2)
             assert sol.disks[0] == first.disk
