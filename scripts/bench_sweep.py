@@ -9,7 +9,7 @@ shared host falls on both; every figure is the median over the repeats.
 Instances are ``generate(n, side, 101)`` unless a row names another seed,
 timed after one warm-up ``solve`` on a small instance.  Rows:
 
-* ``sweep``: ``best_disk_sweep`` on the whole instance (the first disk);
+* ``sweep``: ``solve(pts, 1)`` on the whole instance (the first disk);
 * ``greedy_step``: ``solver._greedy_step`` on the points its first disk
   leaves uncovered (at a head that keeps an anchor table, the table is built
   outside the timed region, as ``solve`` builds it once for every step; at
@@ -64,15 +64,15 @@ def _counts(result) -> dict:
 
 def measure(slow: bool) -> dict:
     """One run of every row on the ``diskcover`` found first on sys.path."""
-    from diskcover import best_disk_sweep, generate, most_points, single_disk, solve, solver
+    from diskcover import generate, most_points, single_disk, solve, solver
 
     # first calls pay one-time costs (lazy imports, first allocations)
     solve(generate(50, 5.0, SEED).points, 2)
     rows = {}
     for n, side in STEP_SIZES:
         pts = generate(n, side, SEED).points
-        ms, first = _timed(lambda: best_disk_sweep(pts))
-        rows[f"sweep {n}:{side:g}"] = {"ms": ms, "rho": first.rho_witness}
+        ms, first = _timed(lambda: solve(pts, 1))
+        rows[f"sweep {n}:{side:g}"] = {"ms": ms, "rho": first.rho}
         # _greedy_step takes some of (table, pts, covered), by revision, and
         # covered is a CoverageSet or, where single_disk has _cover, a mask
         given = {"pts": pts, "covered": first.covered}
@@ -81,7 +81,7 @@ def measure(slow: bool) -> dict:
             given["table"] = single_disk.anchor_table(pts)
         masks = hasattr(single_disk, "_cover")
         if masks:
-            given["covered"] = single_disk._cover(given["table"], [first.disk])
+            given["covered"] = single_disk._cover(given["table"], [first.disks[0]])
         args = [given[name] for name in params]
         ms, (disk, union) = _timed(lambda: solver._greedy_step(*args))
         rows[f"greedy_step {n}:{side:g}"] = {

@@ -7,6 +7,10 @@ Library layout:
   solver       output-sensitive exact solver (greedy + neighborhood re-solve)
   harness      reproducible instances, benchmark, self-verification
   rng          fixed splitmix64/xoshiro256** generator
+
+Point ids must be distinct: ``solve``, ``greedy_solve`` and ``most_points``
+raise ValueError on a repeated id.  ``solve(pts, 1)`` is the single-disk
+optimum.
 """
 
 from .exact import ExactSolveStats, MultiDiskResult, most_points
@@ -36,7 +40,6 @@ from .harness import (
     write_bench_json,
 )
 from .rng import Xoshiro256StarStar, splitmix64
-from .single_disk import SingleDiskResult, best_disk_sweep
 from .solver import (
     NEIGHBOR_RADIUS,
     IterationTrace,
@@ -58,13 +61,11 @@ __all__ = [
     "MultiDiskResult",
     "Point",
     "PointFormatError",
-    "SingleDiskResult",
     "Solution",
     "UnitDisk",
     "VerificationReport",
     "Xoshiro256StarStar",
     "bench",
-    "best_disk_sweep",
     "coverage",
     "covers",
     "exclusive_cover",

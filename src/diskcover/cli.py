@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from .geometry import load_points, save_points
 from .harness import (
@@ -46,17 +47,7 @@ def _solution_dict(sol: Solution) -> dict:
         "disks": [{"cx": d.cx, "cy": d.cy} for d in sol.disks],
         "covered": sol.covered.count,
         "rho": sol.rho,
-        "traces": [
-            {
-                "i": t.i,
-                "greedy_gain": t.greedy_gain,
-                "neighborhood_size": t.neighborhood_size,
-                "exact_value": t.exact_value,
-                "chose_greedy": t.chose_greedy,
-                "combos_evaluated": t.combos_evaluated,
-            }
-            for t in sol.traces
-        ],
+        "traces": [asdict(t) for t in sol.traces],
     }
 
 

@@ -269,7 +269,8 @@ def most_points(
     candidate set: k=1 returns the first candidate of maximum count in
     center order, and its stats count candidates and scored candidates like
     any other k.  If fewer distinct candidates than k exist, the solution is
-    padded by repeating the best disk.
+    padded by repeating the best disk.  The ids of ``pts`` must be distinct;
+    a repeated id raises ValueError.
     """
     if not pts:
         raise ValueError("most_points requires a non-empty point list")

@@ -17,6 +17,11 @@ returned packed: one row of uint64 words per center over the instance's
 local point ids, so a union is a row OR and a count a popcount, for whole
 blocks of rows at once.  A result is reported as a ``CoverageSet`` over the
 original point ids.
+
+Point ids must be distinct wherever coverage is counted: here in
+``center_coverage_bits``, and in the single-disk sweep's anchor table; both
+raise ValueError on a repeated id.  ``covers`` and ``coverage``, the
+reference predicate and loop, take any point list.
 """
 
 from __future__ import annotations
@@ -229,11 +234,12 @@ def center_coverage_bits(
     Returns (rows, words, gids).  ``words[t]`` is the coverage of center
     ``rows[t]``: a row of uint64 words over local point ids, in which local
     id ``l`` is bit ``l % 64`` of word ``l // 64`` and stands for the point
-    id ``gids[l]``.  ``gids`` holds the distinct ids of ``pts`` in ascending
-    order, so a row has ceil(len(gids) / 64) words (at least one) whatever
-    the magnitude of the ids.  Without ``distinct`` every center is a row;
-    with it, only the first center of each distinct coverage set, chosen
-    before anything is packed.
+    id ``gids[l]``.  ``gids`` holds the ids of ``pts`` in ascending order,
+    so a row has ceil(len(pts) / 64) words (at least one) whatever the
+    magnitude of the ids.  The ids must be distinct; a repeated id raises
+    ValueError.  Without ``distinct`` every center is a row; with it, only
+    the first center of each distinct coverage set, chosen before anything
+    is packed.
 
     Membership is ``coverage``'s predicate, bit for bit: a KD-tree over the
     centers pairs them with the points within COVER_QUERY_RADIUS, a superset
@@ -241,13 +247,17 @@ def center_coverage_bits(
     each pair exactly as ``coverage`` writes it.
     """
     n_rows = len(cx)
-    gids = np.unique(np.array([p.idx for p in pts], dtype=np.int64))
+    gids = np.array([p.idx for p in pts], dtype=np.int64)
+    by_id = _distinct_id_order(gids)
+    gids = gids[by_id]
     width = max(1, -(-len(gids) // 64))
     if n_rows == 0 or not pts:
         rows = np.arange(min(n_rows, 1) if distinct else n_rows)
         return rows, np.zeros((len(rows), width), dtype=np.uint64), gids
-    indptr, ids = _coverage_rows(cx, cy, pts)
-    rows = _first_distinct_rows(indptr, ids) if distinct else np.arange(n_rows)
+    # points in id order, so that a point's position is its local id
+    xy = np.array([(p.x, p.y) for p in pts], dtype=np.float64)[by_id]
+    indptr, local = _coverage_rows(cx, cy, xy)
+    rows = _first_distinct_rows(indptr, local) if distinct else np.arange(n_rows)
     words = np.zeros((len(rows), width), dtype=np.uint64)
     # a few thousand rows at a time, so that the per-entry arrays stay small
     # next to the words (all at once, they add about 5 MB to the peak memory
@@ -257,16 +267,30 @@ def center_coverage_bits(
         lengths = indptr[part + 1] - indptr[part]
         if not lengths.any():
             continue
-        # the part's entries of ids, row after row, as local ids
+        # the part's entries of local, row after row
         skip = np.repeat(indptr[part] - (np.cumsum(lengths) - lengths), lengths)
-        local = np.searchsorted(gids, ids[np.arange(len(skip)) + skip])
-        # ids ascend within a row, so the (row, word) keys ascend and each
-        # word's bits are one run for reduceat
-        key = np.repeat(np.arange(len(part)), lengths) * width + (local >> 6)
+        part_local = local[np.arange(len(skip)) + skip]
+        # local ids ascend within a row, so the (row, word) keys ascend and
+        # each word's bits are one run for reduceat
+        key = np.repeat(np.arange(len(part)), lengths) * width + (part_local >> 6)
         runs = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        bit = np.left_shift(np.uint64(1), (local & 63).astype(np.uint64))
+        bit = np.left_shift(np.uint64(1), (part_local & 63).astype(np.uint64))
         words[lo : lo + len(part)].reshape(-1)[key[runs]] = np.bitwise_or.reduceat(bit, runs)
     return rows, words, gids
+
+
+def _distinct_id_order(ids: np.ndarray) -> np.ndarray:
+    """Positions that sort ``ids`` ascending (stably); a repeated id raises.
+
+    Point ids must be distinct wherever coverage is counted, because a count
+    of covered positions is then a count of covered ids.
+    """
+    order = np.argsort(ids, kind="stable")
+    ordered = ids[order]
+    repeats = np.flatnonzero(ordered[1:] == ordered[:-1])
+    if len(repeats):
+        raise ValueError(f"point ids must be distinct; id {int(ordered[repeats[0]])} repeats")
+    return order
 
 
 def unpack_coverage(words: np.ndarray, gids: np.ndarray) -> CoverageSet:
@@ -279,17 +303,13 @@ def unpack_coverage(words: np.ndarray, gids: np.ndarray) -> CoverageSet:
 
 
 def _coverage_rows(
-    cx: np.ndarray, cy: np.ndarray, pts: Sequence[Point]
+    cx: np.ndarray, cy: np.ndarray, xy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Covered point ids of each center as CSR rows (indptr, ids).
+    """Covered points of each center as CSR rows (indptr, cols).
 
-    Ids are ascending and distinct within a row.
+    ``cols`` are row indices of ``xy``, ascending within a row.  The
+    KD-tree yields each (center, point) pair once, so they are distinct too.
     """
-    gid = np.array([p.idx for p in pts], dtype=np.int64)
-    # points in id order, so that sorting a row by point position sorts its ids
-    by_id = np.argsort(gid, kind="stable")
-    gid = gid[by_id]
-    xy = np.array([(p.x, p.y) for p in pts], dtype=np.float64)[by_id]
     near = cKDTree(np.column_stack((cx, cy))).sparse_distance_matrix(
         cKDTree(xy), COVER_QUERY_RADIUS, output_type="ndarray"
     )
@@ -298,14 +318,13 @@ def _coverage_rows(
     dy = xy[col, 1] - cy[row]
     hit = dx * dx + dy * dy <= 1.0 + EPS_COVER
     row, col = row[hit], col[hit]
-    order = np.argsort(row * len(pts) + col)
-    row, ids = row[order], gid[col[order]]
-    # a repeated point id is one member, as in coverage
-    fresh = np.ones(len(row), dtype=bool)
-    fresh[1:] = (row[1:] != row[:-1]) | (ids[1:] != ids[:-1])
+    # the KD-tree's pairs are the largest temporaries here; free them before
+    # the sort's arrays are allocated, which keeps the peak memory down
+    del near, dx, dy, hit
+    order = np.argsort(row * len(xy) + col)
     indptr = np.zeros(len(cx) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row[fresh], minlength=len(cx)), out=indptr[1:])
-    return indptr, ids[fresh]
+    np.cumsum(np.bincount(row, minlength=len(cx)), out=indptr[1:])
+    return indptr, col[order]
 
 
 def _first_distinct_rows(indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:

@@ -18,28 +18,12 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, astuple, dataclass, field, fields
 
 from .exact import most_points
 from .geometry import Point, candidate_centers
 from .rng import Xoshiro256StarStar
 from .solver import solve
-
-BENCH_FIELDS = [
-    "n",
-    "side",
-    "rho",
-    "pairs_baseline",
-    "pairs_ours",
-    "cover_baseline",
-    "cover_ours",
-    "time_baseline_ms",
-    "time_ours_ms",
-    "seed",
-]
-
-TIMING_FIELDS = ("time_baseline_ms", "time_ours_ms")
-
 
 class BenchmarkError(RuntimeError):
     """A benchmark record failed; message identifies the (n, side, seed)."""
@@ -62,6 +46,11 @@ class BenchRecord:
     time_baseline_ms: float
     time_ours_ms: float
     seed: int
+
+
+BENCH_FIELDS = [f.name for f in fields(BenchRecord)]
+
+TIMING_FIELDS = ("time_baseline_ms", "time_ours_ms")
 
 
 @dataclass
@@ -186,8 +175,7 @@ def write_bench_csv(records: list[BenchRecord], path: str) -> None:
         writer = csv.writer(fh)
         writer.writerow(BENCH_FIELDS)
         for r in records:
-            d = asdict(r)
-            writer.writerow([d[f] for f in BENCH_FIELDS])
+            writer.writerow(astuple(r))
 
 
 def write_bench_json(records: list[BenchRecord], path: str) -> None:

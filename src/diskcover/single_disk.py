@@ -12,6 +12,8 @@ optimum.
 keeps, per anchor, its best placement ``(count, cx, cy)``.  The best disk of
 the instance is the best table entry.  Covered points are a boolean mask
 over table positions, and ``_cover`` gives the mask of a list of disks.
+Point ids must be distinct, so that a count of table positions is a count
+of point ids; ``anchor_table`` raises ValueError on a repeated id.
 Removing points changes the entry of an anchor only if one of its neighbors
 is removed, so ``best_placement`` answers "the best disk on the points
 outside ``covered``" by sweeping again only the uncovered anchors that have
@@ -30,20 +32,13 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .geometry import EPS_COVER, PAIR_EPS, CoverageSet, Point, UnitDisk
+from .geometry import EPS_COVER, PAIR_EPS, Point, UnitDisk, _distinct_id_order
 
 TWO_PI = 2.0 * math.pi
 
 # Directed neighbor pairs per block of the table's sweep; a block's events
 # peak at about 200 bytes per pair.
 SWEEP_BLOCK = 4096
-
-
-@dataclass
-class SingleDiskResult:
-    disk: UnitDisk
-    covered: CoverageSet
-    rho_witness: int
 
 
 @dataclass(frozen=True)
@@ -85,12 +80,16 @@ def _math_map(fn, *arrays: np.ndarray) -> np.ndarray:
 
 
 def anchor_table(pts: list[Point]) -> AnchorTable:
-    """Sweep every anchor of ``pts`` once and tabulate its best placement."""
+    """Sweep every anchor of ``pts`` once and tabulate its best placement.
+
+    The ids of ``pts`` must be distinct; a repeated id raises ValueError.
+    """
     if not pts:
         raise ValueError("the sweep requires a non-empty point list")
+    ids = np.array([p.idx for p in pts], dtype=np.int64)
+    _distinct_id_order(ids)
     x = np.array([p.x for p in pts], dtype=np.float64)
     y = np.array([p.y for p in pts], dtype=np.float64)
-    ids = np.array([p.idx for p in pts], dtype=np.int64)
     pairs = cKDTree(np.column_stack([x, y])).query_pairs(
         r=2.0 + 1e-9, output_type="ndarray"
     ).reshape(-1, 2)
@@ -227,11 +226,3 @@ def best_placement(table: AnchorTable, covered: np.ndarray) -> tuple[int, UnitDi
     best = best[count[best] == count[best].max()]
     i = best[np.lexsort((cy[best], cx[best]))[0]]
     return int(count[i]), UnitDisk(float(cx[i]), float(cy[i]))
-
-
-def best_disk_sweep(pts: list[Point]) -> SingleDiskResult:
-    """Unit disk covering the maximum number of points, by angular sweep."""
-    table = anchor_table(pts)
-    _, disk = best_placement(table, np.zeros(len(table.x), dtype=bool))
-    cov = CoverageSet.from_ids(table.ids[_cover(table, [disk])])
-    return SingleDiskResult(disk, cov, cov.count)

@@ -19,7 +19,8 @@ constant times the single-disk optimum rather than by n.
 
 Both branches are scored as boolean masks over the anchor table's positions,
 and the incumbent's cover is kept as one, from the first disk on; the
-``CoverageSet`` of the result is built from it once.
+``CoverageSet`` of the result is built from it once.  A count of positions
+is a count of point ids because the table refuses repeated ids.
 """
 
 from __future__ import annotations
@@ -103,11 +104,7 @@ def solve(pts: list[Point], m: int, prune: bool = False) -> Solution:
     (ties go to the re-solve).  ``prune`` enables branch-and-bound inside the
     neighborhood searches; it changes combo counts, never values.
 
-    Covered points are kept as one mask over the positions of ``pts``, and
-    every count is the number of its set positions.  That equals the number
-    of covered point ids because the ids of an instance are distinct:
-    ``parse_points`` and ``generate`` number the points in order, and
-    ``neighbor_points`` keeps a subset's ids.
+    The ids of ``pts`` must be distinct; a repeated id raises ValueError.
 
     combos_evaluated in each trace counts the complete disk combinations the
     neighborhood search scored; the greedy branch contributes none.
@@ -161,7 +158,8 @@ def greedy_solve(pts: list[Point], m: int) -> Solution:
     """Plain greedy: repeatedly add the best disk on the uncovered points.
 
     Covers at least a (1 - 1/e) fraction of the optimum; used as a baseline
-    and as the quality floor the exact solver is tested against.
+    and as the quality floor the exact solver is tested against.  The ids
+    of ``pts`` must be distinct, as in ``solve``.
     """
     if not pts:
         raise ValueError("greedy_solve requires a non-empty point list")

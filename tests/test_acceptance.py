@@ -11,7 +11,6 @@ import pytest
 
 from diskcover import (
     CoverageSet,
-    best_disk_sweep,
     bench,
     exclusive_cover,
     generate,
@@ -97,7 +96,7 @@ def test_criterion_2_single_disk_equivalence():
     bad = []
     for n, side, seed in instances:
         pts = uniform_points(seed, n, 0.0, side)
-        swept = best_disk_sweep(pts).rho_witness
+        swept = solve(pts, 1).rho
         _, words, gids = center_coverage_bits(*candidate_centers(pts), pts)
         brute = max(unpack_coverage(row, gids).count for row in words)
         if swept != brute:

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from diskcover import (
     Point,
     UnitDisk,
-    best_disk_sweep,
     coverage,
     exact,
     generate,
     greedy_solve,
     most_points,
+    solve,
 )
 from diskcover.geometry import candidate_centers, center_coverage_bits, unpack_coverage
 from diskcover.rng import Xoshiro256StarStar
@@ -298,7 +298,7 @@ class TestMostPoints:
         for _ in range(10):
             pts = uniform_points(rng.next_u64(), rng.randint(1, 60), 0.0, 8.0)
             c = most_points(pts, 1).covered.count
-            assert c == best_disk_sweep(pts).rho_witness
+            assert c == solve(pts, 1).rho
 
     def test_dedup_changes_stats_not_value(self):
         rng = Xoshiro256StarStar(18)

@@ -142,9 +142,10 @@ class TestCoverage:
         pts = [Point(0.0, 0.0, 3), Point(0.5, 0.0, 7)]
         bits = packed_bits([UnitDisk(0, 0)], pts)[0]
         assert bits == (1 << 3) | (1 << 7)
-        # a repeated id is one bit, as in coverage
+        # a repeated id is refused: counts of positions would not be counts of ids
         pts = [Point(0.0, 0.0, 3), Point(0.5, 0.0, 3)]
-        assert packed_bits([UnitDisk(0, 0)], pts) == [coverage(UnitDisk(0, 0), pts).bits]
+        with pytest.raises(ValueError, match="point ids must be distinct; id 3 repeats"):
+            packed_bits([UnitDisk(0, 0)], pts)
 
     def test_batch_kernel_empty_inputs(self):
         pts = make_points([(0, 0), (0.5, 0)])

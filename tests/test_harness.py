@@ -40,8 +40,8 @@ def record_generated(monkeypatch):
 
 def install_first_point_sweep(monkeypatch):
     """A sweep table that never looks past the first point, in every module
-    holding it; ``solve``, ``greedy_solve`` and ``best_disk_sweep`` all read
-    their single disks from that table."""
+    holding it; ``solve`` and ``greedy_solve`` both read their single disks
+    from that table."""
     real = single_disk.anchor_table
 
     def wrong_table(pts):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from diskcover import best_disk_sweep, coverage, generate
+from diskcover import coverage, generate, solve
 from diskcover.geometry import PAIR_EPS
 from diskcover import single_disk
 from diskcover.single_disk import anchor_table, best_placement
@@ -128,43 +128,41 @@ def brute_force_rho(pts):
 
 
 class TestSweep:
+    """The single-disk optimum, as ``solve(pts, 1)`` returns it."""
+
     def test_close_pair_beats_singleton(self):
-        res = best_disk_sweep(make_points([(0, 0), (0.5, 0), (5, 5)]))
-        assert res.rho_witness == 2
+        assert solve(make_points([(0, 0), (0.5, 0), (5, 5)]), 1).rho == 2
 
     def test_pair_beyond_two_apart(self):
-        res = best_disk_sweep(make_points([(0, 0), (2.1, 0)]))
-        assert res.rho_witness == 1
+        assert solve(make_points([(0, 0), (2.1, 0)]), 1).rho == 1
 
     def test_matches_candidate_brute_force(self):
         pts = uniform_points(7, 30, 0.0, 10.0)
-        assert best_disk_sweep(pts).rho_witness == brute_force_rho(pts)
+        assert solve(pts, 1).rho == brute_force_rho(pts)
 
     def test_matches_brute_force_denser(self):
         for seed in range(5):
             pts = uniform_points(seed, 35, 0.0, 4.0)
-            assert best_disk_sweep(pts).rho_witness == brute_force_rho(pts)
+            assert solve(pts, 1).rho == brute_force_rho(pts)
 
     def test_singleton_fallback_lexicographic(self):
         for coords in ([(4, 4), (0, 0), (9, 1)], [(0, 0)]):
-            res = best_disk_sweep(make_points(coords))
-            assert res.rho_witness == 1
-            assert (res.disk.cx, res.disk.cy) == (0.0, 0.0)
+            res = solve(make_points(coords), 1)
+            assert res.rho == 1
+            assert (res.disks[0].cx, res.disks[0].cy) == (0.0, 0.0)
 
     def test_duplicate_points(self):
         pts = make_points([(1, 1), (1, 1), (1, 1), (8, 8)])
-        res = best_disk_sweep(pts)
-        assert res.rho_witness == 3
+        assert solve(pts, 1).rho == 3
 
     def test_coverage_recomputes(self):
         pts = uniform_points(19, 80, 0.0, 9.0)
-        res = best_disk_sweep(pts)
-        assert coverage(res.disk, pts).bits == res.covered.bits
+        res = solve(pts, 1)
+        assert coverage(res.disks[0], pts).bits == res.covered.bits
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            best_disk_sweep([])
-
+            solve([], 1)
 
 
 class TestAnchorTableMatchesReferenceSweep:

@@ -1,11 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from diskcover import (
-    best_disk_sweep,
     coverage,
     greedy_solve,
     most_points,
@@ -13,7 +13,7 @@ from diskcover import (
     solve,
     union_cover,
 )
-from diskcover.single_disk import _cover, anchor_table
+from diskcover.single_disk import _cover, anchor_table, best_placement
 from diskcover.solver import NEIGHBOR_RADIUS, NEIGHBOR_EPS
 from diskcover.rng import Xoshiro256StarStar
 from diskcover import CoverageSet, Point, UnitDisk
@@ -60,13 +60,12 @@ class TestNeighborPoints:
     def test_matches_naive_distance_loop(self):
         # oracle: per-point distance check with the same radius and slack
         pts = uniform_points(5, 300, 0.0, 50.0)
-        g1 = best_disk_sweep(pts)
-        nbr = neighbor_points(anchor_table(pts), pts, [g1.disk])
+        g1 = solve(pts, 1).disks[0]
+        nbr = neighbor_points(anchor_table(pts), pts, [g1])
         expected = [
             p.idx
             for p in pts
-            if (p.x - g1.disk.cx) ** 2 + (p.y - g1.disk.cy) ** 2
-            <= NEIGHBOR_RADIUS**2 + NEIGHBOR_EPS
+            if (p.x - g1.cx) ** 2 + (p.y - g1.cy) ** 2 <= NEIGHBOR_RADIUS**2 + NEIGHBOR_EPS
         ]
         assert [p.idx for p in nbr] == expected
 
@@ -133,10 +132,10 @@ class TestSolve:
     def test_m1_identical_to_sweep(self):
         pts = uniform_points(77, 40, 0.0, 8.0)
         sol = solve(pts, 1)
-        first = best_disk_sweep(pts)
-        assert sol.covered.bits == first.covered.bits
-        assert sol.disks[0] == first.disk
-        assert sol.rho == first.rho_witness
+        count, disk = best_placement(anchor_table(pts), np.zeros(len(pts), dtype=bool))
+        assert sol.disks == [disk]
+        assert sol.covered.bits == coverage(disk, pts).bits
+        assert sol.rho == count
         assert sol.traces == [] and sol.total_combos == 0
 
     def test_matches_exact_baseline(self):
@@ -265,16 +264,16 @@ class TestGreedySolve:
             # stay in the original space, not the filtered list's
             make_points([(5, 5), (5.2, 5), (0, 0)]),
         ):
-            first = best_disk_sweep(pts)
+            first = solve(pts, 1)
             remaining = [p for p in pts if p.idx not in first.covered]
             expected = max(
                 coverage(d, remaining).count for d in candidates(remaining)
             )
             sol = greedy_solve(pts, 2)
-            assert sol.disks[0] == first.disk
+            assert sol.disks[0] == first.disks[0]
             assert coverage(sol.disks[1], remaining).count == expected
             assert sol.covered.bits == first.covered.bits | coverage(sol.disks[1], pts).bits
-            assert sol.covered.count == first.rho_witness + expected
+            assert sol.covered.count == first.rho + expected
 
     def test_disk_count(self):
         # once every point is covered, each further disk sits on the first
@@ -291,3 +290,16 @@ class TestGreedySolve:
             greedy_solve([], 1)
         with pytest.raises(ValueError):
             greedy_solve(make_points([(0, 0)]), 0)
+
+
+class TestRepeatedIds:
+    """Point ids must be distinct wherever coverage is counted."""
+
+    # two points share id 0: counted by table position they would make 2,
+    # counted by id 1
+    PTS = [Point(0.0, 0.0, 0), Point(0.1, 0.0, 0), Point(5.0, 5.0, 1)]
+
+    @pytest.mark.parametrize("call", [solve, greedy_solve, most_points])
+    def test_repeated_id_is_rejected(self, call):
+        with pytest.raises(ValueError, match="^point ids must be distinct; id 0 repeats$"):
+            call(self.PTS, 2)
