@@ -28,7 +28,7 @@ print(f"the sweep's anchor table holds {len(anchor_table(pts).anchor)} directed 
       f"neighbor pairs (vs n^2 = {len(pts)**2})")
 
 # independent check: the best disk among all candidate disks
-cx, cy = candidate_centers(pts)
+cx, cy, _ = candidate_centers(pts)
 brute = max(coverage(UnitDisk(x, y), pts).count for x, y in zip(cx.tolist(), cy.tolist()))
 assert swept.rho == brute
 print()

@@ -12,7 +12,7 @@ from diskcover.geometry import candidate_centers
 
 inst = generate(n=30, side=7.0, seed=99)
 pts = inst.points
-cx, _ = candidate_centers(pts)
+cx, _, _ = candidate_centers(pts)
 print(f"{len(pts)} points -> {len(cx)} candidate disks "
       f"(bound: n^2 = {len(pts) ** 2})")
 print()

@@ -16,6 +16,11 @@ timed after one warm-up ``solve`` on a small instance.  Rows:
   one that passes coverage as a mask over table positions, so is the first
   disk's mask);
 * ``solve_m2``: ``solve(pts, 2)`` end to end;
+* ``geometry``: ``candidate_centers`` and ``center_coverage_bits(...,
+  distinct=True)`` on 5000:100 and 2000:40, the candidate set and its
+  distinct coverage rows as ``most_points`` builds them (at a head whose
+  ``center_coverage_bits`` takes anchors, the anchors ``candidate_centers``
+  returns are passed on);
 * ``kernel``: the combination enumeration, on ``most_points(pts, 2,
   dedup=False)`` for 300:20 seed 5 (the ``bench`` baseline column), ``solve``
   m=3 on dense 64:10, and ``most_points(pts, 2, dedup=True, prune=True)``
@@ -46,6 +51,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 101
 STEP_SIZES = [(5000, 100.0), (20000, 200.0)]
 SOLVE_SIZES = [(1000, 200.0), (5000, 100.0), (20000, 200.0), (2000, 40.0)]
+GEOMETRY_SIZES = [(5000, 100.0), (2000, 40.0)]
 SLOW_SIZE = (2000, 40.0)
 
 
@@ -65,6 +71,7 @@ def _counts(result) -> dict:
 def measure(slow: bool) -> dict:
     """One run of every row on the ``diskcover`` found first on sys.path."""
     from diskcover import generate, most_points, single_disk, solve, solver
+    from diskcover.geometry import candidate_centers, center_coverage_bits
 
     # first calls pay one-time costs (lazy imports, first allocations)
     solve(generate(50, 5.0, SEED).points, 2)
@@ -97,6 +104,23 @@ def measure(slow: bool) -> dict:
             "covered": sol.covered.count,
             "rho": sol.rho,
             "combos": sol.total_combos,
+        }
+    # candidate_centers returns (cx, cy) or, where center_coverage_bits takes
+    # anchors, (cx, cy, anchor)
+    anchored = "anchor" in inspect.signature(center_coverage_bits).parameters
+    for n, side in GEOMETRY_SIZES:
+        pts = generate(n, side, SEED).points
+
+        def geometry(pts=pts):
+            centers = candidate_centers(pts)
+            given = centers if anchored else centers[:2]
+            return len(centers[0]), center_coverage_bits(*given, pts, distinct=True)[0]
+
+        ms, (n_candidates, distinct) = _timed(geometry)
+        rows[f"geometry {n}:{side:g}"] = {
+            "ms": ms,
+            "candidates": n_candidates,
+            "distinct_rows": len(distinct),
         }
     kernel = [
         ("most_points_m2_nodedup 300:20 seed 5", 300, 20.0, 5,

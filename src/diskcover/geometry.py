@@ -7,11 +7,13 @@ their boundary.
 
 The candidate set and the coverage of many disks are computed on whole numpy
 arrays.  Candidate centers apply the per-pair formula to every KD-tree pair
-at once.  Coverage first asks a KD-tree for the points within
-COVER_QUERY_RADIUS of each center, a radius slightly larger than the
-predicate's, and then applies the predicate itself to those pairs; so
+at once, and each center keeps the position of a point that generated it,
+its anchor, which lies within the predicate's distance of it.  Every point a
+center covers is then within 2 of its anchor, so coverage gathers, for each
+center, the anchor's list of points within REACH (one KD-tree pair query
+over the points) and applies the predicate itself to those entries; so
 membership is bit for bit that of testing every point (``coverage``), while
-the work grows with the number of covered points instead of with the number
+the work grows with the points near each anchor instead of with the number
 of centers times the number of points.  The coverage of many centers is
 returned packed: one row of uint64 words per center over the instance's
 local point ids, so a union is a row OR and a count a popcount, for whole
@@ -47,13 +49,20 @@ PAIR_EPS = 1e-12
 # Candidate centers closer than this (per coordinate) are duplicates.
 CENTER_DEDUP_EPS = 1e-12
 
-# KD-tree search radius for coverage: a superset of every point the exact
-# predicate admits.  That predicate allows distance sqrt(1 + EPS_COVER), about
-# 1 + 5e-10.  The tree measures distance from the same float coordinates, so
-# its value differs from the predicate's only by rounding, about 1e-16 times
-# the coordinate magnitude; the 1e-6 margin covers that for any coordinates
-# below about 1e9.
-COVER_QUERY_RADIUS = 1.0 + 1e-6
+# Pair radius of the anchor lists: a superset of every point a center covers
+# when its anchor is covered too.  The predicate allows distance
+# sqrt(1 + EPS_COVER), about 1 + 5e-10, to each, so such a point is within
+# about 2 + 1e-9 of the anchor.  The tree measures distance from the same
+# float coordinates, so its value differs from the predicate's only by
+# rounding, about 1e-16 times the coordinate magnitude; the 2e-6 margin covers
+# that for any coordinates below about 1e9.
+REACH = 2.0 + 2e-6
+
+# Rows gathered at once when coverage is joined and packed, so that the
+# per-entry arrays of a block stay small next to the words (on 5000:100 the
+# join's arrays peak at 3.6 MB this way and at 14.6 MB all at once, more than
+# the 12.8 MB of words).
+BLOCK_ROWS = 4096
 
 
 class PointFormatError(ValueError):
@@ -153,29 +162,36 @@ def coverage(d: UnitDisk, pts: Sequence[Point]) -> CoverageSet:
     return CoverageSet(bits)
 
 
-def candidate_centers(pts: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
-    """Centers of the finite candidate set, as two float arrays.
+def candidate_centers(pts: Sequence[Point]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Centers of the finite candidate set and their anchors, as arrays.
 
-    The candidates are, for every point, the disk centered on it, and for
-    every pair at distance 0 < d <= 2, the two unit disks whose boundary
-    passes through both points (one disk, at the midpoint, when d is 2
-    within PAIR_EPS).  They suffice for exact coverage maximization: any
-    disk can be translated until two covered points lie on its boundary or
-    it covers at most one point, so some optimal solution of best-k disks
-    uses only these candidates.  For a pair a, b with d = |b - a|,
-    m = (a + b) / 2, h = sqrt(max(1 - d^2 / 4, 0)) and u = (b - a) / d, the
-    centers are (m.x - h u.y, m.y + h u.x) and (m.x + h u.y, m.y - h u.x).
+    Returns (cx, cy, anchor).  The candidates are, for every point, the disk
+    centered on it, and for every pair at distance 0 < d <= 2, the two unit
+    disks whose boundary passes through both points (one disk, at the
+    midpoint, when d is 2 within PAIR_EPS).  They suffice for exact coverage
+    maximization: any disk can be translated until two covered points lie on
+    its boundary or it covers at most one point, so some optimal solution of
+    best-k disks uses only these candidates.  For a pair a, b with
+    d = |b - a|, m = (a + b) / 2, h = sqrt(max(1 - d^2 / 4, 0)) and
+    u = (b - a) / d, the centers are (m.x - h u.y, m.y + h u.x) and
+    (m.x + h u.y, m.y - h u.x).
 
     Point centers come first, then the through-pair centers in KD-tree pair
     order, each in that formula's float operations; then a stable sort by
     (cx, cy), and a center within CENTER_DEDUP_EPS (per coordinate) of the
     last kept one is merged into it.
+
+    ``anchor[r]`` is the position in ``pts`` of the point that generated
+    center r: the point itself, or the pair's first point a.  A merged center
+    keeps the anchor of the center it was merged into.  Each anchor is
+    covered by its center (squared distance at most 1 + EPS_COVER), which is
+    what ``center_coverage_bits`` relies on.
     """
     if not pts:
         raise ValueError("candidate_centers requires a non-empty point list")
     xy = np.array([(p.x, p.y) for p in pts], dtype=np.float64)
     xs, ys = xy[:, 0], xy[:, 1]
-    cx_parts, cy_parts = [xs], [ys]
+    cx_parts, cy_parts, anchor_parts = [xs], [ys], [np.arange(len(pts))]
     if len(pts) >= 2:
         pairs = cKDTree(xy).query_pairs(r=2.0 + 1e-9, output_type="ndarray")
         ax, ay = xs[pairs[:, 0]], ys[pairs[:, 0]]
@@ -185,6 +201,7 @@ def candidate_centers(pts: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
         d = np.sqrt(d2)
         ok = (d > PAIR_EPS) & (d <= 2.0 + PAIR_EPS)
         ax, ay, bx, by, dx, dy, d2, d = (v[ok] for v in (ax, ay, bx, by, dx, dy, d2, d))
+        first = pairs[ok, 0]
         mx, my = (ax + bx) / 2.0, (ay + by) / 2.0
         mid = np.abs(d - 2.0) <= PAIR_EPS
         h = np.sqrt(np.maximum(1.0 - d2 / 4.0, 0.0))
@@ -196,14 +213,17 @@ def candidate_centers(pts: Sequence[Point]) -> tuple[np.ndarray, np.ndarray]:
         first_y = np.where(mid, my, my + h * ux)
         cx_parts.append(np.stack((first_x, mx + h * uy), axis=1)[both])
         cy_parts.append(np.stack((first_y, my - h * ux), axis=1)[both])
+        anchor_parts.append(np.stack((first, first), axis=1)[both])
     cx, cy = np.concatenate(cx_parts), np.concatenate(cy_parts)
     order = np.lexsort((cy, cx))
-    cx, cy = cx[order], cy[order]
-    return _merge_near_centers(cx, cy)
+    cx, cy, anchor = cx[order], cy[order], np.concatenate(anchor_parts)[order]
+    keep = _kept_centers(cx, cy)
+    return cx[keep], cy[keep], anchor[keep]
 
 
-def _merge_near_centers(cx: np.ndarray, cy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Drop each sorted center within CENTER_DEDUP_EPS of the last kept one.
+def _kept_centers(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
+    """Mask of the sorted centers kept: each one within CENTER_DEDUP_EPS of
+    the last kept one is dropped.
 
     A center whose x exceeds its predecessor's by more than the tolerance is
     farther than that from every earlier center, so it is kept; only the
@@ -223,28 +243,35 @@ def _merge_near_centers(cx: np.ndarray, cy: np.ndarray) -> tuple[np.ndarray, np.
             keep[i] = False
         else:
             last_kept = i
-    return cx[keep], cy[keep]
+    return keep
 
 
 def center_coverage_bits(
-    cx: np.ndarray, cy: np.ndarray, pts: Sequence[Point], distinct: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    cx: np.ndarray,
+    cy: np.ndarray,
+    anchor: np.ndarray,
+    pts: Sequence[Point],
+    distinct: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Coverage of the unit disks centered at (cx[r], cy[r]), packed into words.
 
-    Returns (rows, words, gids).  ``words[t]`` is the coverage of center
-    ``rows[t]``: a row of uint64 words over local point ids, in which local
-    id ``l`` is bit ``l % 64`` of word ``l // 64`` and stands for the point
-    id ``gids[l]``.  ``gids`` holds the ids of ``pts`` in ascending order,
-    so a row has ceil(len(pts) / 64) words (at least one) whatever the
-    magnitude of the ids.  The ids must be distinct; a repeated id raises
+    Returns (rows, words, gids, counts).  ``words[t]`` is the coverage of
+    center ``rows[t]``: a row of uint64 words over local point ids, in which
+    local id ``l`` is bit ``l % 64`` of word ``l // 64`` and stands for the
+    point id ``gids[l]``.  ``gids`` holds the ids of ``pts`` in ascending
+    order, so a row has ceil(len(pts) / 64) words (at least one) whatever
+    the magnitude of the ids, and ``counts[t]`` (int64) is the number of
+    points row t covers.  The ids must be distinct; a repeated id raises
     ValueError.  Without ``distinct`` every center is a row; with it, only
     the first center of each distinct coverage set, chosen before anything
     is packed.
 
-    Membership is ``coverage``'s predicate, bit for bit: a KD-tree over the
-    centers pairs them with the points within COVER_QUERY_RADIUS, a superset
-    of the covered points, and the squared-distance test is then applied to
-    each pair exactly as ``coverage`` writes it.
+    ``anchor[r]`` is a position in ``pts``: ``candidate_centers`` returns
+    one per center, and any other disk may pass its nearest point.  The
+    coverage of center r is exact whenever its anchor is covered, or nothing
+    is: every covered point is then within REACH of the anchor, so the
+    predicate is applied, exactly as ``coverage`` writes it, to the anchor's
+    list of points within REACH.
     """
     n_rows = len(cx)
     gids = np.array([p.idx for p in pts], dtype=np.int64)
@@ -253,30 +280,29 @@ def center_coverage_bits(
     width = max(1, -(-len(gids) // 64))
     if n_rows == 0 or not pts:
         rows = np.arange(min(n_rows, 1) if distinct else n_rows)
-        return rows, np.zeros((len(rows), width), dtype=np.uint64), gids
+        empty = np.zeros(len(rows), dtype=np.int64)
+        return rows, np.zeros((len(rows), width), dtype=np.uint64), gids, empty
     # points in id order, so that a point's position is its local id
     xy = np.array([(p.x, p.y) for p in pts], dtype=np.float64)[by_id]
-    indptr, local = _coverage_rows(cx, cy, xy)
-    rows = _first_distinct_rows(indptr, local) if distinct else np.arange(n_rows)
+    local_of = np.empty(len(by_id), dtype=np.intp)
+    local_of[by_id] = np.arange(len(by_id))
+    indptr, local = _coverage_rows(cx, cy, local_of[anchor], xy)
+    rows = _first_distinct_rows(indptr, local, len(xy)) if distinct else np.arange(n_rows)
+    counts = indptr[rows + 1] - indptr[rows]
     words = np.zeros((len(rows), width), dtype=np.uint64)
-    # a few thousand rows at a time, so that the per-entry arrays stay small
-    # next to the words (all at once, they add about 5 MB to the peak memory
-    # of 5000 points)
-    for lo in range(0, len(rows), 4096):
-        part = rows[lo : lo + 4096]
-        lengths = indptr[part + 1] - indptr[part]
-        if not lengths.any():
+    for lo in range(0, len(rows), BLOCK_ROWS):
+        part = rows[lo : lo + BLOCK_ROWS]
+        at, lengths = _entries(indptr, part)
+        if not len(at):
             continue
-        # the part's entries of local, row after row
-        skip = np.repeat(indptr[part] - (np.cumsum(lengths) - lengths), lengths)
-        part_local = local[np.arange(len(skip)) + skip]
+        part_local = local[at]
         # local ids ascend within a row, so the (row, word) keys ascend and
         # each word's bits are one run for reduceat
         key = np.repeat(np.arange(len(part)), lengths) * width + (part_local >> 6)
         runs = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
         bit = np.left_shift(np.uint64(1), (part_local & 63).astype(np.uint64))
         words[lo : lo + len(part)].reshape(-1)[key[runs]] = np.bitwise_or.reduceat(bit, runs)
-    return rows, words, gids
+    return rows, words, gids, counts
 
 
 def _distinct_id_order(ids: np.ndarray) -> np.ndarray:
@@ -302,44 +328,92 @@ def unpack_coverage(words: np.ndarray, gids: np.ndarray) -> CoverageSet:
     return CoverageSet.from_ids(gids[bits[: len(gids)].astype(bool)])
 
 
+def _entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the entries of CSR ``rows``, row after row, and the row lengths."""
+    lengths = indptr[rows + 1] - indptr[rows]
+    skip = np.repeat(indptr[rows] - (np.cumsum(lengths) - lengths), lengths)
+    return np.arange(len(skip)) + skip, lengths
+
+
+def _near_lists(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR lists (indptr, cols): each point and the points within REACH of it.
+
+    ``cols`` are row indices of ``xy``, ascending within a list.
+    """
+    n = len(xy)
+    pairs = cKDTree(xy).query_pairs(r=REACH, output_type="ndarray")
+    own = np.arange(n)
+    src = np.concatenate((pairs[:, 0], pairs[:, 1], own))
+    dst = np.concatenate((pairs[:, 1], pairs[:, 0], own))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+    return indptr, dst[np.argsort(src * n + dst)]
+
+
 def _coverage_rows(
-    cx: np.ndarray, cy: np.ndarray, xy: np.ndarray
+    cx: np.ndarray, cy: np.ndarray, anchor: np.ndarray, xy: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Covered points of each center as CSR rows (indptr, cols).
 
-    ``cols`` are row indices of ``xy``, ascending within a row.  The
-    KD-tree yields each (center, point) pair once, so they are distinct too.
+    ``anchor[r]`` is a row index of ``xy``, and center r's row is the
+    predicate applied to the anchor's near list, a block of centers at a
+    time.  ``cols`` are row indices of ``xy``, ascending within a row, as in
+    the near lists.
     """
-    near = cKDTree(np.column_stack((cx, cy))).sparse_distance_matrix(
-        cKDTree(xy), COVER_QUERY_RADIUS, output_type="ndarray"
-    )
-    row, col = near["i"], near["j"]
-    dx = xy[col, 0] - cx[row]
-    dy = xy[col, 1] - cy[row]
-    hit = dx * dx + dy * dy <= 1.0 + EPS_COVER
-    row, col = row[hit], col[hit]
-    # the KD-tree's pairs are the largest temporaries here; free them before
-    # the sort's arrays are allocated, which keeps the peak memory down
-    del near, dx, dy, hit
-    order = np.argsort(row * len(xy) + col)
+    near_ptr, near = _near_lists(xy)
+    xs, ys = xy[:, 0].copy(), xy[:, 1].copy()
+    lengths = np.empty(len(cx), dtype=np.int64)
+    parts = []
+    for lo in range(0, len(cx), BLOCK_ROWS):
+        at, n_near = _entries(near_ptr, anchor[lo : lo + BLOCK_ROWS])
+        col = near[at]
+        dx = xs[col] - np.repeat(cx[lo : lo + BLOCK_ROWS], n_near)
+        dy = ys[col] - np.repeat(cy[lo : lo + BLOCK_ROWS], n_near)
+        hit = dx * dx + dy * dy <= 1.0 + EPS_COVER
+        parts.append(col[hit])
+        # a near list holds at least its own point, so no segment is empty
+        starts = np.cumsum(n_near) - n_near
+        lengths[lo : lo + len(n_near)] = np.add.reduceat(hit, starts, dtype=np.int64)
     indptr = np.zeros(len(cx) + 1, dtype=np.int64)
-    np.cumsum(np.bincount(row, minlength=len(cx)), out=indptr[1:])
-    return indptr, col[order]
+    np.cumsum(lengths, out=indptr[1:])
+    return indptr, np.concatenate(parts)
 
 
-def _first_distinct_rows(indptr: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Ascending indices of the first row of each distinct CSR row."""
+def _id_keys(n: int) -> np.ndarray:
+    """Fixed pseudo-random 64-bit keys of the local ids 0..n-1."""
+    return np.random.default_rng(0).integers(0, 1 << 64, size=n, dtype=np.uint64)
+
+
+def _first_distinct_rows(indptr: np.ndarray, ids: np.ndarray, n_ids: int) -> np.ndarray:
+    """Ascending indices of the first row of each distinct CSR row of ids below n_ids.
+
+    A row's key is the wrapping sum of the keys of its ids.  Rows are grouped
+    by (length, key), in row order within a group, and each row is compared
+    entry by entry with its group's first row: an equal row is a repeat, and
+    the rows that differ (a key collision) are grouped again among
+    themselves until none do.
+    """
     lengths = np.diff(indptr)
-    row = np.repeat(np.arange(len(lengths)), lengths)
-    # one column per row, padded with -1; a stable sort on the columns puts
-    # equal rows next to each other with the first one leading
-    padded = np.full((max(int(lengths.max()), 1), len(lengths)), -1, dtype=ids.dtype)
-    padded[np.arange(len(ids)) - indptr[row], row] = ids
-    order = np.lexsort(padded[::-1])
-    grouped = padded[:, order]
-    leads = np.ones(len(order), dtype=bool)
-    leads[1:] = (grouped[:, 1:] != grouped[:, :-1]).any(axis=0)
-    return np.sort(order[leads])
+    sums = np.zeros(len(ids) + 1, dtype=np.uint64)
+    np.cumsum(_id_keys(n_ids)[ids], out=sums[1:])
+    keys = sums[indptr[1:]] - sums[indptr[:-1]]
+    pending = np.lexsort((keys, lengths))
+    new = np.diff(keys[pending]) != 0
+    new |= np.diff(lengths[pending]) != 0
+    group = np.cumsum(np.r_[True, new])
+    firsts = []
+    while len(pending):
+        leads = np.r_[True, group[1:] != group[:-1]]
+        firsts.append(pending[leads])
+        # each other row against its group's first row, entry by entry
+        rest = pending[~leads]
+        lead = pending[leads][np.cumsum(leads)[~leads] - 1]
+        at, n_at = _entries(indptr, rest)
+        lead_at, _ = _entries(indptr, lead)
+        differs = ids[at] != ids[lead_at]
+        again = np.bincount(np.repeat(np.arange(len(rest)), n_at)[differs], minlength=len(rest)) > 0
+        pending, group = rest[again], group[~leads][again]
+    return np.sort(np.concatenate(firsts))
 
 
 def union_cover(sets: Sequence[CoverageSet]) -> CoverageSet:

@@ -21,7 +21,7 @@ def make_points(coords):
 
 def candidates(pts):
     """The candidate disks of ``pts``, in ``candidate_centers`` order."""
-    cx, cy = candidate_centers(pts)
+    cx, cy, _ = candidate_centers(pts)
     return [UnitDisk(x, y) for x, y in zip(cx.tolist(), cy.tolist())]
 
 

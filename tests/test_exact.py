@@ -174,8 +174,8 @@ def kernel_cases(pts, dedup):
     checked too; the kernel only sees rows, so a subset of them is as good
     an input as all of them.
     """
-    cx, cy = candidate_centers(pts)
-    rows, words, gids = center_coverage_bits(cx, cy, pts, distinct=dedup)
+    cx, cy, anchor = candidate_centers(pts)
+    rows, words, gids, _ = center_coverage_bits(cx, cy, anchor, pts, distinct=dedup)
     bits = [coverage(UnitDisk(cx[r], cy[r]), pts).bits for r in rows.tolist()]
     assert [unpack_coverage(w, gids).bits for w in words] == bits
     for k in (1, 2, 3, 4):

@@ -19,8 +19,10 @@ from diskcover import (
     load_points,
     union_cover,
 )
+from diskcover import geometry
 from diskcover.geometry import (
     CENTER_DEDUP_EPS,
+    EPS_COVER,
     PAIR_EPS,
     candidate_centers,
     center_coverage_bits,
@@ -31,11 +33,20 @@ from diskcover.rng import Xoshiro256StarStar
 from conftest import candidates, make_points, point_sets, uniform_points
 
 
+def nearest_anchors(cx, cy, pts):
+    """Each center's nearest point, as a position in ``pts`` (0 without points)."""
+    if not pts or not len(cx):
+        return np.zeros(len(cx), dtype=np.intp)
+    tree = cKDTree([(p.x, p.y) for p in pts])
+    return tree.query(np.column_stack((cx, cy)))[1]
+
+
 def packed_bits(disks, pts):
-    """Each disk's coverage bits, unpacked from ``center_coverage_bits``."""
+    """Each disk's coverage bits, unpacked from ``center_coverage_bits``, with
+    the nearest point as each disk's anchor."""
     cx = np.array([d.cx for d in disks], dtype=np.float64)
     cy = np.array([d.cy for d in disks], dtype=np.float64)
-    _, words, gids = center_coverage_bits(cx, cy, pts)
+    _, words, gids, _ = center_coverage_bits(cx, cy, nearest_anchors(cx, cy, pts), pts)
     return [unpack_coverage(row, gids).bits for row in words]
 
 
@@ -165,6 +176,113 @@ class TestCoverage:
             UnitDisk(ox + x, oy + y) for x, y in extra
         ]
         assert packed_bits(disks, pts) == [coverage(d, pts).bits for d in disks]
+
+
+class TestAnchorJoin:
+    """``center_coverage_bits`` gathers each center's coverage from its
+    anchor's near list; these pin it to ``coverage``, disk by disk."""
+
+    @staticmethod
+    def rows_and_counts(cx, cy, anchor, pts, distinct=False):
+        rows, words, gids, counts = center_coverage_bits(cx, cy, anchor, pts, distinct=distinct)
+        bits = [unpack_coverage(w, gids).bits for w in words]
+        assert counts.dtype == np.int64
+        assert counts.tolist() == [b.bit_count() for b in bits]
+        assert counts.tolist() == np.bitwise_count(words).sum(axis=1).tolist()
+        return rows, bits
+
+    @given(point_sets(min_size=1))
+    def test_anchor_is_covered_by_its_center(self, pts):
+        cx, cy, anchor = candidate_centers(pts)
+        assert anchor.shape == cx.shape and anchor.dtype.kind == "i"
+        for x, y, a in zip(cx.tolist(), cy.tolist(), anchor.tolist()):
+            dx, dy = pts[a].x - x, pts[a].y - y
+            assert dx * dx + dy * dy <= 1.0 + EPS_COVER
+
+    @given(point_sets(min_size=1))
+    def test_candidate_rows_match_per_disk_coverage(self, pts):
+        cx, cy, anchor = candidate_centers(pts)
+        rows, bits = self.rows_and_counts(cx, cy, anchor, pts)
+        assert rows.tolist() == list(range(len(cx)))
+        assert bits == [coverage(d, pts).bits for d in candidates(pts)]
+        rows, bits = self.rows_and_counts(cx, cy, anchor, pts, distinct=True)
+        assert bits == [coverage(UnitDisk(cx[r], cy[r]), pts).bits for r in rows.tolist()]
+
+    @given(
+        point_sets(min_size=1),
+        st.lists(st.tuples(st.floats(-4, 4), st.floats(-4, 4)), max_size=8),
+    )
+    def test_nearest_point_anchors_match_per_disk_coverage(self, pts, offsets):
+        # disks anywhere near the (translated) points, one far from all of
+        # them, and the point centers themselves
+        ox, oy = pts[0].x, pts[0].y
+        disks = [UnitDisk(ox + x, oy + y) for x, y in offsets]
+        disks += [UnitDisk(ox + 50.0, oy - 50.0)] + [UnitDisk(p.x, p.y) for p in pts]
+        cx = np.array([d.cx for d in disks])
+        cy = np.array([d.cy for d in disks])
+        _, bits = self.rows_and_counts(cx, cy, nearest_anchors(cx, cy, pts), pts)
+        assert bits == [coverage(d, pts).bits for d in disks]
+
+    def test_disk_covering_nothing_is_empty_with_any_anchor(self):
+        pts = make_points([(0, 0), (0.5, 0), (2, 0)])
+        for a in range(3):
+            _, bits = self.rows_and_counts(np.array([10.0]), np.array([10.0]), np.array([a]), pts)
+            assert bits == [0]
+
+    def test_pairs_at_exactly_two_and_duplicates(self):
+        # a 5 x 5 integer lattice, each point twice: through-pair centers at
+        # the midpoints of pairs 2 apart cover points exactly 1 from them
+        coords = [(x, y) for x in range(5) for y in range(5)] * 2
+        for off in (0.0, 1e3, 1e6):
+            pts = make_points([(x + off, y - off) for x, y in coords])
+            cx, cy, anchor = candidate_centers(pts)
+            _, bits = self.rows_and_counts(cx, cy, anchor, pts)
+            assert bits == [coverage(d, pts).bits for d in candidates(pts)]
+
+
+def distinct_reference(bits):
+    """First index of each distinct coverage set, ascending: a dict of tuples."""
+    first = {}
+    for i, b in enumerate(bits):
+        first.setdefault(tuple(CoverageSet(b).ids()), i)
+    return sorted(first.values())
+
+
+class TestDistinctRows:
+    """The distinct rows are picked by a 64-bit key per row; rows whose keys
+    collide are told apart entry by entry."""
+
+    def check(self, pts):
+        cx, cy, anchor = candidate_centers(pts)
+        _, words, gids, _ = center_coverage_bits(cx, cy, anchor, pts)
+        want = distinct_reference([unpack_coverage(w, gids).bits for w in words])
+        rows, _, _, _ = center_coverage_bits(cx, cy, anchor, pts, distinct=True)
+        assert rows.tolist() == want
+
+    @given(point_sets(min_size=1))
+    def test_matches_dict_reference(self, pts):
+        self.check(pts)
+
+    @given(point_sets(min_size=1))
+    def test_matches_dict_reference_when_every_key_collides(self, pts):
+        real = geometry._id_keys
+        # every id has key 0, so rows of equal length all share key 0
+        geometry._id_keys = lambda n: np.zeros(n, dtype=np.uint64)
+        try:
+            self.check(pts)
+        finally:
+            geometry._id_keys = real
+
+    def test_dense_instance_with_colliding_keys(self, monkeypatch):
+        pts = uniform_points(3, 120, 0.0, 4.0)
+        self.check(pts)
+        monkeypatch.setattr(geometry, "_id_keys", lambda n: np.zeros(n, dtype=np.uint64))
+        self.check(pts)
+        # keys with period 3, so only some rows of equal length collide
+        monkeypatch.setattr(
+            geometry, "_id_keys", lambda n: np.arange(n, dtype=np.uint64) % np.uint64(3)
+        )
+        self.check(pts)
 
 
 class TestCandidateDisks:
