@@ -201,7 +201,6 @@ def candidate_centers(pts: Sequence[Point]) -> tuple[np.ndarray, np.ndarray, np.
         d = np.sqrt(d2)
         ok = (d > PAIR_EPS) & (d <= 2.0 + PAIR_EPS)
         ax, ay, bx, by, dx, dy, d2, d = (v[ok] for v in (ax, ay, bx, by, dx, dy, d2, d))
-        first = pairs[ok, 0]
         mx, my = (ax + bx) / 2.0, (ay + by) / 2.0
         mid = np.abs(d - 2.0) <= PAIR_EPS
         h = np.sqrt(np.maximum(1.0 - d2 / 4.0, 0.0))
@@ -213,7 +212,7 @@ def candidate_centers(pts: Sequence[Point]) -> tuple[np.ndarray, np.ndarray, np.
         first_y = np.where(mid, my, my + h * ux)
         cx_parts.append(np.stack((first_x, mx + h * uy), axis=1)[both])
         cy_parts.append(np.stack((first_y, my - h * ux), axis=1)[both])
-        anchor_parts.append(np.stack((first, first), axis=1)[both])
+        anchor_parts.append(np.repeat(pairs[ok, 0], 2 - mid))
     cx, cy = np.concatenate(cx_parts), np.concatenate(cy_parts)
     order = np.lexsort((cy, cx))
     cx, cy, anchor = cx[order], cy[order], np.concatenate(anchor_parts)[order]
@@ -284,9 +283,8 @@ def center_coverage_bits(
         return rows, np.zeros((len(rows), width), dtype=np.uint64), gids, empty
     # points in id order, so that a point's position is its local id
     xy = np.array([(p.x, p.y) for p in pts], dtype=np.float64)[by_id]
-    local_of = np.empty(len(by_id), dtype=np.intp)
-    local_of[by_id] = np.arange(len(by_id))
-    indptr, local = _coverage_rows(cx, cy, local_of[anchor], xy)
+    # argsort(by_id) maps a position in pts to its local id
+    indptr, local = _coverage_rows(cx, cy, np.argsort(by_id)[anchor], xy)
     rows = _first_distinct_rows(indptr, local, len(xy)) if distinct else np.arange(n_rows)
     counts = indptr[rows + 1] - indptr[rows]
     words = np.zeros((len(rows), width), dtype=np.uint64)

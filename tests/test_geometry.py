@@ -41,13 +41,22 @@ def nearest_anchors(cx, cy, pts):
     return tree.query(np.column_stack((cx, cy)))[1]
 
 
+def coverage_rows(cx, cy, anchor, pts, distinct=False):
+    """(rows, bits) of ``center_coverage_bits``, each row unpacked; checks
+    that the returned counts are the rows' popcounts."""
+    rows, words, gids, counts = center_coverage_bits(cx, cy, anchor, pts, distinct=distinct)
+    bits = [unpack_coverage(w, gids).bits for w in words]
+    assert counts.dtype == np.int64
+    assert counts.tolist() == [b.bit_count() for b in bits]
+    return rows, bits
+
+
 def packed_bits(disks, pts):
     """Each disk's coverage bits, unpacked from ``center_coverage_bits``, with
     the nearest point as each disk's anchor."""
     cx = np.array([d.cx for d in disks], dtype=np.float64)
     cy = np.array([d.cy for d in disks], dtype=np.float64)
-    _, words, gids, _ = center_coverage_bits(cx, cy, nearest_anchors(cx, cy, pts), pts)
-    return [unpack_coverage(row, gids).bits for row in words]
+    return coverage_rows(cx, cy, nearest_anchors(cx, cy, pts), pts)[1]
 
 
 def reference_candidate_centers(pts):
@@ -170,26 +179,20 @@ class TestCoverage:
     )
     def test_batch_kernel_matches_per_disk_coverage(self, pts, extra):
         # candidate disks put points exactly on their boundary; the extra
-        # disks are placed anywhere near the (translated) points
+        # disks are placed anywhere near the (translated) points, and one
+        # far from all of them covers nothing
         ox, oy = (pts[0].x, pts[0].y) if pts else (0.0, 0.0)
         disks = (candidates(pts) if pts else []) + [
-            UnitDisk(ox + x, oy + y) for x, y in extra
+            UnitDisk(ox + x, oy + y) for x, y in extra + [(50.0, -50.0)]
         ]
         assert packed_bits(disks, pts) == [coverage(d, pts).bits for d in disks]
 
 
 class TestAnchorJoin:
     """``center_coverage_bits`` gathers each center's coverage from its
-    anchor's near list; these pin it to ``coverage``, disk by disk."""
-
-    @staticmethod
-    def rows_and_counts(cx, cy, anchor, pts, distinct=False):
-        rows, words, gids, counts = center_coverage_bits(cx, cy, anchor, pts, distinct=distinct)
-        bits = [unpack_coverage(w, gids).bits for w in words]
-        assert counts.dtype == np.int64
-        assert counts.tolist() == [b.bit_count() for b in bits]
-        assert counts.tolist() == np.bitwise_count(words).sum(axis=1).tolist()
-        return rows, bits
+    anchor's near list; these pin it to ``coverage``, disk by disk, with the
+    anchors ``candidate_centers`` returns (``packed_bits`` above passes
+    nearest points)."""
 
     @given(point_sets(min_size=1))
     def test_anchor_is_covered_by_its_center(self, pts):
@@ -202,31 +205,16 @@ class TestAnchorJoin:
     @given(point_sets(min_size=1))
     def test_candidate_rows_match_per_disk_coverage(self, pts):
         cx, cy, anchor = candidate_centers(pts)
-        rows, bits = self.rows_and_counts(cx, cy, anchor, pts)
+        rows, bits = coverage_rows(cx, cy, anchor, pts)
         assert rows.tolist() == list(range(len(cx)))
         assert bits == [coverage(d, pts).bits for d in candidates(pts)]
-        rows, bits = self.rows_and_counts(cx, cy, anchor, pts, distinct=True)
+        rows, bits = coverage_rows(cx, cy, anchor, pts, distinct=True)
         assert bits == [coverage(UnitDisk(cx[r], cy[r]), pts).bits for r in rows.tolist()]
-
-    @given(
-        point_sets(min_size=1),
-        st.lists(st.tuples(st.floats(-4, 4), st.floats(-4, 4)), max_size=8),
-    )
-    def test_nearest_point_anchors_match_per_disk_coverage(self, pts, offsets):
-        # disks anywhere near the (translated) points, one far from all of
-        # them, and the point centers themselves
-        ox, oy = pts[0].x, pts[0].y
-        disks = [UnitDisk(ox + x, oy + y) for x, y in offsets]
-        disks += [UnitDisk(ox + 50.0, oy - 50.0)] + [UnitDisk(p.x, p.y) for p in pts]
-        cx = np.array([d.cx for d in disks])
-        cy = np.array([d.cy for d in disks])
-        _, bits = self.rows_and_counts(cx, cy, nearest_anchors(cx, cy, pts), pts)
-        assert bits == [coverage(d, pts).bits for d in disks]
 
     def test_disk_covering_nothing_is_empty_with_any_anchor(self):
         pts = make_points([(0, 0), (0.5, 0), (2, 0)])
         for a in range(3):
-            _, bits = self.rows_and_counts(np.array([10.0]), np.array([10.0]), np.array([a]), pts)
+            _, bits = coverage_rows(np.array([10.0]), np.array([10.0]), np.array([a]), pts)
             assert bits == [0]
 
     def test_pairs_at_exactly_two_and_duplicates(self):
@@ -236,7 +224,7 @@ class TestAnchorJoin:
         for off in (0.0, 1e3, 1e6):
             pts = make_points([(x + off, y - off) for x, y in coords])
             cx, cy, anchor = candidate_centers(pts)
-            _, bits = self.rows_and_counts(cx, cy, anchor, pts)
+            _, bits = coverage_rows(cx, cy, anchor, pts)
             assert bits == [coverage(d, pts).bits for d in candidates(pts)]
 
 
@@ -254,10 +242,9 @@ class TestDistinctRows:
 
     def check(self, pts):
         cx, cy, anchor = candidate_centers(pts)
-        _, words, gids, _ = center_coverage_bits(cx, cy, anchor, pts)
-        want = distinct_reference([unpack_coverage(w, gids).bits for w in words])
-        rows, _, _, _ = center_coverage_bits(cx, cy, anchor, pts, distinct=True)
-        assert rows.tolist() == want
+        _, bits = coverage_rows(cx, cy, anchor, pts)
+        rows, _ = coverage_rows(cx, cy, anchor, pts, distinct=True)
+        assert rows.tolist() == distinct_reference(bits)
 
     @given(point_sets(min_size=1))
     def test_matches_dict_reference(self, pts):

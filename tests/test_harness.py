@@ -1,6 +1,7 @@
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -109,6 +110,21 @@ class TestBench:
         n_candidates = len(candidate_centers(generate(60, 12.0, 5).points)[0])
         assert capped.pairs_baseline == math.comb(n_candidates, 2)
         assert capped.pairs_baseline == full.pairs_baseline
+
+    def test_sample_baseline_choice_is_outside_the_timers(self, monkeypatch):
+        # a clock that moves only while the harness sizes the candidate set
+        clock = [0.0]
+        real = harness.candidate_centers
+
+        def sizing(pts):
+            clock[0] += 1000.0
+            return real(pts)
+
+        monkeypatch.setattr(harness, "candidate_centers", sizing)
+        monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+        record = bench([(60, 12.0)], seeds=[5], m=2, sample_baseline=10)[0]
+        assert clock[0] == 1000.0
+        assert record.time_baseline_ms == record.time_ours_ms == 0.0
 
     def test_pairs_baseline_independent_of_sample_baseline(self):
         # one candidate (n=1) and two far-apart ones (n=2): m >= candidates
