@@ -378,8 +378,11 @@ def _coverage_rows(
 
 
 def _id_keys(n: int) -> np.ndarray:
-    """Fixed pseudo-random 64-bit keys of the local ids 0..n-1."""
-    return np.random.default_rng(0).integers(0, 1 << 64, size=n, dtype=np.uint64)
+    """Fixed pseudo-random 64-bit keys of the local ids 0..n-1 (splitmix64)."""
+    z = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def _first_distinct_rows(indptr: np.ndarray, ids: np.ndarray, n_ids: int) -> np.ndarray:
@@ -391,26 +394,28 @@ def _first_distinct_rows(indptr: np.ndarray, ids: np.ndarray, n_ids: int) -> np.
     the rows that differ (a key collision) are grouped again among
     themselves until none do.
     """
-    lengths = np.diff(indptr)
+    lengths = indptr[1:] - indptr[:-1]
     sums = np.zeros(len(ids) + 1, dtype=np.uint64)
     np.cumsum(_id_keys(n_ids)[ids], out=sums[1:])
     keys = sums[indptr[1:]] - sums[indptr[:-1]]
     pending = np.lexsort((keys, lengths))
-    new = np.diff(keys[pending]) != 0
-    new |= np.diff(lengths[pending]) != 0
-    group = np.cumsum(np.r_[True, new])
+    key, length = keys[pending], lengths[pending]
+    group = np.zeros(len(pending), dtype=np.int64)
+    np.cumsum((key[1:] != key[:-1]) | (length[1:] != length[:-1]), out=group[1:])
     firsts = []
     while len(pending):
-        leads = np.r_[True, group[1:] != group[:-1]]
+        leads = np.ones(len(pending), dtype=bool)
+        leads[1:] = group[1:] != group[:-1]
         firsts.append(pending[leads])
         # each other row against its group's first row, entry by entry
-        rest = pending[~leads]
-        lead = pending[leads][np.cumsum(leads)[~leads] - 1]
+        others = ~leads
+        rest = pending[others]
+        lead = pending[leads][np.cumsum(leads)[others] - 1]
         at, n_at = _entries(indptr, rest)
         lead_at, _ = _entries(indptr, lead)
         differs = ids[at] != ids[lead_at]
         again = np.bincount(np.repeat(np.arange(len(rest)), n_at)[differs], minlength=len(rest)) > 0
-        pending, group = rest[again], group[~leads][again]
+        pending, group = rest[again], group[others][again]
     return np.sort(np.concatenate(firsts))
 
 
