@@ -18,9 +18,8 @@ timed after one warm-up ``solve`` on a small instance.  Rows:
 * ``solve_m2``: ``solve(pts, 2)`` end to end;
 * ``geometry``: ``candidate_centers`` and ``center_coverage_bits(...,
   distinct=True)`` on 5000:100 and 2000:40, the candidate set and its
-  distinct coverage rows as ``most_points`` builds them (at a head whose
-  ``center_coverage_bits`` takes anchors, the anchors ``candidate_centers``
-  returns are passed on);
+  distinct coverage rows as ``most_points`` builds them (where
+  ``candidate_centers`` returns anchors, they are passed on);
 * ``kernel``: the combination enumeration, on ``most_points(pts, 2,
   dedup=False)`` for 300:20 seed 5 (the ``bench`` baseline column), ``solve``
   m=3 on dense 64:10, and ``most_points(pts, 2, dedup=True, prune=True)``
@@ -105,16 +104,14 @@ def measure(slow: bool) -> dict:
             "rho": sol.rho,
             "combos": sol.total_combos,
         }
-    # candidate_centers returns (cx, cy) or, where center_coverage_bits takes
-    # anchors, (cx, cy, anchor)
-    anchored = "anchor" in inspect.signature(center_coverage_bits).parameters
     for n, side in GEOMETRY_SIZES:
         pts = generate(n, side, SEED).points
 
         def geometry(pts=pts):
+            # (cx, cy), or (cx, cy, anchor) where center_coverage_bits takes
+            # anchors: either way its leading arguments
             centers = candidate_centers(pts)
-            given = centers if anchored else centers[:2]
-            return len(centers[0]), center_coverage_bits(*given, pts, distinct=True)[0]
+            return len(centers[0]), center_coverage_bits(*centers, pts, distinct=True)[0]
 
         ms, (n_candidates, distinct) = _timed(geometry)
         rows[f"geometry {n}:{side:g}"] = {

@@ -97,8 +97,7 @@ def test_criterion_2_single_disk_equivalence():
     for n, side, seed in instances:
         pts = uniform_points(seed, n, 0.0, side)
         swept = solve(pts, 1).rho
-        cx, cy, anchor = candidate_centers(pts)
-        _, words, gids, _ = center_coverage_bits(cx, cy, anchor, pts)
+        _, words, gids, _ = center_coverage_bits(*candidate_centers(pts), pts)
         brute = max(unpack_coverage(row, gids).count for row in words)
         if swept != brute:
             bad.append((n, side, seed, swept, brute))
