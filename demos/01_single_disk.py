@@ -5,14 +5,19 @@ point on its boundary, so the sweep anchors each point on the boundary and
 sweeps the arcs from which a center would also cover each point within
 distance 2.  A KD-tree finds those neighbor pairs, so each anchor only sees
 the few points a disk through it can reach, and the work follows local
-density instead of n^2.  All anchors are swept at once into a table of each
-anchor's best placement; the best entry is the answer, and a greedy solver
-later re-sweeps only the anchors next to the points it has covered.
+density instead of n^2.  An anchor with d neighbors covers at most d + 1
+points, so the table of each anchor's best placement is filled lazily:
+anchors are swept in blocks, highest bound first, until the bound falls
+below the best count found.  The best entry is the answer, and a greedy
+solver later sweeps only the anchors whose bound on the uncovered points
+can still reach its best.
 """
+
+import numpy as np
 
 from diskcover import UnitDisk, coverage, generate, solve
 from diskcover.geometry import candidate_centers
-from diskcover.single_disk import anchor_table
+from diskcover.single_disk import anchor_table, best_placement
 
 SIDE = 25.0
 pts = generate(n=400, side=SIDE, seed=2024).points
@@ -24,8 +29,17 @@ print(f"instance: {len(pts)} points uniform in [0, {SIDE:g}]^2")
 print()
 print(f"angular sweep : {swept.rho} points covered, "
       f"center ({disk.cx:.4f}, {disk.cy:.4f})")
-print(f"the sweep's anchor table holds {len(anchor_table(pts).anchor)} directed "
+table = anchor_table(pts)
+print(f"the sweep's anchor table holds {len(table.anchor)} directed "
       f"neighbor pairs (vs n^2 = {len(pts)**2})")
+
+best_placement(table, np.zeros(len(pts), dtype=bool))    # the first disk
+print(f"the first disk swept {int(table.swept.sum())} of {len(pts)} anchors "
+      f"(all {len(table.anchor)} pairs fit in one sweep block)")
+large = anchor_table(generate(n=5000, side=100.0, seed=2024).points)
+best_placement(large, np.zeros(len(large.x), dtype=bool))
+print(f"on 5000 points in [0, 100]^2 it sweeps {int(large.swept.sum())} of 5000 "
+      f"anchors: the others have too few neighbors to reach the best")
 
 # independent check: the best disk among all candidate disks
 cx, cy, _ = candidate_centers(pts)

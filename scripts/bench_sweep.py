@@ -14,7 +14,12 @@ timed after one warm-up ``solve`` on a small instance.  Rows:
   leaves uncovered (at a head that keeps an anchor table, the table is built
   outside the timed region, as ``solve`` builds it once for every step; at
   one that passes coverage as a mask over table positions, so is the first
-  disk's mask);
+  disk's mask; at one whose table is lazy, the first step, which sweeps the
+  anchors the first disk needs, also runs outside it, since ``solve`` runs
+  it once and the timed step does not repeat it);
+* ``anchors_swept``, where the table is lazy: the anchors whose full sweep
+  the table holds after the first step (in the ``sweep`` row) and after the
+  timed step (in the ``greedy_step`` row);
 * ``solve_m2``: ``solve(pts, 2)`` end to end;
 * ``geometry``: ``candidate_centers`` and ``center_coverage_bits(...,
   distinct=True)`` on 5000:100 and 2000:40, the candidate set and its
@@ -69,6 +74,8 @@ def _counts(result) -> dict:
 
 def measure(slow: bool) -> dict:
     """One run of every row on the ``diskcover`` found first on sys.path."""
+    import numpy as np
+
     from diskcover import generate, most_points, single_disk, solve, solver
     from diskcover.geometry import candidate_centers, center_coverage_bits
 
@@ -88,6 +95,11 @@ def measure(slow: bool) -> dict:
         masks = hasattr(single_disk, "_cover")
         if masks:
             given["covered"] = single_disk._cover(given["table"], [first.disks[0]])
+        # a lazy table records which anchors it has swept
+        lazy = hasattr(given.get("table"), "swept")
+        if lazy:
+            solver._greedy_step(given["table"], np.zeros(len(pts), dtype=bool))
+            rows[f"sweep {n}:{side:g}"]["anchors_swept"] = int(given["table"].swept.sum())
         args = [given[name] for name in params]
         ms, (disk, union) = _timed(lambda: solver._greedy_step(*args))
         rows[f"greedy_step {n}:{side:g}"] = {
@@ -95,6 +107,8 @@ def measure(slow: bool) -> dict:
             "covered": int(union.sum()) if masks else union.count,
             "disk": [disk.cx.hex(), disk.cy.hex()],
         }
+        if lazy:
+            rows[f"greedy_step {n}:{side:g}"]["anchors_swept"] = int(given["table"].swept.sum())
     for n, side in SOLVE_SIZES:
         pts = generate(n, side, SEED).points
         ms, sol = _timed(lambda: solve(pts, 2))

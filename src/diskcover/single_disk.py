@@ -1,4 +1,4 @@
-"""Exact single-disk maximum coverage by angular sweep, kept as one anchor table.
+"""Exact single-disk maximum coverage by angular sweep, kept as a lazy anchor table.
 
 An optimal disk can be translated until some covered point lies on its
 boundary, so it suffices to anchor each point p on the boundary,
@@ -8,20 +8,25 @@ KD-tree finds those neighbors, so each anchor only sees the points that a
 unit disk through it can reach: O(rho) of them by packing, where rho is the
 optimum.
 
-``anchor_table`` runs the sweep of every anchor at once on numpy arrays and
-keeps, per anchor, its best placement ``(count, cx, cy)``.  The best disk of
-the instance is the best table entry.  Covered points are a boolean mask
+``anchor_table`` finds the neighbor pairs and keeps, per anchor, its best
+placement ``(count, cx, cy)``.  An anchor with d neighbors covers at most
+d + 1 points, so each entry starts as that upper bound and the table fills
+as ``best_placement`` asks: it sweeps anchors on numpy arrays, in blocks
+taken in bound-descending order, and stops at the first block whose bound
+is below the best count found so far.  On sparse input most anchors' bound
+is below rho and they are never swept.  Covered points are a boolean mask
 over table positions, and ``_cover`` gives the mask of a list of disks.
 Point ids must be distinct, so that a count of table positions is a count
 of point ids; ``anchor_table`` raises ValueError on a repeated id.
-Removing points changes the entry of an anchor only if one of its neighbors
-is removed, so ``best_placement`` answers "the best disk on the points
-outside ``covered``" by sweeping again only the uncovered anchors that have
-a covered neighbor, over their uncovered neighbors, and reading every other
-entry from the table.  A greedy step thus costs the few anchors near the
-disks already placed, not a sweep of the whole residual instance; and since
-the table always describes the full instance, any ``covered`` mask works,
-not only a growing one.
+
+``best_placement`` answers "the best disk on the points outside
+``covered``".  Removing points changes the entry of an anchor only if one of
+its neighbors is removed, so a swept anchor with no covered neighbor reads
+its entry from the table.  Every other uncovered anchor is bounded by one
+more than its uncovered neighbors, and is swept over those neighbors when
+that bound reaches the best.  Only a sweep over all of an anchor's
+neighbors is stored, so the table always describes the full instance and
+any ``covered`` mask works, not only a growing one.
 """
 
 from __future__ import annotations
@@ -36,23 +41,23 @@ from .geometry import EPS_COVER, PAIR_EPS, Point, UnitDisk, _distinct_id_order
 
 TWO_PI = 2.0 * math.pi
 
-# Directed neighbor pairs per block of the table's sweep; a block's events
-# peak at about 200 bytes per pair.
+# Directed neighbor pairs per block of the sweep; a block's events peak at
+# about 200 bytes per pair.
 SWEEP_BLOCK = 4096
 
 
 @dataclass(frozen=True)
 class AnchorTable:
-    """The sweep of one instance: its neighbor arcs and each anchor's best.
+    """One instance's neighbor pairs and each anchor's best, filled lazily.
 
     Arrays are indexed by position in the point list (``x``, ``y``, ``ids``,
-    ``count``, ``cx``, ``cy``) or by directed neighbor pair (``anchor``,
-    ``neighbor``, ``dup``, ``start``, ``end``).  A pair's arc is the closed
-    range of angles, from ``start`` to ``end`` and wrapping past 0 when
-    ``start > end``, at which a center on the unit circle around the anchor
-    also covers the neighbor; a duplicate (``dup``) is covered from every
-    angle.  ``count`` is the most points a disk with the anchor on its
-    boundary covers, and ``(cx, cy)`` the smallest such center.
+    ``count``, ``cx``, ``cy``, ``swept``) or by directed neighbor pair
+    (``anchor``, ``neighbor``).  Pairs are ordered by anchor, and anchor
+    ``a``'s pairs are ``offset[a]`` to ``offset[a + 1]``.  For a ``swept``
+    anchor, ``count`` is the most points a disk with the anchor on its
+    boundary covers, and ``(cx, cy)`` the smallest such center.  For any
+    other anchor, ``count`` is the upper bound 1 + its number of neighbors,
+    duplicates included, and ``(cx, cy)`` is the anchor itself.
     """
 
     x: np.ndarray
@@ -60,12 +65,11 @@ class AnchorTable:
     ids: np.ndarray
     anchor: np.ndarray
     neighbor: np.ndarray
-    dup: np.ndarray
-    start: np.ndarray
-    end: np.ndarray
+    offset: np.ndarray
     count: np.ndarray
     cx: np.ndarray
     cy: np.ndarray
+    swept: np.ndarray
 
 
 def _math_map(fn, *arrays: np.ndarray) -> np.ndarray:
@@ -80,9 +84,10 @@ def _math_map(fn, *arrays: np.ndarray) -> np.ndarray:
 
 
 def anchor_table(pts: list[Point]) -> AnchorTable:
-    """Sweep every anchor of ``pts`` once and tabulate its best placement.
+    """The neighbor pairs of ``pts``, with every entry at its upper bound.
 
-    The ids of ``pts`` must be distinct; a repeated id raises ValueError.
+    ``best_placement`` sweeps the anchors it needs.  The ids of ``pts`` must
+    be distinct; a repeated id raises ValueError.
     """
     if not pts:
         raise ValueError("the sweep requires a non-empty point list")
@@ -90,41 +95,72 @@ def anchor_table(pts: list[Point]) -> AnchorTable:
     _distinct_id_order(ids)
     x = np.array([p.x for p in pts], dtype=np.float64)
     y = np.array([p.y for p in pts], dtype=np.float64)
-    pairs = cKDTree(np.column_stack([x, y])).query_pairs(
+    # a sliding-midpoint tree builds faster than a median-split one; either
+    # tree's query gives the same pairs within 2 + PAIR_EPS
+    pairs = cKDTree(np.column_stack([x, y]), balanced_tree=False).query_pairs(
         r=2.0 + 1e-9, output_type="ndarray"
     ).reshape(-1, 2)
     i, j = pairs[:, 0], pairs[:, 1]
     near = (x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2 <= (2.0 + PAIR_EPS) ** 2
     i, j = i[near], j[near]
-    # a pair's two directions share the distance and the arc half-width, but
-    # each takes its own differences: negating one would turn +0.0 into -0.0
-    # and atan2(+0.0, -1) = pi into atan2(-0.0, -1) = -pi
-    d = _math_map(math.hypot, x[j] - x[i], y[j] - y[i])
-    half = np.tile(_math_map(math.acos, np.minimum(d / 2.0, 1.0)), 2)
-    dup = np.tile(d <= PAIR_EPS, 2)
-    anchor = np.concatenate([i, j])
-    neighbor = np.concatenate([j, i])
-    theta = _math_map(math.atan2, y[neighbor] - y[anchor], x[neighbor] - x[anchor])
-    start = np.mod(theta - half, TWO_PI)
-    end = np.mod(theta + half, TWO_PI)
-    # sweep in blocks of about SWEEP_BLOCK pairs, cut between anchors, so
-    # that the event arrays stay small whatever the instance size
-    by_anchor = np.argsort(anchor, kind="stable")
-    table = AnchorTable(
-        x, y, ids, *(a[by_anchor] for a in (anchor, neighbor, dup, start, end)),
-        count=np.ones(len(x), dtype=np.int64), cx=x.copy(), cy=y.copy(),
+    # directed pairs by anchor, then neighbor: one sort of anchor * n + neighbor
+    n = len(x)
+    key = np.concatenate([i, j]) * n + np.concatenate([j, i])
+    anchor, neighbor = np.divmod(np.sort(key), n)
+    offset = np.searchsorted(anchor, np.arange(n + 1))
+    return AnchorTable(
+        x, y, ids, anchor, neighbor, offset,
+        count=np.diff(offset) + 1,
+        cx=x.copy(),
+        cy=y.copy(),
+        swept=np.zeros(n, dtype=bool),
     )
-    anchor = table.anchor
-    cuts = np.unique(np.searchsorted(anchor, anchor[::SWEEP_BLOCK])).tolist()
-    for lo, hi in zip(cuts, cuts[1:] + [len(anchor)]):
-        part = slice(anchor[lo], anchor[hi - 1] + 1)
-        for column, swept in zip((table.count, table.cx, table.cy), _sweep(table, slice(lo, hi))):
-            column[part] = swept[part]
-    return table
 
 
-def _sweep(table: AnchorTable, pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best ``(count, cx, cy)`` of every anchor over the pairs ``pairs`` selects.
+def _arcs(table: AnchorTable, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(dup, start, end)`` of each pair in ``pairs``.
+
+    A pair's arc is the closed range of angles, from ``start`` to ``end`` and
+    wrapping past 0 when ``start > end``, at which a center on the unit
+    circle around the anchor also covers the neighbor; a duplicate (``dup``)
+    is covered from every angle.
+    """
+    x, y = table.x, table.y
+    dx = x[table.neighbor[pairs]] - x[table.anchor[pairs]]
+    dy = y[table.neighbor[pairs]] - y[table.anchor[pairs]]
+    # each direction of a pair takes its own differences: negating one would
+    # turn +0.0 into -0.0 and atan2(+0.0, -1) = pi into atan2(-0.0, -1) = -pi.
+    # hypot takes absolute values, so both directions get one distance
+    d = _math_map(math.hypot, dx, dy)
+    half = _math_map(math.acos, np.minimum(d / 2.0, 1.0))
+    theta = _math_map(math.atan2, dy, dx)
+    return d <= PAIR_EPS, np.mod(theta - half, TWO_PI), np.mod(theta + half, TWO_PI)
+
+
+def _sweep_anchors(
+    table: AnchorTable, anchors: np.ndarray, live: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``_sweep`` of ``anchors`` over their neighbors inside the mask ``live``.
+
+    The entry of an anchor with no neighbor outside ``live`` is its sweep
+    over the full instance, and is stored in the table.
+    """
+    # each anchor's pairs, offset[a] to offset[a + 1], one run after another
+    lo = table.offset[anchors]
+    size = table.offset[anchors + 1] - lo
+    pairs = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
+    kept = live[table.neighbor[pairs]]
+    lost = np.bincount(table.anchor[pairs[~kept]], minlength=len(live))
+    swept = _sweep(table, pairs[kept])
+    full = anchors[lost[anchors] == 0]
+    for column, new in zip((table.count, table.cx, table.cy), swept):
+        column[full] = new[full]
+    table.swept[full] = True
+    return swept
+
+
+def _sweep(table: AnchorTable, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best ``(count, cx, cy)`` of every anchor over the pairs ``pairs`` lists.
 
     Each anchor's arc endpoints are sorted by angle, starts before ends at
     equal angle (closed arcs), and the depth after a start is the number of
@@ -136,8 +172,8 @@ def _sweep(table: AnchorTable, pairs) -> tuple[np.ndarray, np.ndarray, np.ndarra
     all anchors' events resets to zero between anchors.
     """
     x, y = table.x, table.y
-    anchor, dup = table.anchor[pairs], table.dup[pairs]
-    start, end = table.start[pairs], table.end[pairs]
+    anchor = table.anchor[pairs]
+    dup, start, end = _arcs(table, pairs)
     n = len(x)
     count = 1 + np.bincount(anchor[dup], minlength=n)
     cx, cy = x.copy(), y.copy()
@@ -165,7 +201,7 @@ def _sweep(table: AnchorTable, pairs) -> tuple[np.ndarray, np.ndarray, np.ndarra
     depth = count[ev_anchor] - 1 + np.cumsum(np.where(ev_is_end, -1, 1))
 
     s_anchor, s_angle, s_depth = ev_anchor[~ev_is_end], ev_angle[~ev_is_end], depth[~ev_is_end]
-    first = np.flatnonzero(np.r_[True, s_anchor[1:] != s_anchor[:-1]])
+    first = np.flatnonzero(np.concatenate(([True], s_anchor[1:] != s_anchor[:-1])))
     swept = s_anchor[first]
     deepest = np.zeros(n, dtype=np.int64)
     deepest[swept] = np.maximum.reduceat(s_depth, first)
@@ -176,7 +212,7 @@ def _sweep(table: AnchorTable, pairs) -> tuple[np.ndarray, np.ndarray, np.ndarra
     # per anchor, the smallest (cx, cy): the least cx, then the least cy at
     # it.  x + cos(a) and y + sin(a) are never -0.0, so equal values have
     # equal bits and any minimal center is the first one
-    t_new = np.r_[True, t_anchor[1:] != t_anchor[:-1]]
+    t_new = np.concatenate(([True], t_anchor[1:] != t_anchor[:-1]))
     t_first, t_group = np.flatnonzero(t_new), np.cumsum(t_new) - 1
     least_cx = np.minimum.reduceat(t_cx, t_first)
     least_cy = np.minimum.reduceat(
@@ -208,21 +244,38 @@ def best_placement(table: AnchorTable, covered: np.ndarray) -> tuple[int, UnitDi
     ``covered`` is a mask over table positions.  This is exactly what a
     sweep of only the other points returns: the most points, then the
     smallest ``(cx, cy)``, the first anchor on exact ties.  None when every
-    point is covered.
+    point is covered.  Anchors the answer needs are swept into the table.
     """
     live = ~covered
     if not live.any():
         return None
-    # uncovered anchors that lose a neighbor: sweep them again over their
-    # uncovered neighbors; every other uncovered anchor keeps its entry
-    touched = np.zeros(len(live), dtype=bool)
-    touched[table.anchor[~live[table.neighbor]]] = True
-    touched &= live
-    swept = _sweep(table, touched[table.anchor] & live[table.neighbor])
-    count, cx, cy = (
-        np.where(touched, new, old) for new, old in zip(swept, (table.count, table.cx, table.cy))
-    )
-    best = np.flatnonzero(live)
-    best = best[count[best] == count[best].max()]
-    i = best[np.lexsort((cy[best], cx[best]))[0]]
+    n = len(live)
+    live_pair = live[table.neighbor]
+    # a swept uncovered anchor that loses no neighbor keeps its entry; every
+    # other uncovered anchor covers at most 1 + its uncovered neighbors
+    lost = np.zeros(n, dtype=bool)
+    lost[table.anchor[~live_pair]] = True
+    known = table.swept & live & ~lost
+    count = np.where(known, table.count, 0)
+    cx, cy = table.cx.copy(), table.cy.copy()
+    best = count.max()
+    bound = 1 + np.bincount(table.anchor[live_pair], minlength=n)
+    todo = np.flatnonzero(live & ~known & (bound >= best))
+    todo = todo[np.argsort(-bound[todo], kind="stable")]
+    # blocks of about SWEEP_BLOCK pairs, in bound-descending order.  An
+    # anchor is swept while its bound is >= the running best, not >: one
+    # that can only tie may still win the (cx, cy) tie-break
+    block_of = np.cumsum(bound[todo] - 1) // SWEEP_BLOCK
+    cuts = (np.flatnonzero(block_of[1:] != block_of[:-1]) + 1).tolist()
+    for lo, hi in zip([0, *cuts], [*cuts, len(todo)]):
+        block = todo[lo:hi]
+        block = block[bound[block] >= best]
+        if not len(block):
+            break
+        swept = _sweep_anchors(table, block, live)
+        for column, new in zip((count, cx, cy), swept):
+            column[block] = new[block]
+        best = max(best, count[block].max())
+    top = np.flatnonzero(count == best)
+    i = top[np.lexsort((cy[top], cx[top]))[0]]
     return int(count[i]), UnitDisk(float(cx[i]), float(cy[i]))

@@ -5,9 +5,9 @@ At each step two branches are compared on full-instance coverage:
 
 * greedy extension: the incumbent plus the single best disk on the points it
   does not cover yet.  The instance's anchor table (``single_disk``) is
-  built once, for the first disk; each extension sweeps again only the
-  anchors that lost a neighbor to the incumbent's cover, so it costs the
-  few points near the chosen disks, not a sweep of the residual instance;
+  built once, for the first disk, and fills lazily; each extension sweeps
+  only the anchors whose uncovered neighbors could reach its best, not the
+  residual instance;
 * neighborhood re-solve: an exact best-(i) search restricted to the points
   within distance 3 of the incumbent's centers.  Any disk sharing a covered
   point with the incumbent lies entirely inside that region, so whenever the

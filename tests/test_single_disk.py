@@ -1,4 +1,5 @@
 import math
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -96,6 +97,32 @@ def table_entries(table):
     ]
 
 
+def check_lazy_entries(table, entries):
+    """A lazily filled table against the loop's entries: a swept entry is the
+    loop's bit for bit, and an unswept count bounds the loop's count."""
+    for got, want, swept in zip(table_entries(table), entries, table.swept.tolist()):
+        if swept:
+            assert got == exact_bits(*want)
+        else:
+            assert got[0] >= want[0]
+
+
+def sweep_every_anchor(table):
+    """Force the full-instance sweep of every anchor into the table."""
+    everyone = np.ones(len(table.x), dtype=bool)
+    single_disk._sweep_anchors(table, np.flatnonzero(everyone), everyone)
+    assert table.swept.all()
+
+
+@contextmanager
+def sweep_block(size):
+    """Run with ``SWEEP_BLOCK`` set to ``size``, so that small instances are
+    swept over many blocks and the bound can stop the sweep early."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(single_disk, "SWEEP_BLOCK", size)
+        yield
+
+
 def exact_bits(count, cx, cy):
     """(count, cx, cy) with the floats as hex, so -0.0 and ulps count."""
     return count, float(cx).hex(), float(cy).hex()
@@ -169,17 +196,25 @@ class TestAnchorTableMatchesReferenceSweep:
     """The table's choices equal the loop's bit for bit, first disk and greedy
     steps alike (floats compared as hex)."""
 
-    @given(point_sets(min_size=1))
-    def test_first_disk_on_generated_sets(self, pts):
+    @given(point_sets(min_size=1), st.sampled_from([1, 3, single_disk.SWEEP_BLOCK]))
+    def test_first_disk_on_generated_sets(self, pts, block):
+        entries = reference_entries(pts)
         table = anchor_table(pts)
-        assert table_entries(table) == [exact_bits(*e) for e in reference_entries(pts)]
-        assert table_choice(table) == exact_bits(*reference_sweep(pts))
+        with sweep_block(block):
+            assert table_choice(table) == exact_bits(*reference_sweep(pts))
+        check_lazy_entries(table, entries)
+        sweep_every_anchor(table)
+        assert table_entries(table) == [exact_bits(*e) for e in entries]
 
     def test_every_entry_of_a_multi_block_table(self):
         pts = generate(2000, 40.0, 101).points
+        entries = reference_entries(pts)
         table = anchor_table(pts)
         assert len(table.anchor) > 4 * single_disk.SWEEP_BLOCK
-        assert table_entries(table) == [exact_bits(*e) for e in reference_entries(pts)]
+        assert table_choice(table) == exact_bits(*reference_sweep(pts))
+        check_lazy_entries(table, entries)
+        sweep_every_anchor(table)
+        assert table_entries(table) == [exact_bits(*e) for e in entries]
 
     @given(point_sets(min_size=1), st.data())
     def test_step_on_any_covered_subset(self, pts, data):
@@ -188,11 +223,13 @@ class TestAnchorTableMatchesReferenceSweep:
         chosen = data.draw(st.sets(st.sampled_from([p.idx for p in pts])))
         covered = mask_of(pts, chosen)
         rest = residual(pts, covered)
-        found = best_placement(anchor_table(pts), covered)
+        with sweep_block(data.draw(st.sampled_from([1, single_disk.SWEEP_BLOCK]))):
+            found = best_placement(anchor_table(pts), covered)
         if not rest:
             assert found is None
         else:
-            assert table_choice(anchor_table(pts), covered) == exact_bits(*reference_sweep(rest))
+            count, disk = found
+            assert exact_bits(count, disk.cx, disk.cy) == exact_bits(*reference_sweep(rest))
 
     @pytest.mark.parametrize(
         "seed, n, side",
@@ -248,3 +285,77 @@ class TestAnchorTableMatchesReferenceSweep:
     def test_everything_covered(self):
         pts = make_points([(0, 0), (0.5, 0)])
         assert best_placement(anchor_table(pts), mask_of(pts, [0, 1])) is None
+
+
+class TestLazyTable:
+    """The table sweeps only anchors whose bound, 1 + their uncovered
+    neighbors, reaches the running best; answers still equal the loop's."""
+
+    @pytest.mark.parametrize("block", [1, single_disk.SWEEP_BLOCK])
+    def test_anchor_whose_bound_ties_the_best(self, block):
+        # a star: its center has 8 neighbors (bound 9), but two arm points
+        # 1.5 and 1.6 out are the most a disk adds to it, so the best is 3;
+        # each arm point has bound 3.  The triangle far lower-left has bound
+        # 3 and covers 3, so it ties the best and wins on (cx, cy) only if
+        # an anchor whose bound equals the best is swept
+        star = [(10.0, 10.0)]
+        for ux, uy in ((1, 0), (0, 1), (-1, 0), (0, -1)):
+            star += [(10.0 + 1.5 * ux, 10.0 + 1.5 * uy), (10.0 + 1.6 * ux, 10.0 + 1.6 * uy)]
+        pts = make_points(star + [(0.0, 0.0), (0.5, 0.0), (0.25, 0.4)])
+        table = anchor_table(pts)
+        assert table.count.tolist() == [9] + [3] * 11
+        with sweep_block(block):
+            choice = table_choice(table)
+        assert choice == exact_bits(*reference_sweep(pts))
+        assert choice[0] == 3 and float.fromhex(choice[1]) < 1.0
+
+    def test_step_sweeps_anchors_the_first_disk_skipped(self):
+        # a cluster of 5 (the first disk) and, far away, a cluster of 3 whose
+        # bound 3 is below 5: the first step never sweeps it, the second
+        # must, and then stores its entries, since it lost no neighbor
+        five = [(10.0, 10.0), (10.2, 10.0), (10.0, 10.2), (10.2, 10.2), (10.1, 10.1)]
+        three = [(30.0, 30.0), (30.3, 30.0), (30.0, 30.3)]
+        pts = make_points(five + three + [(50.0, 0.0)])
+        later = np.arange(5, 8)
+        table = anchor_table(pts)
+        with sweep_block(1):
+            count, disk = best_placement(table, np.zeros(len(pts), dtype=bool))
+            assert count == 5
+            assert not table.swept[later].any()
+            covered = mask_of(pts, coverage(disk, pts).ids())
+            choice = table_choice(table, covered)
+        assert choice == exact_bits(*reference_sweep(residual(pts, covered)))
+        assert choice[0] == 3 and float.fromhex(choice[1]) > 20.0
+        assert table.swept[later].all()
+
+    @pytest.mark.parametrize("block", [1, single_disk.SWEEP_BLOCK])
+    def test_one_table_under_masks_that_do_not_grow(self, block):
+        # A, then B, then nothing covered, then C: each answer is the loop's
+        # on that residual, and no residual sweep is stored as an entry
+        pts = uniform_points(3, 200, 0.0, 12.0)
+        table = anchor_table(pts)
+        masks = [
+            mask_of(pts, (p.idx for p in pts[::3])),
+            mask_of(pts, (p.idx for p in pts if p.x < 6.0)),
+            np.zeros(len(pts), dtype=bool),
+            mask_of(pts, (p.idx for p in pts if p.y > 4.0 and p.idx % 2)),
+        ]
+        with sweep_block(block):
+            for covered in masks:
+                choice = table_choice(table, covered)
+                assert choice == exact_bits(*reference_sweep(residual(pts, covered)))
+        check_lazy_entries(table, reference_entries(pts))
+
+    def test_sparse_instance_sweeps_few_anchors(self):
+        # on 5000:100 (rho = 10) most anchors have fewer than 9 neighbors,
+        # so the first disk sweeps fewer than half of them; the second step
+        # sweeps some it skipped and still equals the loop
+        pts = generate(5000, 100.0, 101).points
+        table = anchor_table(pts)
+        count, disk = best_placement(table, np.zeros(len(pts), dtype=bool))
+        assert count == 10
+        assert table.swept.sum() < len(pts) / 2
+        first_swept = table.swept.copy()
+        covered = mask_of(pts, coverage(disk, pts).ids())
+        assert table_choice(table, covered) == exact_bits(*reference_sweep(residual(pts, covered)))
+        assert (table.swept & ~first_swept).any()
