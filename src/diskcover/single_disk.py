@@ -130,7 +130,7 @@ def _arcs(table: AnchorTable, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     dy = y[table.neighbor[pairs]] - y[table.anchor[pairs]]
     # each direction of a pair takes its own differences: negating one would
     # turn +0.0 into -0.0 and atan2(+0.0, -1) = pi into atan2(-0.0, -1) = -pi.
-    # hypot takes absolute values, so both directions get one distance
+    # hypot takes absolute values, so both directions get the same distance
     d = _math_map(math.hypot, dx, dy)
     half = _math_map(math.acos, np.minimum(d / 2.0, 1.0))
     theta = _math_map(math.atan2, dy, dx)
