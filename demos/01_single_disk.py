@@ -3,9 +3,10 @@
 The angular sweep answers this exactly.  Some optimal disk has a covered
 point on its boundary, so the sweep anchors each point on the boundary and
 sweeps the arcs from which a center would also cover each point within
-distance 2.  A KD-tree finds those neighbor pairs, so each anchor only sees
-the few points a disk through it can reach, and the work follows local
-density instead of n^2.  An anchor with d neighbors covers at most d + 1
+distance 2.  One KD-tree pair query, made when the points are read into
+arrays, finds those neighbors, so each anchor only sees the few points a
+disk through it can reach, and the work follows local density instead of
+n^2.  An anchor with d neighbors covers at most d + 1
 points, so the table of each anchor's best placement is filled lazily:
 anchors are swept in blocks, highest bound first, until the bound falls
 below the best count found.  The best entry is the answer, and a greedy
@@ -16,7 +17,7 @@ can still reach its best.
 import numpy as np
 
 from diskcover import UnitDisk, coverage, generate, solve
-from diskcover.geometry import candidate_centers
+from diskcover.geometry import candidate_centers, point_arrays
 from diskcover.single_disk import anchor_table, best_placement
 
 SIDE = 25.0
@@ -29,20 +30,21 @@ print(f"instance: {len(pts)} points uniform in [0, {SIDE:g}]^2")
 print()
 print(f"angular sweep : {swept.rho} points covered, "
       f"center ({disk.cx:.4f}, {disk.cy:.4f})")
-table = anchor_table(pts)
+points = point_arrays(pts)    # coordinates, ids and neighbor pairs, read once
+table = anchor_table(points)
 print(f"the sweep's anchor table holds {len(table.anchor)} directed "
       f"neighbor pairs (vs n^2 = {len(pts)**2})")
 
 best_placement(table, np.zeros(len(pts), dtype=bool))    # the first disk
 print(f"the first disk swept {int(table.swept.sum())} of {len(pts)} anchors "
       f"(all {len(table.anchor)} pairs fit in one sweep block)")
-large = anchor_table(generate(n=5000, side=100.0, seed=2024).points)
-best_placement(large, np.zeros(len(large.x), dtype=bool))
+large = anchor_table(point_arrays(generate(n=5000, side=100.0, seed=2024).points))
+best_placement(large, np.zeros(5000, dtype=bool))
 print(f"on 5000 points in [0, 100]^2 it sweeps {int(large.swept.sum())} of 5000 "
       f"anchors: the others have too few neighbors to reach the best")
 
 # independent check: the best disk among all candidate disks
-cx, cy, _ = candidate_centers(pts)
+cx, cy, _ = candidate_centers(points)
 brute = max(coverage(UnitDisk(x, y), pts).count for x, y in zip(cx.tolist(), cy.tolist()))
 assert swept.rho == brute
 print()

@@ -8,11 +8,11 @@ disk never reduces coverage.
 """
 
 from diskcover import generate, most_points
-from diskcover.geometry import candidate_centers
+from diskcover.geometry import candidate_centers, point_arrays
 
 inst = generate(n=30, side=7.0, seed=99)
 pts = inst.points
-cx, _, _ = candidate_centers(pts)
+cx, _, _ = candidate_centers(point_arrays(pts))
 print(f"{len(pts)} points -> {len(cx)} candidate disks "
       f"(bound: n^2 = {len(pts) ** 2})")
 print()

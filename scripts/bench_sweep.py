@@ -11,7 +11,8 @@ timed after one warm-up ``solve`` on a small instance.  Rows:
 
 * ``sweep``: ``solve(pts, 1)`` on the whole instance (the first disk);
 * ``greedy_step``: ``solver._greedy_step`` on the points its first disk
-  leaves uncovered (at a head that keeps an anchor table, the table is built
+  leaves uncovered (at a head that keeps an anchor table, the table, and
+  the point record it reads where ``geometry.point_arrays`` exists, is built
   outside the timed region, as ``solve`` builds it once for every step; at
   one that passes coverage as a mask over table positions, so is the first
   disk's mask; at one whose table is lazy, the first step, which sweeps the
@@ -24,7 +25,9 @@ timed after one warm-up ``solve`` on a small instance.  Rows:
 * ``geometry``: ``candidate_centers`` and ``center_coverage_bits(...,
   distinct=True)`` on 5000:100 and 2000:40, the candidate set and its
   distinct coverage rows as ``most_points`` builds them (where
-  ``candidate_centers`` returns anchors, they are passed on);
+  ``candidate_centers`` returns anchors, they are passed on; where the
+  layers take one ``geometry.point_arrays`` record, building it is timed
+  too);
 * ``kernel``: the combination enumeration, on ``most_points(pts, 2,
   dedup=False)`` for 300:20 seed 5 (the ``bench`` baseline column), ``solve``
   m=3 on dense 64:10, and ``most_points(pts, 2, dedup=True, prune=True)``
@@ -76,8 +79,11 @@ def measure(slow: bool) -> dict:
     """One run of every row on the ``diskcover`` found first on sys.path."""
     import numpy as np
 
-    from diskcover import generate, most_points, single_disk, solve, solver
+    from diskcover import generate, geometry, most_points, single_disk, solve, solver
     from diskcover.geometry import candidate_centers, center_coverage_bits
+
+    # where the layers read one point record, they take it instead of pts
+    record = getattr(geometry, "point_arrays", lambda pts: pts)
 
     # first calls pay one-time costs (lazy imports, first allocations)
     solve(generate(50, 5.0, SEED).points, 2)
@@ -91,7 +97,7 @@ def measure(slow: bool) -> dict:
         given = {"pts": pts, "covered": first.covered}
         params = inspect.signature(solver._greedy_step).parameters
         if "table" in params:
-            given["table"] = single_disk.anchor_table(pts)
+            given["table"] = single_disk.anchor_table(record(pts))
         masks = hasattr(single_disk, "_cover")
         if masks:
             given["covered"] = single_disk._cover(given["table"], [first.disks[0]])
@@ -121,13 +127,14 @@ def measure(slow: bool) -> dict:
     for n, side in GEOMETRY_SIZES:
         pts = generate(n, side, SEED).points
 
-        def geometry(pts=pts):
+        def geometry_row(pts=pts):
             # (cx, cy), or (cx, cy, anchor) where center_coverage_bits takes
             # anchors: either way its leading arguments
-            centers = candidate_centers(pts)
-            return len(centers[0]), center_coverage_bits(*centers, pts, distinct=True)[0]
+            points = record(pts)
+            centers = candidate_centers(points)
+            return len(centers[0]), center_coverage_bits(*centers, points, distinct=True)[0]
 
-        ms, (n_candidates, distinct) = _timed(geometry)
+        ms, (n_candidates, distinct) = _timed(geometry_row)
         rows[f"geometry {n}:{side:g}"] = {
             "ms": ms,
             "candidates": n_candidates,

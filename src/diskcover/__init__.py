@@ -1,7 +1,8 @@
 """Exact maximum-coverage of planar points by m unit disks.
 
 Library layout:
-  geometry     points, disks, packed coverage words, the candidate-disk set
+  geometry     points, disks, the one point record per call (coordinates,
+               ids, neighbor pairs), packed coverage words, the candidate set
   single_disk  exact single-disk optimum (angular sweep, one anchor table)
   exact        exact best-k disks by candidate enumeration
   solver       output-sensitive exact solver (greedy + neighborhood re-solve)

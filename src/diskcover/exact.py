@@ -2,16 +2,17 @@
 
 The search space is the finite candidate set of ``geometry.candidate_centers``
 (at most n^2 disks); the optimum over all k-subsets of candidates equals the
-optimum over arbitrary disk placements.  Each candidate's coverage is one row
-of uint64 words over the instance's local point ids, built from the points
-within 2 of the candidate's anchor, the point that generated it
-(``geometry.center_coverage_bits``, which also returns each row's count), so
-scoring a combination is an OR of rows and a popcount, and a block of
-combinations is scored by one numpy expression.  Every k, k=1 included, goes through the same enumeration, so
-this module is an oracle independent of the single-disk sweep.  The number
-of complete k-combinations scored is recorded: for k=2 it is exactly the
-"pairs of disks processed" cost metric the benchmark harness compares across
-solvers.
+optimum over arbitrary disk placements.  The candidates and their coverage
+read one ``geometry.PointArrays`` record of the input.  Each candidate's
+coverage is one row of uint64 words over the record's rows (local point
+ids), built from the points within 2 of the candidate's anchor, the point
+that generated it (``geometry.center_coverage_bits``, which also returns
+each row's count), so scoring a combination is an OR of rows and a popcount,
+and a block of combinations is scored by one numpy expression.  Every k,
+k=1 included, goes through the same enumeration, so this module is an
+oracle independent of the single-disk sweep.  The number of complete
+k-combinations scored is recorded: for k=2 it is exactly the "pairs of
+disks processed" cost metric the benchmark harness compares across solvers.
 
 Enumeration is lexicographic over candidates sorted by center, so stats and
 tie-breaks are reproducible.  Two optional reductions:
@@ -45,6 +46,7 @@ from .geometry import (
     UnitDisk,
     candidate_centers,
     center_coverage_bits,
+    point_arrays,
     unpack_coverage,
 )
 
@@ -278,8 +280,9 @@ def most_points(
     if k < 1:
         raise ValueError("most_points requires k >= 1")
 
-    cx, cy, anchor = candidate_centers(pts)
-    rows, words, gids, counts = center_coverage_bits(cx, cy, anchor, pts, distinct=dedup)
+    points = point_arrays(pts)
+    cx, cy, anchor = candidate_centers(points)
+    rows, words, gids, counts = center_coverage_bits(cx, cy, anchor, points, distinct=dedup)
     stats = ExactSolveStats(
         candidates_generated=len(cx), candidates_after_dedup=len(rows)
     )

@@ -5,25 +5,22 @@ All solvers agree on membership through one closed-disk predicate with a
 small epsilon, because candidate disks routinely place points exactly on
 their boundary.
 
-The candidate set and the coverage of many disks are computed on whole numpy
-arrays.  Candidate centers apply the per-pair formula to every KD-tree pair
-at once, and each center keeps the position of a point that generated it,
-its anchor, which lies within the predicate's distance of it.  Every point a
-center covers is then within 2 of its anchor, so coverage gathers, for each
-center, the anchor's list of points within REACH (one KD-tree pair query
-over the points) and applies the predicate itself to those entries; so
-membership is bit for bit that of testing every point (``coverage``), while
-the work grows with the points near each anchor instead of with the number
-of centers times the number of points.  The coverage of many centers is
-returned packed: one row of uint64 words per center over the instance's
-local point ids, so a union is a row OR and a count a popcount, for whole
-blocks of rows at once.  A result is reported as a ``CoverageSet`` over the
-original point ids.
+The solvers read a point list through one record per call, ``PointArrays``
+from ``point_arrays``: coordinates and ids in id order, and each point's
+neighbors within REACH from the only KD-tree query.  It refuses repeated
+ids, so a count of rows is a count of ids.  The sweep, the candidates and
+the coverage join filter its pairs by their own rules.  ``covers`` and
+``coverage``, the reference predicate and loop, take any point list.
 
-Point ids must be distinct wherever coverage is counted: here in
-``center_coverage_bits``, and in the single-disk sweep's anchor table; both
-raise ValueError on a repeated id.  ``covers`` and ``coverage``, the
-reference predicate and loop, take any point list.
+The candidate set and the coverage of many disks are computed on whole numpy
+arrays.  Each candidate center keeps the row of a point that generated it,
+its anchor, which it covers.  Every point a center covers is then within 2
+of its anchor, so coverage applies the predicate itself to the anchor and
+its neighbors: membership is bit for bit that of ``coverage``, while the
+work grows with the points near each anchor instead of with centers times
+points.  The coverage of many centers is returned packed, one row of uint64
+words per center over the record's rows, so a union is a row OR and a count
+a popcount.  A result is reported as a ``CoverageSet`` over point ids.
 """
 
 from __future__ import annotations
@@ -37,8 +34,8 @@ from scipy.spatial import cKDTree
 
 # Closed-disk membership slack on the *squared* distance.  Through-pair
 # candidate disks put both generating points at squared distance exactly 1;
-# this absorbs the float error of constructing those centers.  Coordinates
-# are assumed O(1e3) in magnitude, for which 1e-9 absolute slack is safe.
+# this absorbs the float error of constructing those centers.  The slack is
+# absolute; see ``PointArrays`` for the coordinates it serves.
 EPS_COVER = 1e-9
 
 # Two points generate through-pair disks only when their distance is at most
@@ -49,13 +46,11 @@ PAIR_EPS = 1e-12
 # Candidate centers closer than this (per coordinate) are duplicates.
 CENTER_DEDUP_EPS = 1e-12
 
-# Pair radius of the anchor lists: a superset of every point a center covers
-# when its anchor is covered too.  The predicate allows distance
-# sqrt(1 + EPS_COVER), about 1 + 5e-10, to each, so such a point is within
-# about 2 + 1e-9 of the anchor.  The tree measures distance from the same
-# float coordinates, so its value differs from the predicate's only by
-# rounding, about 1e-16 times the coordinate magnitude; the 2e-6 margin covers
-# that for any coordinates below about 1e9.
+# Pair radius of ``PointArrays``: it holds the sweep's and the candidates'
+# pairs (within 2 + PAIR_EPS) and every point a center covers when its
+# anchor is covered too, which the predicate allows within about 2 + 1e-9
+# (sqrt(1 + EPS_COVER) to each).  The tree's distances differ from the
+# predicate's only by rounding, about 1e-16 times the coordinates.
 REACH = 2.0 + 2e-6
 
 # Rows gathered at once when coverage is joined and packed, so that the
@@ -162,7 +157,44 @@ def coverage(d: UnitDisk, pts: Sequence[Point]) -> CoverageSet:
     return CoverageSet(bits)
 
 
-def candidate_centers(pts: Sequence[Point]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+@dataclass(frozen=True)
+class PointArrays:
+    """One point list as arrays, in id order, with its neighbor pairs.
+
+    Row r is the point of the r-th least id: ``ids`` ascend and ``x``, ``y``
+    are the rows' coordinates, so a row is a point's local id.  ``pairs``
+    holds one row pair (i, j), i < j, for every two points within REACH of
+    each other (duplicates included), in KD-tree order.
+
+    Coordinates are used as given, and EPS_COVER is an absolute slack on the
+    squared distance, so exactness holds only while the coordinates are
+    small enough for it.  Measured: ``solve`` and ``most_points`` agree on
+    instances translated by up to 1e6, and disagree on 13 of 30 at 1e7 and
+    24 of 30 at 1e8 (ROADMAP item 1, step b).
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    ids: np.ndarray
+    pairs: np.ndarray
+
+
+def point_arrays(pts: Sequence[Point]) -> PointArrays:
+    """The record of ``pts``; an empty list or a repeated id raises ValueError."""
+    if not pts:
+        raise ValueError("a point list must be non-empty")
+    ids = np.array([p.idx for p in pts], dtype=np.int64)
+    by_id = _distinct_id_order(ids)
+    x = np.array([p.x for p in pts], dtype=np.float64)[by_id]
+    y = np.array([p.y for p in pts], dtype=np.float64)[by_id]
+    # a sliding-midpoint tree builds faster than a median-split one
+    pairs = cKDTree(np.column_stack([x, y]), balanced_tree=False).query_pairs(
+        r=REACH, output_type="ndarray"
+    ).reshape(-1, 2)
+    return PointArrays(x, y, ids[by_id], pairs)
+
+
+def candidate_centers(points: PointArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Centers of the finite candidate set and their anchors, as arrays.
 
     Returns (cx, cy, anchor).  The candidates are, for every point, the disk
@@ -176,46 +208,39 @@ def candidate_centers(pts: Sequence[Point]) -> tuple[np.ndarray, np.ndarray, np.
     u = (b - a) / d, the centers are (m.x - h u.y, m.y + h u.x) and
     (m.x + h u.y, m.y - h u.x).
 
-    Point centers come first, then the through-pair centers in KD-tree pair
-    order, each in that formula's float operations; then a stable sort by
-    (cx, cy), and a center within CENTER_DEDUP_EPS (per coordinate) of the
-    last kept one is merged into it.
+    Point centers come first, in row order, then the through-pair centers
+    in the record's pair order, each in that formula's float operations;
+    then a stable sort by (cx, cy), and a center within CENTER_DEDUP_EPS
+    (per coordinate) of the last kept one is merged into it.
 
-    ``anchor[r]`` is the position in ``pts`` of the point that generated
-    center r: the point itself, or the pair's first point a.  A merged center
-    keeps the anchor of the center it was merged into.  Each anchor is
-    covered by its center (squared distance at most 1 + EPS_COVER), which is
-    what ``center_coverage_bits`` relies on.
+    ``anchor[r]`` is the row of the point that generated center r: the point
+    itself, or the pair's first point a.  A merged center keeps the anchor
+    of the center it was merged into.  Each anchor is covered by its center
+    (squared distance at most 1 + EPS_COVER), which is what
+    ``center_coverage_bits`` relies on.
     """
-    if not pts:
-        raise ValueError("candidate_centers requires a non-empty point list")
-    xy = np.array([(p.x, p.y) for p in pts], dtype=np.float64)
-    xs, ys = xy[:, 0], xy[:, 1]
-    cx_parts, cy_parts, anchor_parts = [xs], [ys], [np.arange(len(pts))]
-    if len(pts) >= 2:
-        pairs = cKDTree(xy).query_pairs(r=2.0 + 1e-9, output_type="ndarray")
-        ax, ay = xs[pairs[:, 0]], ys[pairs[:, 0]]
-        bx, by = xs[pairs[:, 1]], ys[pairs[:, 1]]
-        dx, dy = bx - ax, by - ay
-        d2 = dx * dx + dy * dy
-        d = np.sqrt(d2)
-        ok = (d > PAIR_EPS) & (d <= 2.0 + PAIR_EPS)
-        ax, ay, bx, by, dx, dy, d2, d = (v[ok] for v in (ax, ay, bx, by, dx, dy, d2, d))
-        mx, my = (ax + bx) / 2.0, (ay + by) / 2.0
-        mid = np.abs(d - 2.0) <= PAIR_EPS
-        h = np.sqrt(np.maximum(1.0 - d2 / 4.0, 0.0))
-        ux, uy = dx / d, dy / d
-        # per pair: the first center (the midpoint when d == 2), then the
-        # mirror center unless d == 2; C-order masking keeps pair order
-        both = np.stack((np.ones_like(mid), ~mid), axis=1)
-        first_x = np.where(mid, mx, mx - h * uy)
-        first_y = np.where(mid, my, my + h * ux)
-        cx_parts.append(np.stack((first_x, mx + h * uy), axis=1)[both])
-        cy_parts.append(np.stack((first_y, my - h * ux), axis=1)[both])
-        anchor_parts.append(np.repeat(pairs[ok, 0], 2 - mid))
-    cx, cy = np.concatenate(cx_parts), np.concatenate(cy_parts)
+    xs, ys = points.x, points.y
+    a, b = points.pairs[:, 0], points.pairs[:, 1]
+    ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
+    dx, dy = bx - ax, by - ay
+    d2 = dx * dx + dy * dy
+    d = np.sqrt(d2)
+    ok = (d > PAIR_EPS) & (d <= 2.0 + PAIR_EPS)
+    ax, ay, bx, by, dx, dy, d2, d = (v[ok] for v in (ax, ay, bx, by, dx, dy, d2, d))
+    mx, my = (ax + bx) / 2.0, (ay + by) / 2.0
+    mid = np.abs(d - 2.0) <= PAIR_EPS
+    h = np.sqrt(np.maximum(1.0 - d2 / 4.0, 0.0))
+    ux, uy = dx / d, dy / d
+    # per pair: the first center (the midpoint when d == 2), then the mirror
+    # center unless d == 2; C-order masking keeps pair order
+    both = np.stack((np.ones_like(mid), ~mid), axis=1)
+    first_x = np.where(mid, mx, mx - h * uy)
+    first_y = np.where(mid, my, my + h * ux)
+    cx = np.concatenate((xs, np.stack((first_x, mx + h * uy), axis=1)[both]))
+    cy = np.concatenate((ys, np.stack((first_y, my - h * ux), axis=1)[both]))
+    anchor = np.concatenate((np.arange(len(xs)), np.repeat(a[ok], 2 - mid)))
     order = np.lexsort((cy, cx))
-    cx, cy, anchor = cx[order], cy[order], np.concatenate(anchor_parts)[order]
+    cx, cy, anchor = cx[order], cy[order], anchor[order]
     keep = _kept_centers(cx, cy)
     return cx[keep], cy[keep], anchor[keep]
 
@@ -249,43 +274,34 @@ def center_coverage_bits(
     cx: np.ndarray,
     cy: np.ndarray,
     anchor: np.ndarray,
-    pts: Sequence[Point],
+    points: PointArrays,
     distinct: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Coverage of the unit disks centered at (cx[r], cy[r]), packed into words.
 
     Returns (rows, words, gids, counts).  ``words[t]`` is the coverage of
-    center ``rows[t]``: a row of uint64 words over local point ids, in which
-    local id ``l`` is bit ``l % 64`` of word ``l // 64`` and stands for the
-    point id ``gids[l]``.  ``gids`` holds the ids of ``pts`` in ascending
-    order, so a row has ceil(len(pts) / 64) words (at least one) whatever
-    the magnitude of the ids, and ``counts[t]`` (int64) is the number of
-    points row t covers.  The ids must be distinct; a repeated id raises
-    ValueError.  Without ``distinct`` every center is a row; with it, only
-    the first center of each distinct coverage set, chosen before anything
-    is packed.
+    center ``rows[t]``: a row of uint64 words over the rows of ``points``
+    (local ids), in which local id ``l`` is bit ``l % 64`` of word ``l // 64``
+    and stands for the point id ``gids[l]``, that is ``points.ids``.  So a
+    row has ceil(len(gids) / 64) words whatever the magnitude of the ids,
+    and ``counts[t]`` (int64) is the number of points row t covers.  Without
+    ``distinct`` every center is a row; with it, only the first center of
+    each distinct coverage set, chosen before anything is packed.
 
-    ``anchor[r]`` is a position in ``pts``: ``candidate_centers`` returns
-    one per center, and any other disk may pass its nearest point.  The
+    ``anchor[r]`` is a row of ``points``: ``candidate_centers`` returns one
+    per center, and any other disk may pass its nearest point.  The
     coverage of center r is exact whenever its anchor is covered, or nothing
     is: every covered point is then within REACH of the anchor, so the
-    predicate is applied, exactly as ``coverage`` writes it, to the anchor's
-    list of points within REACH.
+    predicate is applied, exactly as ``coverage`` writes it, to the anchor
+    and its neighbors.
     """
-    n_rows = len(cx)
-    gids = np.array([p.idx for p in pts], dtype=np.int64)
-    by_id = _distinct_id_order(gids)
-    gids = gids[by_id]
-    width = max(1, -(-len(gids) // 64))
-    if n_rows == 0 or not pts:
-        rows = np.arange(min(n_rows, 1) if distinct else n_rows)
-        empty = np.zeros(len(rows), dtype=np.int64)
-        return rows, np.zeros((len(rows), width), dtype=np.uint64), gids, empty
-    # points in id order, so that a point's position is its local id
-    xy = np.array([(p.x, p.y) for p in pts], dtype=np.float64)[by_id]
-    # argsort(by_id) maps a position in pts to its local id
-    indptr, local = _coverage_rows(cx, cy, np.argsort(by_id)[anchor], xy)
-    rows = _first_distinct_rows(indptr, local, len(xy)) if distinct else np.arange(n_rows)
+    gids = points.ids
+    width = -(-len(gids) // 64)
+    if not len(cx):
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, np.zeros((0, width), dtype=np.uint64), gids, empty
+    indptr, local = _coverage_rows(cx, cy, anchor, points)
+    rows = _first_distinct_rows(indptr, local, len(gids)) if distinct else np.arange(len(cx))
     counts = indptr[rows + 1] - indptr[rows]
     words = np.zeros((len(rows), width), dtype=np.uint64)
     for lo in range(0, len(rows), BLOCK_ROWS):
@@ -304,11 +320,7 @@ def center_coverage_bits(
 
 
 def _distinct_id_order(ids: np.ndarray) -> np.ndarray:
-    """Positions that sort ``ids`` ascending (stably); a repeated id raises.
-
-    Point ids must be distinct wherever coverage is counted, because a count
-    of covered positions is then a count of covered ids.
-    """
+    """Positions that sort ``ids`` ascending (stably); a repeated id raises."""
     order = np.argsort(ids, kind="stable")
     ordered = ids[order]
     repeats = np.flatnonzero(ordered[1:] == ordered[:-1])
@@ -333,40 +345,31 @@ def _entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.arange(len(skip)) + skip, lengths
 
 
-def _near_lists(xy: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR lists (indptr, cols): each point and the points within REACH of it.
-
-    ``cols`` are row indices of ``xy``, ascending within a list.
-    """
-    n = len(xy)
-    pairs = cKDTree(xy).query_pairs(r=REACH, output_type="ndarray")
-    own = np.arange(n)
-    src = np.concatenate((pairs[:, 0], pairs[:, 1], own))
-    dst = np.concatenate((pairs[:, 1], pairs[:, 0], own))
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return indptr, dst[np.argsort(src * n + dst)]
-
-
 def _coverage_rows(
-    cx: np.ndarray, cy: np.ndarray, anchor: np.ndarray, xy: np.ndarray
+    cx: np.ndarray, cy: np.ndarray, anchor: np.ndarray, points: PointArrays
 ) -> tuple[np.ndarray, np.ndarray]:
     """Covered points of each center as CSR rows (indptr, cols).
 
-    ``anchor[r]`` is a row index of ``xy``, and center r's row is the
-    predicate applied to the anchor's near list, a block of centers at a
-    time.  ``cols`` are row indices of ``xy``, ascending within a row, as in
-    the near lists.
+    ``anchor[r]`` is a row of ``points``, and center r's row is the
+    predicate applied to the anchor's near list, the anchor and its
+    neighbors, a block of centers at a time.  ``cols`` are rows of
+    ``points``, ascending within a row, as in the near lists.
     """
-    near_ptr, near = _near_lists(xy)
-    xs, ys = xy[:, 0].copy(), xy[:, 1].copy()
+    # each point's near list: itself and its pairs' other rows, ascending
+    n = len(points.ids)
+    own = np.arange(n)
+    src = np.concatenate((points.pairs[:, 0], points.pairs[:, 1], own))
+    dst = np.concatenate((points.pairs[:, 1], points.pairs[:, 0], own))
+    near_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(src, minlength=n), out=near_ptr[1:])
+    near = dst[np.argsort(src * n + dst)]
     lengths = np.empty(len(cx), dtype=np.int64)
     parts = []
     for lo in range(0, len(cx), BLOCK_ROWS):
         at, n_near = _entries(near_ptr, anchor[lo : lo + BLOCK_ROWS])
         col = near[at]
-        dx = xs[col] - np.repeat(cx[lo : lo + BLOCK_ROWS], n_near)
-        dy = ys[col] - np.repeat(cy[lo : lo + BLOCK_ROWS], n_near)
+        dx = points.x[col] - np.repeat(cx[lo : lo + BLOCK_ROWS], n_near)
+        dy = points.y[col] - np.repeat(cy[lo : lo + BLOCK_ROWS], n_near)
         hit = dx * dx + dy * dy <= 1.0 + EPS_COVER
         parts.append(col[hit])
         # a near list holds at least its own point, so no segment is empty

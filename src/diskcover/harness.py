@@ -21,7 +21,7 @@ import time
 from dataclasses import asdict, astuple, dataclass, field, fields
 
 from .exact import most_points
-from .geometry import Point, candidate_centers
+from .geometry import Point, candidate_centers, point_arrays
 from .rng import Xoshiro256StarStar
 from .solver import solve
 
@@ -143,7 +143,9 @@ def _bench_one(
     time_ours = (time.perf_counter() - t0) * 1000.0
 
     # the choice is not part of the baseline's time
-    fast = sample_baseline is not None and len(candidate_centers(pts)[0]) > sample_baseline
+    fast = sample_baseline is not None and (
+        len(candidate_centers(point_arrays(pts))[0]) > sample_baseline
+    )
     t0 = time.perf_counter()
     baseline = most_points(pts, m, dedup=fast, prune=fast)
     # the faithful enumeration scores exactly this many combinations

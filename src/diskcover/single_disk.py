@@ -3,21 +3,21 @@
 An optimal disk can be translated until some covered point lies on its
 boundary, so it suffices to anchor each point p on the boundary,
 parameterize the center on the unit circle around p, and sweep the arcs
-contributed by neighbors within distance 2 (Chazelle & Lee, 1986).  A
-KD-tree finds those neighbors, so each anchor only sees the points that a
-unit disk through it can reach: O(rho) of them by packing, where rho is the
-optimum.
+contributed by neighbors within distance 2 (Chazelle & Lee, 1986).  The
+neighbors come from the pairs of the instance's ``PointArrays`` record, so
+each anchor only sees the points that a unit disk through it can reach:
+O(rho) of them by packing, where rho is the optimum.
 
-``anchor_table`` finds the neighbor pairs and keeps, per anchor, its best
-placement ``(count, cx, cy)``.  An anchor with d neighbors covers at most
-d + 1 points, so each entry starts as that upper bound and the table fills
-as ``best_placement`` asks: it sweeps anchors on numpy arrays, in blocks
-taken in bound-descending order, and stops at the first block whose bound
-is below the best count found so far.  On sparse input most anchors' bound
-is below rho and they are never swept.  Covered points are a boolean mask
-over table positions, and ``_cover`` gives the mask of a list of disks.
-Point ids must be distinct, so that a count of table positions is a count
-of point ids; ``anchor_table`` raises ValueError on a repeated id.
+``anchor_table`` keeps the record's pairs within 2 + PAIR_EPS and, per
+anchor, its best placement ``(count, cx, cy)``.  An anchor with d neighbors
+covers at most d + 1 points, so each entry starts as that upper bound and
+the table fills as ``best_placement`` asks: it sweeps anchors on numpy
+arrays, in blocks taken in bound-descending order, and stops at the first
+block whose bound is below the best count found so far.  On sparse input
+most anchors' bound is below rho and they are never swept.  Covered points
+are a boolean mask over the record's rows, and ``_cover`` gives the mask of
+a list of disks; the record's ids are distinct, so a count of rows is a
+count of point ids.
 
 ``best_placement`` answers "the best disk on the points outside
 ``covered``".  Removing points changes the entry of an anchor only if one of
@@ -35,9 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
-
-from .geometry import EPS_COVER, PAIR_EPS, Point, UnitDisk, _distinct_id_order
+from .geometry import EPS_COVER, PAIR_EPS, PointArrays, UnitDisk
 
 TWO_PI = 2.0 * math.pi
 
@@ -50,8 +48,8 @@ SWEEP_BLOCK = 4096
 class AnchorTable:
     """One instance's neighbor pairs and each anchor's best, filled lazily.
 
-    Arrays are indexed by position in the point list (``x``, ``y``, ``ids``,
-    ``count``, ``cx``, ``cy``, ``swept``) or by directed neighbor pair
+    ``points`` is the instance's record.  Arrays are indexed by its rows
+    (``count``, ``cx``, ``cy``, ``swept``) or by directed neighbor pair
     (``anchor``, ``neighbor``).  Pairs are ordered by anchor, and anchor
     ``a``'s pairs are ``offset[a]`` to ``offset[a + 1]``.  For a ``swept``
     anchor, ``count`` is the most points a disk with the anchor on its
@@ -60,9 +58,7 @@ class AnchorTable:
     duplicates included, and ``(cx, cy)`` is the anchor itself.
     """
 
-    x: np.ndarray
-    y: np.ndarray
-    ids: np.ndarray
+    points: PointArrays
     anchor: np.ndarray
     neighbor: np.ndarray
     offset: np.ndarray
@@ -83,24 +79,13 @@ def _math_map(fn, *arrays: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, *views), dtype=np.float64, count=len(arrays[0]))
 
 
-def anchor_table(pts: list[Point]) -> AnchorTable:
-    """The neighbor pairs of ``pts``, with every entry at its upper bound.
+def anchor_table(points: PointArrays) -> AnchorTable:
+    """The neighbor pairs of ``points``, with every entry at its upper bound.
 
-    ``best_placement`` sweeps the anchors it needs.  The ids of ``pts`` must
-    be distinct; a repeated id raises ValueError.
+    ``best_placement`` sweeps the anchors it needs.
     """
-    if not pts:
-        raise ValueError("the sweep requires a non-empty point list")
-    ids = np.array([p.idx for p in pts], dtype=np.int64)
-    _distinct_id_order(ids)
-    x = np.array([p.x for p in pts], dtype=np.float64)
-    y = np.array([p.y for p in pts], dtype=np.float64)
-    # a sliding-midpoint tree builds faster than a median-split one; either
-    # tree's query gives the same pairs within 2 + PAIR_EPS
-    pairs = cKDTree(np.column_stack([x, y]), balanced_tree=False).query_pairs(
-        r=2.0 + 1e-9, output_type="ndarray"
-    ).reshape(-1, 2)
-    i, j = pairs[:, 0], pairs[:, 1]
+    x, y = points.x, points.y
+    i, j = points.pairs[:, 0], points.pairs[:, 1]
     near = (x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2 <= (2.0 + PAIR_EPS) ** 2
     i, j = i[near], j[near]
     # directed pairs by anchor, then neighbor: one sort of anchor * n + neighbor
@@ -109,7 +94,7 @@ def anchor_table(pts: list[Point]) -> AnchorTable:
     anchor, neighbor = np.divmod(np.sort(key), n)
     offset = np.searchsorted(anchor, np.arange(n + 1))
     return AnchorTable(
-        x, y, ids, anchor, neighbor, offset,
+        points, anchor, neighbor, offset,
         count=np.diff(offset) + 1,
         cx=x.copy(),
         cy=y.copy(),
@@ -125,7 +110,7 @@ def _arcs(table: AnchorTable, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray
     circle around the anchor also covers the neighbor; a duplicate (``dup``)
     is covered from every angle.
     """
-    x, y = table.x, table.y
+    x, y = table.points.x, table.points.y
     dx = x[table.neighbor[pairs]] - x[table.anchor[pairs]]
     dy = y[table.neighbor[pairs]] - y[table.anchor[pairs]]
     # each direction of a pair takes its own differences: negating one would
@@ -171,7 +156,7 @@ def _sweep(table: AnchorTable, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     itself.  Every arc adds +1 and -1 to the depth, so one running sum over
     all anchors' events resets to zero between anchors.
     """
-    x, y = table.x, table.y
+    x, y = table.points.x, table.points.y
     anchor = table.anchor[pairs]
     dup, start, end = _arcs(table, pairs)
     n = len(x)
@@ -225,15 +210,16 @@ def _sweep(table: AnchorTable, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _cover(table: AnchorTable, disks: list[UnitDisk]) -> np.ndarray:
-    """True at each table position whose point one of ``disks`` covers.
+    """True at each row of the table's record whose point one of ``disks`` covers.
 
     Each disk is ``coverage``'s predicate, in the same float operations, on
-    the table's coordinate arrays instead of one point at a time.
+    the record's coordinate arrays instead of one point at a time.
     """
-    hit = np.zeros(len(table.x), dtype=bool)
+    x, y = table.points.x, table.points.y
+    hit = np.zeros(len(x), dtype=bool)
     for d in disks:
-        dx = table.x - d.cx
-        dy = table.y - d.cy
+        dx = x - d.cx
+        dy = y - d.cy
         hit |= dx * dx + dy * dy <= 1.0 + EPS_COVER
     return hit
 
@@ -241,7 +227,7 @@ def _cover(table: AnchorTable, disks: list[UnitDisk]) -> np.ndarray:
 def best_placement(table: AnchorTable, covered: np.ndarray) -> tuple[int, UnitDisk] | None:
     """The sweep's count and disk on the table's points outside ``covered``.
 
-    ``covered`` is a mask over table positions.  This is exactly what a
+    ``covered`` is a mask over the rows of the table's record.  This is exactly what a
     sweep of only the other points returns: the most points, then the
     smallest ``(cx, cy)``, the first anchor on exact ties.  None when every
     point is covered.  Anchors the answer needs are swept into the table.

@@ -17,10 +17,10 @@ The better branch is provably optimal at every step, while the expensive
 exact search only ever sees the neighborhood, whose size is bounded by a
 constant times the single-disk optimum rather than by n.
 
-Both branches are scored as boolean masks over the anchor table's positions,
-and the incumbent's cover is kept as one, from the first disk on; the
-``CoverageSet`` of the result is built from it once.  A count of positions
-is a count of point ids because the table refuses repeated ids.
+Both branches are scored as boolean masks over the rows of the input's
+``PointArrays`` record, which the anchor table and the neighborhood filter
+share, and the incumbent's cover is kept as one, from the first disk on;
+the ``CoverageSet`` of the result is built from it once.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exact import most_points
-from .geometry import CoverageSet, Point, UnitDisk
+from .geometry import CoverageSet, Point, PointArrays, UnitDisk, point_arrays
 from .single_disk import AnchorTable, _cover, anchor_table, best_placement
 
 # Neighborhood circles have radius 3 around each chosen center: a unit disk
@@ -64,34 +64,31 @@ class Solution:
     total_combos: int = 0
 
 
-def neighbor_points(table: AnchorTable, pts: list[Point], disks: list[UnitDisk]) -> list[Point]:
-    """Points within NEIGHBOR_RADIUS of at least one disk center (ids preserved).
-
-    ``table`` is the anchor table of ``pts``; its coordinate arrays are the
-    points' coordinates, position for position.
-    """
+def neighbor_points(points: PointArrays, disks: list[UnitDisk]) -> list[Point]:
+    """Points of ``points`` within NEIGHBOR_RADIUS of at least one disk center,
+    in id order (ids and coordinates preserved)."""
     if not disks:
         raise ValueError("neighbor_points requires at least one disk")
     limit = NEIGHBOR_RADIUS * NEIGHBOR_RADIUS + NEIGHBOR_EPS
     centers = np.array([(d.cx, d.cy) for d in disks], dtype=np.float64)
-    dx = table.x[:, None] - centers[None, :, 0]
-    dy = table.y[:, None] - centers[None, :, 1]
-    near = (dx * dx + dy * dy <= limit).any(axis=1)
-    return [pts[i] for i in np.flatnonzero(near).tolist()]
+    dx = points.x[:, None] - centers[None, :, 0]
+    dy = points.y[:, None] - centers[None, :, 1]
+    near = np.flatnonzero((dx * dx + dy * dy <= limit).any(axis=1))
+    return list(map(Point, *(a[near].tolist() for a in (points.x, points.y, points.ids))))
 
 
 def _greedy_step(table: AnchorTable, covered: np.ndarray) -> tuple[UnitDisk, np.ndarray]:
     """Best single disk on the points outside ``covered``, and the new union.
 
-    ``covered`` and the union are masks over the table's positions.  The
-    disk is the sweep's on the uncovered points, read from the instance's
-    anchor table.  If every point is already covered there is nothing to
-    gain: the disk is centered on the first input point and coverage is
-    unchanged.
+    ``covered`` and the union are masks over the rows of the table's
+    record.  The disk is the sweep's on the uncovered points, read from the
+    instance's anchor table.  If every point is already covered there is
+    nothing to gain: the disk is centered on the point of least id and
+    coverage is unchanged.
     """
     found = best_placement(table, covered)
     if found is None:
-        return UnitDisk(float(table.x[0]), float(table.y[0])), covered
+        return UnitDisk(float(table.points.x[0]), float(table.points.y[0])), covered
     _, disk = found
     return disk, covered | _cover(table, [disk])
 
@@ -114,8 +111,9 @@ def solve(pts: list[Point], m: int, prune: bool = False) -> Solution:
     if m < 1:
         raise ValueError("solve requires m >= 1")
 
-    table = anchor_table(pts)
-    first, covered = _greedy_step(table, np.zeros(len(table.x), dtype=bool))
+    table = anchor_table(point_arrays(pts))
+    points = table.points
+    first, covered = _greedy_step(table, np.zeros(len(points.ids), dtype=bool))
     disks: list[UnitDisk] = [first]
     rho = int(covered.sum())
     traces: list[IterationTrace] = []
@@ -124,7 +122,7 @@ def solve(pts: list[Point], m: int, prune: bool = False) -> Solution:
     for i in range(2, m + 1):
         greedy_disk, greedy_union = _greedy_step(table, covered)
 
-        nbr = neighbor_points(table, pts, disks)
+        nbr = neighbor_points(points, disks)
         refined = most_points(nbr, i, dedup=True, prune=prune)
         # the refined disks may also cover points outside the neighborhood;
         # both branches are compared on full-instance coverage
@@ -151,7 +149,7 @@ def solve(pts: list[Point], m: int, prune: bool = False) -> Solution:
         )
         total_combos += refined.stats.combos_evaluated
 
-    return Solution(disks, CoverageSet.from_ids(table.ids[covered]), rho, traces, total_combos)
+    return Solution(disks, CoverageSet.from_ids(points.ids[covered]), rho, traces, total_combos)
 
 
 def greedy_solve(pts: list[Point], m: int) -> Solution:
@@ -165,11 +163,11 @@ def greedy_solve(pts: list[Point], m: int) -> Solution:
         raise ValueError("greedy_solve requires a non-empty point list")
     if m < 1:
         raise ValueError("greedy_solve requires m >= 1")
-    table = anchor_table(pts)
-    first, covered = _greedy_step(table, np.zeros(len(table.x), dtype=bool))
+    table = anchor_table(point_arrays(pts))
+    first, covered = _greedy_step(table, np.zeros(len(table.points.ids), dtype=bool))
     disks = [first]
     rho = int(covered.sum())
     for _ in range(2, m + 1):
         disk, covered = _greedy_step(table, covered)
         disks.append(disk)
-    return Solution(disks, CoverageSet.from_ids(table.ids[covered]), rho)
+    return Solution(disks, CoverageSet.from_ids(table.points.ids[covered]), rho)

@@ -5,7 +5,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 
 from diskcover import Point, UnitDisk
-from diskcover.geometry import candidate_centers
+from diskcover.geometry import candidate_centers, point_arrays
 from diskcover.rng import Xoshiro256StarStar
 
 # Property tests draw the same examples on every run and have no per-example
@@ -21,7 +21,7 @@ def make_points(coords):
 
 def candidates(pts):
     """The candidate disks of ``pts``, in ``candidate_centers`` order."""
-    cx, cy, _ = candidate_centers(pts)
+    cx, cy, _ = candidate_centers(point_arrays(pts))
     return [UnitDisk(x, y) for x, y in zip(cx.tolist(), cy.tolist())]
 
 

@@ -20,7 +20,12 @@ from diskcover import (
     union_cover,
     write_bench_csv,
 )
-from diskcover.geometry import candidate_centers, center_coverage_bits, unpack_coverage
+from diskcover.geometry import (
+    candidate_centers,
+    center_coverage_bits,
+    point_arrays,
+    unpack_coverage,
+)
 from diskcover.harness import TIMING_FIELDS
 from diskcover.rng import Xoshiro256StarStar
 
@@ -97,7 +102,8 @@ def test_criterion_2_single_disk_equivalence():
     for n, side, seed in instances:
         pts = uniform_points(seed, n, 0.0, side)
         swept = solve(pts, 1).rho
-        _, words, gids, _ = center_coverage_bits(*candidate_centers(pts), pts)
+        points = point_arrays(pts)
+        _, words, gids, _ = center_coverage_bits(*candidate_centers(points), points)
         brute = max(unpack_coverage(row, gids).count for row in words)
         if swept != brute:
             bad.append((n, side, seed, swept, brute))

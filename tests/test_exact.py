@@ -17,7 +17,12 @@ from diskcover import (
     most_points,
     solve,
 )
-from diskcover.geometry import candidate_centers, center_coverage_bits, unpack_coverage
+from diskcover.geometry import (
+    candidate_centers,
+    center_coverage_bits,
+    point_arrays,
+    unpack_coverage,
+)
 from diskcover.rng import Xoshiro256StarStar
 
 from conftest import candidates, make_points, point_sets, uniform_points
@@ -174,8 +179,9 @@ def kernel_cases(pts, dedup):
     checked too; the kernel only sees rows, so a subset of them is as good
     an input as all of them.
     """
-    cx, cy, anchor = candidate_centers(pts)
-    rows, words, gids, _ = center_coverage_bits(cx, cy, anchor, pts, distinct=dedup)
+    points = point_arrays(pts)
+    cx, cy, anchor = candidate_centers(points)
+    rows, words, gids, _ = center_coverage_bits(cx, cy, anchor, points, distinct=dedup)
     bits = [coverage(UnitDisk(cx[r], cy[r]), pts).bits for r in rows.tolist()]
     assert [unpack_coverage(w, gids).bits for w in words] == bits
     for k in (1, 2, 3, 4):

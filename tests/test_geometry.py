@@ -24,8 +24,10 @@ from diskcover.geometry import (
     CENTER_DEDUP_EPS,
     EPS_COVER,
     PAIR_EPS,
+    REACH,
     candidate_centers,
     center_coverage_bits,
+    point_arrays,
     unpack_coverage,
 )
 from diskcover.rng import Xoshiro256StarStar
@@ -33,18 +35,18 @@ from diskcover.rng import Xoshiro256StarStar
 from conftest import candidates, make_points, point_sets, uniform_points
 
 
-def nearest_anchors(cx, cy, pts):
-    """Each center's nearest point, as a position in ``pts`` (0 without points)."""
-    if not pts or not len(cx):
-        return np.zeros(len(cx), dtype=np.intp)
-    tree = cKDTree([(p.x, p.y) for p in pts])
+def nearest_anchors(cx, cy, points):
+    """Each center's nearest point, as a row of the record ``points``."""
+    if not len(cx):
+        return np.zeros(0, dtype=np.intp)
+    tree = cKDTree(np.column_stack((points.x, points.y)))
     return tree.query(np.column_stack((cx, cy)))[1]
 
 
-def coverage_rows(cx, cy, anchor, pts, distinct=False):
+def coverage_rows(cx, cy, anchor, points, distinct=False):
     """(rows, bits) of ``center_coverage_bits``, each row unpacked; checks
     that the returned counts are the rows' popcounts."""
-    rows, words, gids, counts = center_coverage_bits(cx, cy, anchor, pts, distinct=distinct)
+    rows, words, gids, counts = center_coverage_bits(cx, cy, anchor, points, distinct=distinct)
     bits = [unpack_coverage(w, gids).bits for w in words]
     assert counts.dtype == np.int64
     assert counts.tolist() == [b.bit_count() for b in bits]
@@ -54,9 +56,10 @@ def coverage_rows(cx, cy, anchor, pts, distinct=False):
 def packed_bits(disks, pts):
     """Each disk's coverage bits, unpacked from ``center_coverage_bits``, with
     the nearest point as each disk's anchor."""
+    points = point_arrays(pts)
     cx = np.array([d.cx for d in disks], dtype=np.float64)
     cy = np.array([d.cy for d in disks], dtype=np.float64)
-    return coverage_rows(cx, cy, nearest_anchors(cx, cy, pts), pts)[1]
+    return coverage_rows(cx, cy, nearest_anchors(cx, cy, points), points)[1]
 
 
 def reference_candidate_centers(pts):
@@ -170,22 +173,54 @@ class TestCoverage:
     def test_batch_kernel_empty_inputs(self):
         pts = make_points([(0, 0), (0.5, 0)])
         assert packed_bits([], pts) == []
-        assert packed_bits([], []) == []
-        assert packed_bits([UnitDisk(0, 0), UnitDisk(5, 5)], []) == [0, 0]
+        # a point list must be non-empty to have a record, so coverage over
+        # no points cannot be asked for
+        with pytest.raises(ValueError, match="non-empty"):
+            packed_bits([], [])
+        with pytest.raises(ValueError, match="non-empty"):
+            packed_bits([UnitDisk(0, 0), UnitDisk(5, 5)], [])
 
     @given(
-        point_sets(),
+        point_sets(min_size=1),
         st.lists(st.tuples(st.floats(-4, 4), st.floats(-4, 4)), max_size=6),
     )
     def test_batch_kernel_matches_per_disk_coverage(self, pts, extra):
         # candidate disks put points exactly on their boundary; the extra
         # disks are placed anywhere near the (translated) points, and one
         # far from all of them covers nothing
-        ox, oy = (pts[0].x, pts[0].y) if pts else (0.0, 0.0)
-        disks = (candidates(pts) if pts else []) + [
+        ox, oy = pts[0].x, pts[0].y
+        disks = candidates(pts) + [
             UnitDisk(ox + x, oy + y) for x, y in extra + [(50.0, -50.0)]
         ]
         assert packed_bits(disks, pts) == [coverage(d, pts).bits for d in disks]
+
+
+class TestPointArrays:
+    """The one record every layer reads: rows in id order, and every pair
+    of rows within REACH once."""
+
+    @given(point_sets(min_size=1))
+    def test_rows_and_pairs_match_brute_force(self, pts):
+        points = point_arrays(pts)
+        by_id = sorted(pts, key=lambda p: p.idx)
+        assert points.ids.tolist() == [p.idx for p in by_id]
+        assert points.x.tolist() == [p.x for p in by_id]
+        assert points.y.tolist() == [p.y for p in by_id]
+        expected = [
+            (r, s)
+            for r, p in enumerate(by_id)
+            for s, q in enumerate(by_id)
+            if r < s and (p.x - q.x) ** 2 + (p.y - q.y) ** 2 <= REACH**2
+        ]
+        assert points.pairs.shape == (len(expected), 2)
+        assert sorted(map(tuple, points.pairs.tolist())) == expected
+
+    def test_refuses_empty_and_repeated_ids(self):
+        with pytest.raises(ValueError, match="^a point list must be non-empty$"):
+            point_arrays([])
+        pts = [Point(0.0, 0.0, 5), Point(9.0, 0.0, 3), Point(0.5, 0.0, 5), Point(1.0, 1.0, 3)]
+        with pytest.raises(ValueError, match="^point ids must be distinct; id 3 repeats$"):
+            point_arrays(pts)
 
 
 class TestAnchorJoin:
@@ -196,25 +231,27 @@ class TestAnchorJoin:
 
     @given(point_sets(min_size=1))
     def test_anchor_is_covered_by_its_center(self, pts):
-        cx, cy, anchor = candidate_centers(pts)
+        points = point_arrays(pts)
+        cx, cy, anchor = candidate_centers(points)
         assert anchor.shape == cx.shape and anchor.dtype.kind == "i"
         for x, y, a in zip(cx.tolist(), cy.tolist(), anchor.tolist()):
-            dx, dy = pts[a].x - x, pts[a].y - y
+            dx, dy = points.x[a] - x, points.y[a] - y
             assert dx * dx + dy * dy <= 1.0 + EPS_COVER
 
     @given(point_sets(min_size=1))
     def test_candidate_rows_match_per_disk_coverage(self, pts):
-        cx, cy, anchor = candidate_centers(pts)
-        rows, bits = coverage_rows(cx, cy, anchor, pts)
+        points = point_arrays(pts)
+        cx, cy, anchor = candidate_centers(points)
+        rows, bits = coverage_rows(cx, cy, anchor, points)
         assert rows.tolist() == list(range(len(cx)))
         assert bits == [coverage(d, pts).bits for d in candidates(pts)]
-        rows, bits = coverage_rows(cx, cy, anchor, pts, distinct=True)
+        rows, bits = coverage_rows(cx, cy, anchor, points, distinct=True)
         assert bits == [coverage(UnitDisk(cx[r], cy[r]), pts).bits for r in rows.tolist()]
 
     def test_disk_covering_nothing_is_empty_with_any_anchor(self):
-        pts = make_points([(0, 0), (0.5, 0), (2, 0)])
+        points = point_arrays(make_points([(0, 0), (0.5, 0), (2, 0)]))
         for a in range(3):
-            _, bits = coverage_rows(np.array([10.0]), np.array([10.0]), np.array([a]), pts)
+            _, bits = coverage_rows(np.array([10.0]), np.array([10.0]), np.array([a]), points)
             assert bits == [0]
 
     def test_pairs_at_exactly_two_and_duplicates(self):
@@ -223,8 +260,8 @@ class TestAnchorJoin:
         coords = [(x, y) for x in range(5) for y in range(5)] * 2
         for off in (0.0, 1e3, 1e6):
             pts = make_points([(x + off, y - off) for x, y in coords])
-            cx, cy, anchor = candidate_centers(pts)
-            _, bits = coverage_rows(cx, cy, anchor, pts)
+            points = point_arrays(pts)
+            _, bits = coverage_rows(*candidate_centers(points), points)
             assert bits == [coverage(d, pts).bits for d in candidates(pts)]
 
 
@@ -241,9 +278,10 @@ class TestDistinctRows:
     collide are told apart entry by entry."""
 
     def check(self, pts):
-        cx, cy, anchor = candidate_centers(pts)
-        _, bits = coverage_rows(cx, cy, anchor, pts)
-        rows, _ = coverage_rows(cx, cy, anchor, pts, distinct=True)
+        points = point_arrays(pts)
+        cx, cy, anchor = candidate_centers(points)
+        _, bits = coverage_rows(cx, cy, anchor, points)
+        rows, _ = coverage_rows(cx, cy, anchor, points, distinct=True)
         assert rows.tolist() == distinct_reference(bits)
 
     @given(point_sets(min_size=1))
@@ -322,8 +360,9 @@ class TestCandidateDisks:
         assert sorted((d.cx, d.cy) for d in disks) == [(0.0, 0.0), (10.0, 10.0)]
 
     def test_empty_rejected(self):
-        with pytest.raises(ValueError, match="candidate_centers"):
-            candidate_centers([])
+        # the candidates read the record, which refuses an empty list
+        with pytest.raises(ValueError, match="non-empty"):
+            candidate_centers(point_arrays([]))
 
     @given(point_sets(min_size=1))
     def test_matches_reference_loop_bit_for_bit(self, pts):

@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import pytest
 
 from diskcover import (
+    Point,
     bench,
     generate,
     most_points,
@@ -15,7 +16,7 @@ from diskcover import (
     write_bench_json,
 )
 from diskcover import exact, harness, single_disk
-from diskcover.geometry import candidate_centers
+from diskcover.geometry import candidate_centers, point_arrays
 from diskcover.harness import BENCH_FIELDS, TIMING_FIELDS
 
 
@@ -40,13 +41,14 @@ def record_generated(monkeypatch):
 
 
 def install_first_point_sweep(monkeypatch):
-    """A sweep table that never looks past the first point, in every module
-    holding it; ``solve`` and ``greedy_solve`` both read their single disks
-    from that table."""
+    """A sweep table that never looks past the first point (the least id), in
+    every module holding it; ``solve`` and ``greedy_solve`` both read their
+    single disks from that table."""
     real = single_disk.anchor_table
 
-    def wrong_table(pts):
-        return real(pts[:1])
+    def wrong_table(points):
+        first = Point(float(points.x[0]), float(points.y[0]), int(points.ids[0]))
+        return real(point_arrays([first]))
 
     for name, module in list(sys.modules.items()):
         if name.startswith("diskcover") and getattr(module, "anchor_table", None) is real:
@@ -107,7 +109,7 @@ class TestBench:
         full = bench([(60, 12.0)], seeds=[5], m=2)[0]
         capped = bench([(60, 12.0)], seeds=[5], m=2, sample_baseline=10)[0]
         assert capped.cover_baseline == full.cover_baseline == full.cover_ours
-        n_candidates = len(candidate_centers(generate(60, 12.0, 5).points)[0])
+        n_candidates = len(candidate_centers(point_arrays(generate(60, 12.0, 5).points))[0])
         assert capped.pairs_baseline == math.comb(n_candidates, 2)
         assert capped.pairs_baseline == full.pairs_baseline
 
@@ -116,9 +118,9 @@ class TestBench:
         clock = [0.0]
         real = harness.candidate_centers
 
-        def sizing(pts):
+        def sizing(points):
             clock[0] += 1000.0
-            return real(pts)
+            return real(points)
 
         monkeypatch.setattr(harness, "candidate_centers", sizing)
         monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
@@ -140,19 +142,21 @@ class TestBench:
         real = harness.candidate_centers
         whole_instance_calls = []
 
-        def counting(pts):
-            # neighborhood searches in solve pass other lists; count only
-            # the calls on a whole instance
-            if any(pts is inst for inst in generated.values()):
-                whole_instance_calls.append(len(pts))
-            return real(pts)
+        def counting(points):
+            # neighborhood searches in solve pass records of other lists;
+            # count only the calls on a whole instance's record
+            if any(
+                points.ids.tolist() == [p.idx for p in inst] for inst in generated.values()
+            ):
+                whole_instance_calls.append(len(points.ids))
+            return real(points)
 
         monkeypatch.setattr(harness, "candidate_centers", counting)
         monkeypatch.setattr(exact, "candidate_centers", counting)
         record = bench([(30, 8.0)], seeds=[1], m=2)[0]
         assert whole_instance_calls == [30]
         assert record.pairs_baseline == math.comb(
-            len(candidate_centers(generated[1])[0]), 2
+            len(candidate_centers(point_arrays(generated[1]))[0]), 2
         )
 
     def test_empty_arguments_rejected(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from diskcover import coverage, generate, solve
-from diskcover.geometry import PAIR_EPS
+from diskcover.geometry import PAIR_EPS, point_arrays
 from diskcover import single_disk
 from diskcover.single_disk import anchor_table, best_placement
 
@@ -107,9 +107,19 @@ def check_lazy_entries(table, entries):
             assert got[0] >= want[0]
 
 
+def table_of(pts):
+    """The anchor table of ``pts``, over its record's rows (ids ascending)."""
+    return anchor_table(point_arrays(pts))
+
+
+def by_id(pts):
+    """``pts`` in the order of the record's rows."""
+    return sorted(pts, key=lambda p: p.idx)
+
+
 def sweep_every_anchor(table):
     """Force the full-instance sweep of every anchor into the table."""
-    everyone = np.ones(len(table.x), dtype=bool)
+    everyone = np.ones(len(table.points.x), dtype=bool)
     single_disk._sweep_anchors(table, np.flatnonzero(everyone), everyone)
     assert table.swept.all()
 
@@ -130,19 +140,19 @@ def exact_bits(count, cx, cy):
 
 def table_choice(table, covered=None):
     if covered is None:
-        covered = np.zeros(len(table.x), dtype=bool)
+        covered = np.zeros(len(table.points.x), dtype=bool)
     count, disk = best_placement(table, covered)
     return exact_bits(count, disk.cx, disk.cy)
 
 
 def mask_of(pts, ids):
-    """The covered mask over positions of ``pts`` whose point ids are ``ids``."""
+    """The covered mask over the record's rows whose point ids are ``ids``."""
     ids = set(ids)
-    return np.array([p.idx in ids for p in pts], dtype=bool)
+    return np.array([p.idx in ids for p in by_id(pts)], dtype=bool)
 
 
 def residual(pts, covered):
-    return [p for p, c in zip(pts, covered) if not c]
+    return [p for p, c in zip(by_id(pts), covered) if not c]
 
 
 def lattice(k, copies=1):
@@ -198,8 +208,8 @@ class TestAnchorTableMatchesReferenceSweep:
 
     @given(point_sets(min_size=1), st.sampled_from([1, 3, single_disk.SWEEP_BLOCK]))
     def test_first_disk_on_generated_sets(self, pts, block):
-        entries = reference_entries(pts)
-        table = anchor_table(pts)
+        entries = reference_entries(by_id(pts))
+        table = table_of(pts)
         with sweep_block(block):
             assert table_choice(table) == exact_bits(*reference_sweep(pts))
         check_lazy_entries(table, entries)
@@ -209,7 +219,7 @@ class TestAnchorTableMatchesReferenceSweep:
     def test_every_entry_of_a_multi_block_table(self):
         pts = generate(2000, 40.0, 101).points
         entries = reference_entries(pts)
-        table = anchor_table(pts)
+        table = table_of(pts)
         assert len(table.anchor) > 4 * single_disk.SWEEP_BLOCK
         assert table_choice(table) == exact_bits(*reference_sweep(pts))
         check_lazy_entries(table, entries)
@@ -224,7 +234,7 @@ class TestAnchorTableMatchesReferenceSweep:
         covered = mask_of(pts, chosen)
         rest = residual(pts, covered)
         with sweep_block(data.draw(st.sampled_from([1, single_disk.SWEEP_BLOCK]))):
-            found = best_placement(anchor_table(pts), covered)
+            found = best_placement(table_of(pts), covered)
         if not rest:
             assert found is None
         else:
@@ -237,7 +247,7 @@ class TestAnchorTableMatchesReferenceSweep:
     )
     def test_seeded_instances_and_their_greedy_steps(self, seed, n, side):
         pts = uniform_points(seed, n, 0.0, side)
-        table = anchor_table(pts)
+        table = table_of(pts)
         assert table_choice(table) == exact_bits(*reference_sweep(pts))
         covered = np.zeros(len(pts), dtype=bool)
         for _ in range(3):
@@ -254,7 +264,7 @@ class TestAnchorTableMatchesReferenceSweep:
 
     def test_generated_instance_step(self):
         pts = generate(2000, 40.0, 101).points
-        table = anchor_table(pts)
+        table = table_of(pts)
         assert table_choice(table) == exact_bits(*reference_sweep(pts))
         first = best_placement(table, np.zeros(len(pts), dtype=bool))[1]
         covered = mask_of(pts, coverage(first, pts).ids())
@@ -265,7 +275,7 @@ class TestAnchorTableMatchesReferenceSweep:
         # spacing 1: pairs at distance exactly 2 along rows and columns;
         # copies=2 duplicates every point
         pts = lattice(5, copies)
-        table = anchor_table(pts)
+        table = table_of(pts)
         assert table_choice(table) == exact_bits(*reference_sweep(pts))
         for ids in ([0, 1, 2], range(0, len(pts), 2), range(len(pts) - 1)):
             covered = mask_of(pts, ids)
@@ -278,13 +288,13 @@ class TestAnchorTableMatchesReferenceSweep:
         # away and sits lower-left of nothing, so the tie-break picks 0
         pts = make_points([(0.0, 0.0), (1.0, 0.0), (1.5, 0.5), (9.0, 9.0)])
         covered = mask_of(pts, [1, 2])
-        choice = table_choice(anchor_table(pts), covered)
+        choice = table_choice(table_of(pts), covered)
         assert choice == exact_bits(*reference_sweep(residual(pts, covered)))
         assert choice == exact_bits(1, 0.0, 0.0)
 
     def test_everything_covered(self):
         pts = make_points([(0, 0), (0.5, 0)])
-        assert best_placement(anchor_table(pts), mask_of(pts, [0, 1])) is None
+        assert best_placement(table_of(pts), mask_of(pts, [0, 1])) is None
 
 
 class TestLazyTable:
@@ -302,7 +312,7 @@ class TestLazyTable:
         for ux, uy in ((1, 0), (0, 1), (-1, 0), (0, -1)):
             star += [(10.0 + 1.5 * ux, 10.0 + 1.5 * uy), (10.0 + 1.6 * ux, 10.0 + 1.6 * uy)]
         pts = make_points(star + [(0.0, 0.0), (0.5, 0.0), (0.25, 0.4)])
-        table = anchor_table(pts)
+        table = table_of(pts)
         assert table.count.tolist() == [9] + [3] * 11
         with sweep_block(block):
             choice = table_choice(table)
@@ -317,7 +327,7 @@ class TestLazyTable:
         three = [(30.0, 30.0), (30.3, 30.0), (30.0, 30.3)]
         pts = make_points(five + three + [(50.0, 0.0)])
         later = np.arange(5, 8)
-        table = anchor_table(pts)
+        table = table_of(pts)
         with sweep_block(1):
             count, disk = best_placement(table, np.zeros(len(pts), dtype=bool))
             assert count == 5
@@ -333,7 +343,7 @@ class TestLazyTable:
         # A, then B, then nothing covered, then C: each answer is the loop's
         # on that residual, and no residual sweep is stored as an entry
         pts = uniform_points(3, 200, 0.0, 12.0)
-        table = anchor_table(pts)
+        table = table_of(pts)
         masks = [
             mask_of(pts, (p.idx for p in pts[::3])),
             mask_of(pts, (p.idx for p in pts if p.x < 6.0)),
@@ -351,7 +361,7 @@ class TestLazyTable:
         # so the first disk sweeps fewer than half of them; the second step
         # sweeps some it skipped and still equals the loop
         pts = generate(5000, 100.0, 101).points
-        table = anchor_table(pts)
+        table = table_of(pts)
         count, disk = best_placement(table, np.zeros(len(pts), dtype=bool))
         assert count == 10
         assert table.swept.sum() < len(pts) / 2

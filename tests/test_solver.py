@@ -1,9 +1,11 @@
 import math
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from diskcover import (
     coverage,
@@ -13,6 +15,7 @@ from diskcover import (
     solve,
     union_cover,
 )
+from diskcover.geometry import candidate_centers, point_arrays
 from diskcover.single_disk import _cover, anchor_table, best_placement
 from diskcover.solver import NEIGHBOR_RADIUS, NEIGHBOR_EPS
 from diskcover.rng import Xoshiro256StarStar
@@ -43,25 +46,25 @@ def middle_split_instance():
 class TestNeighborPoints:
     def test_radius_three_cutoff(self):
         pts = make_points([(0, 0), (2.5, 0), (3.5, 0)])
-        nbr = neighbor_points(anchor_table(pts), pts, [UnitDisk(0, 0)])
+        nbr = neighbor_points(point_arrays(pts), [UnitDisk(0, 0)])
         assert [p.idx for p in nbr] == [0, 1]
 
     def test_empty_points(self):
         # an instance always has a point (its table needs one); here no
         # point lies within the radius, so the neighborhood is empty
         pts = make_points([(3.5, 0), (0, -4)])
-        assert neighbor_points(anchor_table(pts), pts, [UnitDisk(0, 0)]) == []
+        assert neighbor_points(point_arrays(pts), [UnitDisk(0, 0)]) == []
 
     def test_requires_disks(self):
         pts = make_points([(0, 0)])
         with pytest.raises(ValueError):
-            neighbor_points(anchor_table(pts), pts, [])
+            neighbor_points(point_arrays(pts), [])
 
     def test_matches_naive_distance_loop(self):
         # oracle: per-point distance check with the same radius and slack
         pts = uniform_points(5, 300, 0.0, 50.0)
         g1 = solve(pts, 1).disks[0]
-        nbr = neighbor_points(anchor_table(pts), pts, [g1])
+        nbr = neighbor_points(point_arrays(pts), [g1])
         expected = [
             p.idx
             for p in pts
@@ -92,11 +95,11 @@ class TestNeighborPoints:
                 coords += [(d.cx + 3.0, d.cy), (d.cx, d.cy - 3.0), (d.cx + 1.8, d.cy + 2.4)]
                 coords += [(d.cx - 3.0 - 1e-6, d.cy)]
             pts = [Point(x, y, 2 * i + 1) for i, (x, y) in enumerate(coords)]
-            assert neighbor_points(anchor_table(pts), pts, disks) == reference(pts, disks)
+            assert neighbor_points(point_arrays(pts), disks) == reference(pts, disks)
 
     def test_union_over_multiple_disks(self):
         pts = make_points([(0, 0), (6, 0), (12, 0)])
-        nbr = neighbor_points(anchor_table(pts), pts, [UnitDisk(0, 0), UnitDisk(12, 0)])
+        nbr = neighbor_points(point_arrays(pts), [UnitDisk(0, 0), UnitDisk(12, 0)])
         assert [p.idx for p in nbr] == [0, 2]
 
 
@@ -108,14 +111,14 @@ class TestTableCover:
     def test_mask_matches_coverage(self, pts, offsets):
         # candidate disks put points exactly on their boundary; the others
         # are placed anywhere near the (translated) points.  The mask is
-        # over table positions; table.ids maps it to point ids
+        # over the record's rows; its ids map it to point ids
         disks = candidates(pts)[::7] + [
             UnitDisk(pts[0].x + x, pts[0].y + y) for x, y in offsets
         ]
-        table = anchor_table(pts)
+        table = anchor_table(point_arrays(pts))
 
         def cover(ds):
-            return CoverageSet.from_ids(table.ids[_cover(table, ds)])
+            return CoverageSet.from_ids(table.points.ids[_cover(table, ds)])
 
         for d in disks:
             assert cover([d]) == coverage(d, pts)
@@ -132,7 +135,8 @@ class TestSolve:
     def test_m1_identical_to_sweep(self):
         pts = uniform_points(77, 40, 0.0, 8.0)
         sol = solve(pts, 1)
-        count, disk = best_placement(anchor_table(pts), np.zeros(len(pts), dtype=bool))
+        table = anchor_table(point_arrays(pts))
+        count, disk = best_placement(table, np.zeros(len(pts), dtype=bool))
         assert sol.disks == [disk]
         assert sol.covered.bits == coverage(disk, pts).bits
         assert sol.rho == count
@@ -299,7 +303,48 @@ class TestRepeatedIds:
     # counted by id 1
     PTS = [Point(0.0, 0.0, 0), Point(0.1, 0.0, 0), Point(5.0, 5.0, 1)]
 
-    @pytest.mark.parametrize("call", [solve, greedy_solve, most_points])
+    @pytest.mark.parametrize(
+        "call",
+        [solve, greedy_solve, most_points, lambda pts, _: candidate_centers(point_arrays(pts))],
+        ids=["solve", "greedy_solve", "most_points", "candidate_centers"],
+    )
     def test_repeated_id_is_rejected(self, call):
         with pytest.raises(ValueError, match="^point ids must be distinct; id 0 repeats$"):
             call(self.PTS, 2)
+
+
+class TestOneRecordPerCall:
+    """Each call reads its point list into one record with one KD-tree: the
+    sweep, the candidates and the coverage join share its pairs."""
+
+    @pytest.fixture
+    def trees(self, monkeypatch):
+        built = []
+        real = cKDTree
+
+        def counting(*args, **kwargs):
+            built.append(len(args[0]))
+            return real(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("diskcover") and getattr(module, "cKDTree", None) is real:
+                monkeypatch.setattr(module, "cKDTree", counting)
+        return built
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_most_points_builds_one_tree(self, trees, k):
+        pts = uniform_points(4, 120, 0.0, 10.0)
+        most_points(pts, k, prune=True)
+        assert trees == [120]
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_solve_builds_one_tree_per_table_and_re_solve(self, trees, m):
+        pts = uniform_points(4, 120, 0.0, 10.0)
+        sol = solve(pts, m)
+        # the instance's table, then one per neighborhood re-solve
+        assert trees == [120] + [t.neighborhood_size for t in sol.traces]
+        assert len(trees) == m
+
+    def test_greedy_solve_builds_one_tree(self, trees):
+        greedy_solve(uniform_points(4, 120, 0.0, 10.0), 3)
+        assert trees == [120]
