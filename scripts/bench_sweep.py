@@ -3,31 +3,30 @@
     python3 scripts/bench_sweep.py --base REV --out BENCH.json [--repeats 5] [--slow]
 
 The base revision's ``src/`` is exported with ``git archive`` into a
-temporary directory; the head is this checkout's ``src/``.  Each repeat runs
-one child process per tree, base and head alternating, so a slow spell of a
-shared host falls on both; every figure is the median over the repeats.
-Instances are ``generate(n, side, 101)`` unless a row names another seed,
-timed after one warm-up ``solve`` on a small instance.  Rows:
+temporary directory; the head is this checkout's ``src/``.  Both must have
+the library layout of ``7d5c532`` or later (``geometry.point_arrays``, a
+lazy ``single_disk.anchor_table`` and ``solver._greedy_step(table,
+covered)``).  Each repeat runs one child process per tree, base and head
+alternating, so a slow spell of a shared host falls on both.  A child times
+each row INNER times and reports the median; every figure is the median of
+those over the repeats.  Instances are ``generate(n, side, 101)`` unless a
+row names another seed, timed after one warm-up ``solve`` on a small
+instance.  Rows:
 
 * ``sweep``: ``solve(pts, 1)`` on the whole instance (the first disk);
 * ``greedy_step``: ``solver._greedy_step`` on the points its first disk
-  leaves uncovered (at a head that keeps an anchor table, the table, and
-  the point record it reads where ``geometry.point_arrays`` exists, is built
-  outside the timed region, as ``solve`` builds it once for every step; at
-  one that passes coverage as a mask over table positions, so is the first
-  disk's mask; at one whose table is lazy, the first step, which sweeps the
-  anchors the first disk needs, also runs outside it, since ``solve`` runs
-  it once and the timed step does not repeat it);
-* ``anchors_swept``, where the table is lazy: the anchors whose full sweep
-  the table holds after the first step (in the ``sweep`` row) and after the
-  timed step (in the ``greedy_step`` row);
+  leaves uncovered, the mask of ``solve(pts, 1).covered``.  Each timing
+  gets a fresh anchor table, built with its point record and the first step
+  outside the timed region, as ``solve`` builds the table and takes the
+  first step once for every later step;
+* ``anchors_swept``: the anchors whose full sweep the table holds after the
+  first step (in the ``sweep`` row) and after the timed step (in the
+  ``greedy_step`` row);
 * ``solve_m2``: ``solve(pts, 2)`` end to end;
-* ``geometry``: ``candidate_centers`` and ``center_coverage_bits(...,
-  distinct=True)`` on 5000:100 and 2000:40, the candidate set and its
-  distinct coverage rows as ``most_points`` builds them (where
-  ``candidate_centers`` returns anchors, they are passed on; where the
-  layers take one ``geometry.point_arrays`` record, building it is timed
-  too);
+* ``geometry``: ``point_arrays``, ``candidate_centers`` and
+  ``center_coverage_bits(..., distinct=True)`` on 5000:100 and 2000:40, the
+  candidate set and its distinct coverage rows as ``most_points`` builds
+  them;
 * ``kernel``: the combination enumeration, on ``most_points(pts, 2,
   dedup=False)`` for 300:20 seed 5 (the ``bench`` baseline column), ``solve``
   m=3 on dense 64:10, and ``most_points(pts, 2, dedup=True, prune=True)``
@@ -42,7 +41,6 @@ call counts them), so the two trees can be seen to agree.
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import platform
@@ -60,12 +58,19 @@ STEP_SIZES = [(5000, 100.0), (20000, 200.0)]
 SOLVE_SIZES = [(1000, 200.0), (5000, 100.0), (20000, 200.0), (2000, 40.0)]
 GEOMETRY_SIZES = [(5000, 100.0), (2000, 40.0)]
 SLOW_SIZE = (2000, 40.0)
+# timings of a row in one child, of which it reports the median
+INNER = 5
 
 
-def _timed(fn):
-    t0 = time.perf_counter()
-    out = fn()
-    return 1e3 * (time.perf_counter() - t0), out
+def _timed(call, setup=lambda: ()):
+    """Median ms of INNER calls ``call(*setup())``, setup untimed, and the last result."""
+    times = []
+    for _ in range(INNER):
+        args = setup()
+        t0 = time.perf_counter()
+        out = call(*args)
+        times.append(1e3 * (time.perf_counter() - t0))
+    return statistics.median(times), out
 
 
 def _counts(result) -> dict:
@@ -79,11 +84,8 @@ def measure(slow: bool) -> dict:
     """One run of every row on the ``diskcover`` found first on sys.path."""
     import numpy as np
 
-    from diskcover import generate, geometry, most_points, single_disk, solve, solver
-    from diskcover.geometry import candidate_centers, center_coverage_bits
-
-    # where the layers read one point record, they take it instead of pts
-    record = getattr(geometry, "point_arrays", lambda pts: pts)
+    from diskcover import generate, most_points, single_disk, solve, solver
+    from diskcover.geometry import candidate_centers, center_coverage_bits, point_arrays
 
     # first calls pay one-time costs (lazy imports, first allocations)
     solve(generate(50, 5.0, SEED).points, 2)
@@ -92,29 +94,23 @@ def measure(slow: bool) -> dict:
         pts = generate(n, side, SEED).points
         ms, first = _timed(lambda: solve(pts, 1))
         rows[f"sweep {n}:{side:g}"] = {"ms": ms, "rho": first.rho}
-        # _greedy_step takes some of (table, pts, covered), by revision, and
-        # covered is a CoverageSet or, where single_disk has _cover, a mask
-        given = {"pts": pts, "covered": first.covered}
-        params = inspect.signature(solver._greedy_step).parameters
-        if "table" in params:
-            given["table"] = single_disk.anchor_table(record(pts))
-        masks = hasattr(single_disk, "_cover")
-        if masks:
-            given["covered"] = single_disk._cover(given["table"], [first.disks[0]])
-        # a lazy table records which anchors it has swept
-        lazy = hasattr(given.get("table"), "swept")
-        if lazy:
-            solver._greedy_step(given["table"], np.zeros(len(pts), dtype=bool))
-            rows[f"sweep {n}:{side:g}"]["anchors_swept"] = int(given["table"].swept.sum())
-        args = [given[name] for name in params]
-        ms, (disk, union) = _timed(lambda: solver._greedy_step(*args))
+        tables = []
+
+        def first_step(pts=pts, covered=first.covered.ids()):
+            table = single_disk.anchor_table(point_arrays(pts))
+            solver._greedy_step(table, np.zeros(len(pts), dtype=bool))
+            tables.append((table, int(table.swept.sum())))
+            return table, np.isin(table.points.ids, covered)
+
+        ms, (disk, union) = _timed(solver._greedy_step, first_step)
+        table, swept_first = tables[-1]
+        rows[f"sweep {n}:{side:g}"]["anchors_swept"] = swept_first
         rows[f"greedy_step {n}:{side:g}"] = {
             "ms": ms,
-            "covered": int(union.sum()) if masks else union.count,
+            "covered": int(union.sum()),
             "disk": [disk.cx.hex(), disk.cy.hex()],
+            "anchors_swept": int(table.swept.sum()),
         }
-        if lazy:
-            rows[f"greedy_step {n}:{side:g}"]["anchors_swept"] = int(given["table"].swept.sum())
     for n, side in SOLVE_SIZES:
         pts = generate(n, side, SEED).points
         ms, sol = _timed(lambda: solve(pts, 2))
@@ -128,9 +124,7 @@ def measure(slow: bool) -> dict:
         pts = generate(n, side, SEED).points
 
         def geometry_row(pts=pts):
-            # (cx, cy), or (cx, cy, anchor) where center_coverage_bits takes
-            # anchors: either way its leading arguments
-            points = record(pts)
+            points = point_arrays(pts)
             centers = candidate_centers(points)
             return len(centers[0]), center_coverage_bits(*centers, points, distinct=True)[0]
 
@@ -221,8 +215,9 @@ def main() -> None:
         "head_rev": _git("rev-parse", "HEAD"),
         "head_dirty": bool(_git("status", "--porcelain", "--", "src")),
         "repeats": args.repeats,
+        "inner_repeats": INNER,
         "slow_rows": args.slow,
-        "statistic": "median",
+        "statistic": "median over the repeats of each child's median",
         "seed": SEED,
         "python": platform.python_version(),
         "numpy": numpy.__version__,

@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -160,10 +159,6 @@ def _greedy_seed(
     return int(np.bitwise_count(union).sum()), tuple(sorted(chosen))
 
 
-class _AllCovered(Exception):
-    """A pruned search found a combination covering every point."""
-
-
 class _PrunedSearch:
     """Branch-and-bound over the rows in count-descending order.
 
@@ -187,8 +182,7 @@ class _PrunedSearch:
 
     def run(self) -> tuple[int, tuple[int, ...], int]:
         if self.best < self.full:
-            with suppress(_AllCovered):
-                self._descend(0, (), np.zeros(self.words.shape[1], dtype=np.uint64), 0)
+            self._descend(0, (), np.zeros(self.words.shape[1], dtype=np.uint64), 0)
         return self.best, self.combo, self.combos
 
     def _descend(self, pos: int, chosen: tuple[int, ...], union: np.ndarray, ucount: int) -> None:
@@ -206,6 +200,8 @@ class _PrunedSearch:
         union_counts = _union_counts(self.words, union, self.order[pos:end])
         bound = union_counts + after[: end - pos]
         for t in (np.flatnonzero(bound > self.best) + pos).tolist():
+            if self.best == self.full:
+                return
             if bound[t - pos] <= self.best:
                 continue
             idx = int(self.order[t])
@@ -236,9 +232,7 @@ class _PrunedSearch:
             j = int(score[:n].argmax())
             if score[j] > self.best:
                 self.best, self.combo = int(score[j]), chosen + (int(order[t + j]),)
-            if len(covered_all):
-                raise _AllCovered
-            if n < hi - t:
+            if n < hi - t or self.best == self.full:
                 return
             t = hi
 

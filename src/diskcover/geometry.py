@@ -10,7 +10,8 @@ from ``point_arrays``: coordinates and ids in id order, and each point's
 neighbors within REACH from the only KD-tree query.  It refuses repeated
 ids, so a count of rows is a count of ids.  The sweep, the candidates and
 the coverage join filter its pairs by their own rules.  ``covers`` and
-``coverage``, the reference predicate and loop, take any point list.
+``coverage``, the reference predicate and loop, take any point list;
+``covered_mask`` applies the predicate to a record's rows.
 
 The candidate set and the coverage of many disks are computed on whole numpy
 arrays.  Each candidate center keeps the row of a point that generated it,
@@ -53,7 +54,7 @@ CENTER_DEDUP_EPS = 1e-12
 # predicate's only by rounding, about 1e-16 times the coordinates.
 REACH = 2.0 + 2e-6
 
-# Rows gathered at once when coverage is joined and packed, so that the
+# Centers joined with their anchors' near lists at once, so that the
 # per-entry arrays of a block stay small next to the words (on 5000:100 the
 # join's arrays peak at 3.6 MB this way and at 14.6 MB all at once, more than
 # the 12.8 MB of words).
@@ -83,9 +84,6 @@ class UnitDisk:
 
     cx: float
     cy: float
-
-    def center(self) -> tuple[float, float]:
-        return (self.cx, self.cy)
 
 
 class CoverageSet:
@@ -194,6 +192,23 @@ def point_arrays(pts: Sequence[Point]) -> PointArrays:
     return PointArrays(x, y, ids[by_id], pairs)
 
 
+def covered_mask(
+    points: PointArrays, disks: Sequence[UnitDisk], limit: float = 1.0 + EPS_COVER
+) -> np.ndarray:
+    """True at each row of ``points`` within one of ``disks``.
+
+    Membership is ``coverage``'s predicate, in the same float operations, on
+    the record's coordinate arrays: the squared distance to a center is at
+    most ``limit``, which a caller widens to test a larger radius.
+    """
+    hit = np.zeros(len(points.x), dtype=bool)
+    for d in disks:
+        dx = points.x - d.cx
+        dy = points.y - d.cy
+        hit |= dx * dx + dy * dy <= limit
+    return hit
+
+
 def candidate_centers(points: PointArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Centers of the finite candidate set and their anchors, as arrays.
 
@@ -255,18 +270,14 @@ def _kept_centers(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     """
     close = np.flatnonzero(cx[1:] - cx[:-1] <= CENTER_DEDUP_EPS) + 1
     keep = np.ones(len(cx), dtype=bool)
-    # the last index at or before each position that is kept for sure
-    sure = np.arange(len(cx))
-    sure[close] = -1
-    last_sure = np.maximum.accumulate(sure)
     xs, ys = cx.tolist(), cy.tolist()
-    last_kept = 0
+    # the last kept center before i: i - 1 if kept, else that of i - 1
+    k = 0
     for i in close.tolist():
-        k = max(last_kept, int(last_sure[i - 1]))
+        if keep[i - 1]:
+            k = i - 1
         if abs(xs[i] - xs[k]) <= CENTER_DEDUP_EPS and abs(ys[i] - ys[k]) <= CENTER_DEDUP_EPS:
             keep[i] = False
-        else:
-            last_kept = i
     return keep
 
 
@@ -302,20 +313,13 @@ def center_coverage_bits(
         return empty, np.zeros((0, width), dtype=np.uint64), gids, empty
     indptr, local = _coverage_rows(cx, cy, anchor, points)
     rows = _first_distinct_rows(indptr, local, len(gids)) if distinct else np.arange(len(cx))
-    counts = indptr[rows + 1] - indptr[rows]
+    at, counts = _entries(indptr, rows)
+    col = local[at]
     words = np.zeros((len(rows), width), dtype=np.uint64)
-    for lo in range(0, len(rows), BLOCK_ROWS):
-        part = rows[lo : lo + BLOCK_ROWS]
-        at, lengths = _entries(indptr, part)
-        if not len(at):
-            continue
-        part_local = local[at]
-        # local ids ascend within a row, so the (row, word) keys ascend and
-        # each word's bits are one run for reduceat
-        key = np.repeat(np.arange(len(part)), lengths) * width + (part_local >> 6)
-        runs = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        bit = np.left_shift(np.uint64(1), (part_local & 63).astype(np.uint64))
-        words[lo : lo + len(part)].reshape(-1)[key[runs]] = np.bitwise_or.reduceat(bit, runs)
+    # one scatter sets each covered point's bit in its row's word
+    word = np.repeat(np.arange(len(rows)) * width, counts) + (col >> 6)
+    bit = np.left_shift(np.uint64(1), (col & 63).astype(np.uint64))
+    np.bitwise_or.at(words.reshape(-1), word, bit)
     return rows, words, gids, counts
 
 

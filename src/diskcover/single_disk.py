@@ -15,9 +15,9 @@ the table fills as ``best_placement`` asks: it sweeps anchors on numpy
 arrays, in blocks taken in bound-descending order, and stops at the first
 block whose bound is below the best count found so far.  On sparse input
 most anchors' bound is below rho and they are never swept.  Covered points
-are a boolean mask over the record's rows, and ``_cover`` gives the mask of
-a list of disks; the record's ids are distinct, so a count of rows is a
-count of point ids.
+are a boolean mask over the record's rows, as ``geometry.covered_mask``
+gives it for a list of disks; the record's ids are distinct, so a count of
+rows is a count of point ids.
 
 ``best_placement`` answers "the best disk on the points outside
 ``covered``".  Removing points changes the entry of an anchor only if one of
@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from .geometry import EPS_COVER, PAIR_EPS, PointArrays, UnitDisk
+from .geometry import PAIR_EPS, PointArrays, UnitDisk
 
 TWO_PI = 2.0 * math.pi
 
@@ -207,21 +207,6 @@ def _sweep(table: AnchorTable, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     cx[swept] = least_cx
     cy[swept] = least_cy
     return count, cx, cy
-
-
-def _cover(table: AnchorTable, disks: list[UnitDisk]) -> np.ndarray:
-    """True at each row of the table's record whose point one of ``disks`` covers.
-
-    Each disk is ``coverage``'s predicate, in the same float operations, on
-    the record's coordinate arrays instead of one point at a time.
-    """
-    x, y = table.points.x, table.points.y
-    hit = np.zeros(len(x), dtype=bool)
-    for d in disks:
-        dx = x - d.cx
-        dy = y - d.cy
-        hit |= dx * dx + dy * dy <= 1.0 + EPS_COVER
-    return hit
 
 
 def best_placement(table: AnchorTable, covered: np.ndarray) -> tuple[int, UnitDisk] | None:

@@ -30,8 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exact import most_points
-from .geometry import CoverageSet, Point, PointArrays, UnitDisk, point_arrays
-from .single_disk import AnchorTable, _cover, anchor_table, best_placement
+from .geometry import CoverageSet, Point, PointArrays, UnitDisk, covered_mask, point_arrays
+from .single_disk import AnchorTable, anchor_table, best_placement
 
 # Neighborhood circles have radius 3 around each chosen center: a unit disk
 # that shares a point with a chosen unit disk has its center within 2 of
@@ -70,10 +70,7 @@ def neighbor_points(points: PointArrays, disks: list[UnitDisk]) -> list[Point]:
     if not disks:
         raise ValueError("neighbor_points requires at least one disk")
     limit = NEIGHBOR_RADIUS * NEIGHBOR_RADIUS + NEIGHBOR_EPS
-    centers = np.array([(d.cx, d.cy) for d in disks], dtype=np.float64)
-    dx = points.x[:, None] - centers[None, :, 0]
-    dy = points.y[:, None] - centers[None, :, 1]
-    near = np.flatnonzero((dx * dx + dy * dy <= limit).any(axis=1))
+    near = np.flatnonzero(covered_mask(points, disks, limit))
     return list(map(Point, *(a[near].tolist() for a in (points.x, points.y, points.ids))))
 
 
@@ -90,7 +87,7 @@ def _greedy_step(table: AnchorTable, covered: np.ndarray) -> tuple[UnitDisk, np.
     if found is None:
         return UnitDisk(float(table.points.x[0]), float(table.points.y[0])), covered
     _, disk = found
-    return disk, covered | _cover(table, [disk])
+    return disk, covered | covered_mask(table.points, [disk])
 
 
 def solve(pts: list[Point], m: int, prune: bool = False) -> Solution:
@@ -126,7 +123,7 @@ def solve(pts: list[Point], m: int, prune: bool = False) -> Solution:
         refined = most_points(nbr, i, dedup=True, prune=prune)
         # the refined disks may also cover points outside the neighborhood;
         # both branches are compared on full-instance coverage
-        refined_cover = _cover(table, refined.disks)
+        refined_cover = covered_mask(points, refined.disks)
 
         greedy_count, refined_count = int(greedy_union.sum()), int(refined_cover.sum())
         chose_greedy = greedy_count > refined_count

@@ -341,6 +341,19 @@ class TestMostPoints:
         assert res.covered.count == 10
         assert res.stats.combos_evaluated == 92
         assert res.covered == most_points(pts, 2).covered
+        # at k=3 the stop comes from the last level and leaves two levels of
+        # the search: the greedy seed covers 11 of 12, the 781st combo all
+        # 12, and a search that cannot stop (full above the point count)
+        # scores 2,420
+        pts = generate(12, 0.9 * math.sqrt(12), 1).points
+        res = most_points(pts, 3, prune=True)
+        assert res.covered.count == 12
+        assert res.stats.combos_evaluated == 781
+        points = point_arrays(pts)
+        _, words, _, counts = center_coverage_bits(
+            *candidate_centers(points), points, distinct=True
+        )
+        assert exact._enumerate_exact(words, counts, 3, True, 13)[2] == 2420
 
     def test_stats_invariant(self):
         rng = Xoshiro256StarStar(20)

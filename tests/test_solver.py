@@ -15,8 +15,8 @@ from diskcover import (
     solve,
     union_cover,
 )
-from diskcover.geometry import candidate_centers, point_arrays
-from diskcover.single_disk import _cover, anchor_table, best_placement
+from diskcover.geometry import candidate_centers, covered_mask, point_arrays
+from diskcover.single_disk import anchor_table, best_placement
 from diskcover.solver import NEIGHBOR_RADIUS, NEIGHBOR_EPS
 from diskcover.rng import Xoshiro256StarStar
 from diskcover import CoverageSet, Point, UnitDisk
@@ -118,7 +118,7 @@ class TestTableCover:
         table = anchor_table(point_arrays(pts))
 
         def cover(ds):
-            return CoverageSet.from_ids(table.points.ids[_cover(table, ds)])
+            return CoverageSet.from_ids(table.points.ids[covered_mask(table.points, ds)])
 
         for d in disks:
             assert cover([d]) == coverage(d, pts)
