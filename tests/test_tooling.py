@@ -132,7 +132,7 @@ def test_pyproject_declares_what_is_imported():
     tests_local = {PACKAGE} | {p.stem for p in (ROOT / "tests").glob("*.py")}
     assert third_party_imports(ROOT / "src" / PACKAGE, {PACKAGE}) <= runtime
     assert third_party_imports(ROOT / "tests", tests_local) <= testing
-    # np.bitwise_count, which the kernel and the packer call, is NumPy 2.0's
+    # the combination kernel calls np.bitwise_count, new in NumPy 2.0
     (numpy,) = [r for r in project["dependencies"] if re.match(r"numpy\b", r)]
     floor = re.search(r">=\s*([0-9.]+)", numpy).group(1)
     assert tuple(map(int, floor.split("."))) >= (2, 0), numpy
