@@ -6,10 +6,11 @@ The base revision's ``src/`` is exported with ``git archive`` into a
 temporary directory; the head is this checkout's ``src/``.  Both must have
 the library layout of ``7d5c532`` or later (``geometry.point_arrays``, a
 lazy ``single_disk.anchor_table`` and ``solver._greedy_step(table,
-covered)``).  Each repeat runs one child process per tree, base and head
-alternating, so a slow spell of a shared host falls on both.  A child times
-each row INNER times and reports the median; every figure is the median of
-those over the repeats.  Instances are ``generate(n, side, 101)`` unless a
+covered)``).  Each repeat runs one child process per tree, back to back,
+and the tree that runs first alternates from repeat to repeat, so a slow
+spell of a shared host, or a cost of running second, falls on both.  A
+child times each row INNER times and reports the median; every figure is
+the median of those over the repeats.  Instances are ``generate(n, side, 101)`` unless a
 row names another seed, timed after one warm-up ``solve`` on a small
 instance.  Rows:
 
@@ -31,11 +32,14 @@ instance.  Rows:
   dedup=False)`` for 300:20 seed 5 (the ``bench`` baseline column), ``solve``
   m=3 on dense 64:10, and ``most_points(pts, 2, dedup=True, prune=True)``
   on 5000:100 (the ``verify`` oracle);
-* ``--slow`` adds ``solve`` m=3 on 2000:40: 171,868,741 combos, which took
-  about 70 s a run with Python-int bitsets.
+* ``--slow`` adds ``solve`` m=3 on 2000:40: 171,868,741 combos, about
+  1.4 s a run with the packed kernel (``BENCH_7.json``).
 
 Each row also records what the call returned (coverage, and combos where the
-call counts them), so the two trees can be seen to agree.
+call counts them), so the two trees can be seen to agree.  ``speedup`` is
+the ratio of the two medians; ``paired_speedup`` is the median over the
+repeats of base ms / head ms within one repeat, whose two children ran back
+to back, so a slow spell of the host cancels out of each ratio.
 """
 
 from __future__ import annotations
@@ -172,7 +176,7 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument(
         "--slow", action="store_true",
-        help=f"also time solve m=3 on {SLOW_SIZE[0]}:{SLOW_SIZE[1]:g} (minutes per run at old revisions)",
+        help=f"also time solve m=3 on {SLOW_SIZE[0]}:{SLOW_SIZE[1]:g} (171,868,741 combos)",
     )
     parser.add_argument("--measure", help=argparse.SUPPRESS)
     args = parser.parse_args()
@@ -196,9 +200,11 @@ def main() -> None:
             tar.extractall(tmp, filter="data")
         trees = {"base": Path(tmp) / "src", "head": ROOT / "src"}
         runs = {name: [] for name in trees}
-        for _ in range(args.repeats):
-            for name, src in trees.items():
-                runs[name].append(_child(src, args.slow))
+        for repeat in range(args.repeats):
+            # the tree that runs first alternates, so that an effect of the
+            # order on this host falls on both trees alike
+            for name in ("base", "head") if repeat % 2 == 0 else ("head", "base"):
+                runs[name].append(_child(trees[name], args.slow))
 
     rows = {}
     for row in runs["base"][0]:
@@ -208,6 +214,9 @@ def main() -> None:
             result = {k: v for k, v in runs[name][0][row].items() if k != "ms"}
             entry[name] = {"median_ms": statistics.median(times), "runs_ms": times, **result}
         entry["speedup"] = entry["base"]["median_ms"] / entry["head"]["median_ms"]
+        entry["paired_speedup"] = statistics.median(
+            b / h for b, h in zip(entry["base"]["runs_ms"], entry["head"]["runs_ms"])
+        )
         rows[row] = entry
     report = {
         "description": __doc__.splitlines()[0],
@@ -217,7 +226,8 @@ def main() -> None:
         "repeats": args.repeats,
         "inner_repeats": INNER,
         "slow_rows": args.slow,
-        "statistic": "median over the repeats of each child's median",
+        "statistic": "median over the repeats of each child's median; paired_speedup: "
+        "median over the repeats of base / head within a repeat",
         "seed": SEED,
         "python": platform.python_version(),
         "numpy": numpy.__version__,
@@ -233,6 +243,7 @@ def main() -> None:
         print(
             f"{row:48s} base {entry['base']['median_ms']:9.1f} ms   "
             f"head {entry['head']['median_ms']:9.1f} ms   x{entry['speedup']:.2f}"
+            f"   paired x{entry['paired_speedup']:.2f}"
         )
 
 

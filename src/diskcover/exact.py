@@ -4,15 +4,17 @@ The search space is the finite candidate set of ``geometry.candidate_centers``
 (at most n^2 disks); the optimum over all k-subsets of candidates equals the
 optimum over arbitrary disk placements.  The candidates and their coverage
 read one ``geometry.PointArrays`` record of the input.  Each candidate's
-coverage is one row of uint64 words over the record's rows (local point
-ids), built from the points within 2 of the candidate's anchor, the point
-that generated it (``geometry.center_coverage_bits``, which also returns
-each row's count), so scoring a combination is an OR of rows and a popcount,
-and a block of combinations is scored by one numpy expression.  Every k,
-k=1 included, goes through the same enumeration, so this module is an
-oracle independent of the single-disk sweep.  The number of complete
-k-combinations scored is recorded: for k=2 it is exactly the "pairs of
-disks processed" cost metric the benchmark harness compares across solvers.
+coverage is one row of uint64 words with a bit per point, built from the
+points within 2 of the candidate's anchor, the point that generated it
+(``geometry.center_coverage_bits``, which also returns each row's count).
+Bit l stands for the point of rank l in x, so a disk's bits, and those of
+the nearby disks that follow it in center order, share one or two words.
+Scoring a combination is an OR of rows and a popcount, and a block of
+combinations is scored by a few numpy expressions.  Every k, k=1
+included, goes through the same enumeration, so this module is an oracle
+independent of the single-disk sweep.  The number of complete k-combinations
+scored is recorded: for k=2 it is exactly the "pairs of disks processed"
+cost metric the benchmark harness compares across solvers.
 
 Enumeration is lexicographic over candidates sorted by center, so stats and
 tie-breaks are reproducible.  Two optional reductions:
@@ -28,7 +30,9 @@ tie-breaks are reproducible.  Two optional reductions:
 
 Both searches score their combinations in blocks of at most BLOCK_WORDS
 words; a block reproduces, combination for combination, the counts and the
-first-maximum-wins order of scoring the combinations one at a time.
+first-maximum-wins order of scoring the combinations one at a time.  The
+unpruned search scores each pair exactly, but only on the words where the
+outer rows of its block have points outside the prefix's union.
 """
 
 from __future__ import annotations
@@ -79,27 +83,40 @@ def _union_counts(words: np.ndarray, union: np.ndarray, rows: np.ndarray) -> np.
     return out
 
 
-def _best_pair(cols: np.ndarray) -> tuple[int, tuple[int, int]]:
-    """Best pair j < t of the columns of a word-major matrix, first maximum wins.
+def _best_pair(
+    cols: np.ndarray, ncols: np.ndarray, union: np.ndarray, base: np.ndarray
+) -> tuple[int, tuple[int, int]]:
+    """Best pair j < t of the columns of a word-major matrix ORed with ``union``,
+    first maximum wins.
 
-    ``cols[w, j]`` is word w of row j.  A block scores a few outer rows j
-    against every later row t, word by word; entries with t <= j are masked,
-    so the row-major argmax of a block is its lexicographically first best
-    pair.  A row too long for one block is cut into column blocks instead,
-    which keeps the order.
+    ``cols[w, j]`` is word w of row j, ``ncols`` is ``~cols`` and ``base[t]``
+    is popcount(union | row t).  The union of a pair is the disjoint union
+    of union | row t and rest_j & ~row t, where rest_j = row j & ~union, so
+    its popcount is base[t] plus popcount(rest_j & ~row t), summed only over
+    the words in which some rest_j of the block is nonzero.  A block scores
+    a few outer rows j, from row a on, against every row t > a; a row too
+    long for one block is alone in its block and cut into column blocks,
+    which keeps the order.  No entry needs a mask: one with t < j scores as
+    (t, j), which comes first in the block, and one with t == j > a at most
+    as (a, j), so the row-major argmax of a block is its lexicographically
+    first best pair.
     """
     width, n = cols.shape
     span = max(1, BLOCK_WORDS // width)
     rows_per = max(1, span // n)
+    outside = ~union[:, None]
     best, pair = -1, (0, 1)
     for a in range(0, n - 1, rows_per):
         b = min(a + rows_per, n - 1)
+        rest = cols[:, a:b] & outside
+        touched = rest.any(axis=1).nonzero()[0].tolist()
         for c0 in range(a + 1, n, span):
             c1 = min(c0 + span, n)
-            score = np.bitwise_count(cols[0, a:b, None] | cols[0, None, c0:c1]).astype(np.int32)
-            for w in range(1, width):
-                score += np.bitwise_count(cols[w, a:b, None] | cols[w, None, c0:c1])
-            score[np.arange(c0, c1) <= np.arange(a, b)[:, None]] = -1
+            # with no word touched every row scores base, and its first
+            # maximum lies in row a
+            score = base[c0:c1]
+            for w in touched:
+                score = score + np.bitwise_count(rest[w, :, None] & ncols[w, None, c0:c1])
             flat = int(score.argmax())
             if score.flat[flat] > best:
                 j, t = divmod(flat, c1 - c0)
@@ -111,18 +128,25 @@ def _enumerate_all(words: np.ndarray, counts: np.ndarray, k: int) -> tuple[int, 
     """First maximum of all k-subsets in lexicographic order (k < len(words)).
 
     Each prefix of k - 2 rows, in lexicographic order, is followed by one
-    ``_best_pair`` over the rows after it, ORed with the prefix's union.
+    ``_best_pair`` over the rows after it, ORed with the prefix's union.  The
+    complement of the rows is built once; a prefix adds popcount(union &
+    ~row t) to each later row's count, over the words its union touches.
     """
     if k == 1:
         i = int(counts.argmax())
         return int(counts[i]), (i,)
     cols = np.ascontiguousarray(words.T)
+    ncols = ~cols
+    counts = counts.astype(np.int32)
     best, combo = -1, ()
     # a prefix leaves at least two rows after it
     for prefix in itertools.combinations(range(len(words) - 2), k - 2):
         pos = prefix[-1] + 1 if prefix else 0
         union = np.bitwise_or.reduce(cols[:, prefix], axis=1)
-        count, (j, t) = _best_pair(cols[:, pos:] | union[:, None])
+        base = counts[pos:]
+        for w in union.nonzero()[0].tolist():
+            base = base + np.bitwise_count(union[w] & ncols[w, pos:])
+        count, (j, t) = _best_pair(cols[:, pos:], ncols[:, pos:], union, base)
         if count > best:
             best, combo = count, prefix + (pos + j, pos + t)
     return best, combo

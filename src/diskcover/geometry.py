@@ -20,8 +20,9 @@ of its anchor, so coverage applies the predicate itself to the anchor and
 its neighbors: membership is bit for bit that of ``coverage``, while the
 work grows with the points near each anchor instead of with centers times
 points.  The coverage of many centers is returned packed, one row of uint64
-words per center over the record's rows, so a union is a row OR and a count
-a popcount.  A result is reported as a ``CoverageSet`` over point ids.
+words per center with a bit per point, the points ranked by x, so a union is
+a row OR and a count a popcount.  A result is reported as a ``CoverageSet``
+over point ids.
 """
 
 from __future__ import annotations
@@ -291,13 +292,15 @@ def center_coverage_bits(
     """Coverage of the unit disks centered at (cx[r], cy[r]), packed into words.
 
     Returns (rows, words, gids, counts).  ``words[t]`` is the coverage of
-    center ``rows[t]``: a row of uint64 words over the rows of ``points``
-    (local ids), in which local id ``l`` is bit ``l % 64`` of word ``l // 64``
-    and stands for the point id ``gids[l]``, that is ``points.ids``.  So a
-    row has ceil(len(gids) / 64) words whatever the magnitude of the ids,
-    and ``counts[t]`` (int64) is the number of points row t covers.  Without
-    ``distinct`` every center is a row; with it, only the first center of
-    each distinct coverage set, chosen before anything is packed.
+    center ``rows[t]``: a row of uint64 words with one bit per point, in
+    which bit ``l % 64`` of word ``l // 64`` stands for the point of rank
+    ``l`` in x (a stable sort of ``points.x``), whose id is ``gids[l]``.  So
+    a disk's bits, and those of disks with nearby centers, fall in one or
+    two adjacent words, and a row has ceil(len(gids) / 64) words whatever
+    the magnitude of the ids.  ``counts[t]`` (int64) is the number of
+    points row t covers.  Without ``distinct`` every center is a row; with
+    it, only the first center of each distinct coverage set, chosen before
+    anything is packed.
 
     ``anchor[r]`` is a row of ``points``: ``candidate_centers`` returns one
     per center, and any other disk may pass its nearest point.  The
@@ -306,7 +309,8 @@ def center_coverage_bits(
     predicate is applied, exactly as ``coverage`` writes it, to the anchor
     and its neighbors.
     """
-    gids = points.ids
+    by_x = np.argsort(points.x, kind="stable")
+    gids = points.ids[by_x]
     width = -(-len(gids) // 64)
     if not len(cx):
         empty = np.zeros(0, dtype=np.int64)
@@ -314,7 +318,9 @@ def center_coverage_bits(
     indptr, local = _coverage_rows(cx, cy, anchor, points)
     rows = _first_distinct_rows(indptr, local, len(gids)) if distinct else np.arange(len(cx))
     at, counts = _entries(indptr, rows)
-    col = local[at]
+    rank = np.empty(len(by_x), dtype=np.int64)
+    rank[by_x] = np.arange(len(by_x))
+    col = rank[local[at]]
     words = np.zeros((len(rows), width), dtype=np.uint64)
     # one scatter sets each covered point's bit in its row's word
     word = np.repeat(np.arange(len(rows)) * width, counts) + (col >> 6)
@@ -336,7 +342,7 @@ def _distinct_id_order(ids: np.ndarray) -> np.ndarray:
 def unpack_coverage(words: np.ndarray, gids: np.ndarray) -> CoverageSet:
     """The coverage set of one row of ``center_coverage_bits`` words.
 
-    ``gids`` maps the row's local ids to point ids, as returned with it.
+    ``gids`` maps the row's bits to point ids, as returned with it.
     """
     bits = np.unpackbits(words.astype("<u8").view(np.uint8), bitorder="little")
     return CoverageSet.from_ids(gids[bits[: len(gids)].astype(bool)])
@@ -396,32 +402,35 @@ def _first_distinct_rows(indptr: np.ndarray, ids: np.ndarray, n_ids: int) -> np.
     """Ascending indices of the first row of each distinct CSR row of ids below n_ids.
 
     A row's key is the wrapping sum of the keys of its ids.  Rows are grouped
-    by (length, key), in row order within a group, and each row is compared
-    entry by entry with its group's first row: an equal row is a repeat, and
-    the rows that differ (a key collision) are grouped again among
-    themselves until none do.
+    by key, in row order within a group, and each row is compared with its
+    group's first row: a row of another length differs, one of the same
+    length is compared entry by entry, and an equal row is a repeat.  The
+    rows that differ (a key collision) are grouped again among themselves
+    until none do.
     """
     lengths = indptr[1:] - indptr[:-1]
     sums = np.zeros(len(ids) + 1, dtype=np.uint64)
     np.cumsum(_id_keys(n_ids)[ids], out=sums[1:])
     keys = sums[indptr[1:]] - sums[indptr[:-1]]
-    pending = np.lexsort((keys, lengths))
-    key, length = keys[pending], lengths[pending]
+    pending = np.argsort(keys, kind="stable")
+    key = keys[pending]
     group = np.zeros(len(pending), dtype=np.int64)
-    np.cumsum((key[1:] != key[:-1]) | (length[1:] != length[:-1]), out=group[1:])
+    np.cumsum(key[1:] != key[:-1], out=group[1:])
     firsts = []
     while len(pending):
         leads = np.ones(len(pending), dtype=bool)
         leads[1:] = group[1:] != group[:-1]
         firsts.append(pending[leads])
-        # each other row against its group's first row, entry by entry
         others = ~leads
         rest = pending[others]
         lead = pending[leads][np.cumsum(leads)[others] - 1]
-        at, n_at = _entries(indptr, rest)
-        lead_at, _ = _entries(indptr, lead)
-        differs = ids[at] != ids[lead_at]
-        again = np.bincount(np.repeat(np.arange(len(rest)), n_at)[differs], minlength=len(rest)) > 0
+        # only rows as long as their group's first row are compared entry
+        # by entry, so that the two rows' entries line up
+        again = lengths[rest] != lengths[lead]
+        same = np.flatnonzero(~again)
+        at, n_at = _entries(indptr, rest[same])
+        lead_at, _ = _entries(indptr, lead[same])
+        again[np.repeat(same, n_at)[ids[at] != ids[lead_at]]] = True
         pending, group = rest[again], group[others][again]
     return np.sort(np.concatenate(firsts))
 

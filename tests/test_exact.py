@@ -182,6 +182,7 @@ def kernel_cases(pts, dedup):
     points = point_arrays(pts)
     cx, cy, anchor = candidate_centers(points)
     rows, words, gids, _ = center_coverage_bits(cx, cy, anchor, points, distinct=dedup)
+    assert sorted(gids.tolist()) == points.ids.tolist()
     bits = [coverage(UnitDisk(cx[r], cy[r]), pts).bits for r in rows.tolist()]
     assert [unpack_coverage(w, gids).bits for w in words] == bits
     for k in (1, 2, 3, 4):
@@ -190,13 +191,35 @@ def kernel_cases(pts, dedup):
             yield k, words[keep], [bits[i] for i in keep.tolist()]
 
 
+def assert_enumeration_matches(words, bits, k, full):
+    counts = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+    for prune in (False, True):
+        got = exact._enumerate_exact(words, counts, k, prune, full)
+        want = reference_enumerate(bits, [b.bit_count() for b in bits], k, prune, full)
+        assert got == want, (k, prune)
+        if not prune:
+            assert got[2] == math.comb(len(words), k)
+
+
 def assert_kernel_matches_reference(pts, dedup):
     for k, words, bits in kernel_cases(pts, dedup):
-        counts = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-        for prune in (False, True):
-            got = exact._enumerate_exact(words, counts, k, prune, len(pts))
-            want = reference_enumerate(bits, [b.bit_count() for b in bits], k, prune, len(pts))
-            assert got == want, (k, prune)
+        assert_enumeration_matches(words, bits, k, len(pts))
+
+
+def packed_rows(bits, width):
+    """The word matrix of Python-int bitsets, bit l in word l // 64."""
+    return np.array(
+        [[(b >> (64 * w)) & (2**64 - 1) for w in range(width)] for b in bits], dtype=np.uint64
+    ).reshape(len(bits), width)
+
+
+def x_clustered_points(n, seed):
+    """n points in 8 tight clusters strung along x, ids not in x order."""
+    rng = Xoshiro256StarStar(seed)
+    return [
+        Point(5.0 * (i % 8) + rng.uniform(0.0, 1.2), rng.uniform(0.0, 1.2), 2 * i + 1)
+        for i in range(n)
+    ]
 
 
 def word_boundary_points(n, seed, duplicates):
@@ -234,6 +257,58 @@ class TestKernelMatchesReference:
             for cols in (1, 24):
                 monkeypatch.setattr(exact, "BLOCK_WORDS", rows_per_block * cols * width)
                 assert_kernel_matches_reference(pts, dedup=True)
+
+    @pytest.mark.parametrize("rows_per_block", [1, 2, 3])
+    def test_zero_rows(self, monkeypatch, rows_per_block):
+        # rows with no points, alone and in runs, among rows spread over 3
+        # words; a zero row touches no word and adds nothing to any union
+        rng = Xoshiro256StarStar(41)
+        bits = [
+            0 if i in (0, 5, 6, 7, 13) else sum(1 << b for b in {rng.randint(0, 191) for _ in range(6)})
+            for i in range(16)
+        ]
+        words = packed_rows(bits, 3)
+        for cols in (1, len(bits)):
+            monkeypatch.setattr(exact, "BLOCK_WORDS", rows_per_block * cols * 3)
+            for k in (2, 3, 4):
+                assert_enumeration_matches(words, bits, k, 192)
+        zeros = [0] * 6
+        for k in (2, 3, 4):
+            assert_enumeration_matches(packed_rows(zeros, 2), zeros, k, 128)
+
+    @pytest.mark.parametrize("rows_per_block", [1, 2, 3])
+    def test_rows_inside_the_prefix_union(self, monkeypatch, rows_per_block):
+        # runs of a repeated row and of its subsets: at k = 3 and 4 a prefix
+        # through a run's first row has whole blocks of rows inside its
+        # union, which touch no word, and the first maximum must still win
+        a = (0b1011 << 60) | (0b11 << 130)
+        b = (1 << 70) | (1 << 71)
+        bits = [a, a, a, a, a & (2**64 - 1), b, b, b, a | b, 1 << 150, a, b, 0, 1 << 5, a]
+        words = packed_rows(bits, 3)
+        for cols in (1, len(bits)):
+            monkeypatch.setattr(exact, "BLOCK_WORDS", rows_per_block * cols * 3)
+            for k in (2, 3, 4):
+                assert_enumeration_matches(words, bits, k, 192)
+
+    @pytest.mark.parametrize("n", [129, 160, 200])
+    @pytest.mark.parametrize("rows_per_block", [1, 2, 3])
+    def test_x_clustered_blocks_touch_word_subsets(self, monkeypatch, n, rows_per_block):
+        # clusters apart in x own different words, so blocks of candidates
+        # (in center order) touch different subsets of the 3-4 words
+        pts = x_clustered_points(n, n)
+        width = -(-n // 64)
+        assert width >= 3
+        for dedup in (True, False):
+            for k, words, bits in kernel_cases(pts, dedup):
+                nonzero = words != 0
+                touched = {
+                    tuple(np.flatnonzero(nonzero[a : a + rows_per_block].any(axis=0)).tolist())
+                    for a in range(0, len(words), rows_per_block)
+                }
+                assert len(touched) > 1 and all(len(t) < width for t in touched), k
+                for cols in (1, 24):
+                    monkeypatch.setattr(exact, "BLOCK_WORDS", rows_per_block * cols * width)
+                    assert_enumeration_matches(words, bits, k, n)
 
 
 class TestMostPoints:

@@ -291,7 +291,7 @@ class TestDistinctRows:
     @given(point_sets(min_size=1))
     def test_matches_dict_reference_when_every_key_collides(self, pts):
         real = geometry._id_keys
-        # every id has key 0, so rows of equal length all share key 0
+        # every id has key 0, so every row, whatever its length, has key 0
         geometry._id_keys = lambda n: np.zeros(n, dtype=np.uint64)
         try:
             self.check(pts)

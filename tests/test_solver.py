@@ -240,6 +240,17 @@ class TestSolve:
                 == solve(pts, m, prune=False).covered.count
             )
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="ROADMAP item 1 step b: the sweep keeps pairs within 2 + PAIR_EPS, "
+        "while EPS_COVER lets a candidate cover points about 2 + 1e-9 apart",
+    )
+    def test_points_just_over_two_apart_match_the_enumeration(self):
+        # ids 1 and 2 are 2 + 1.2e-12 apart: the disk at (0, 0) covers all
+        # three under EPS_COVER, and the sweep, which drops that pair, finds 2
+        pts = [Point(0.0, 0.0, 0), Point(1.0000000000012, 0.0, 1), Point(-1.0, 0.0, 2)]
+        assert solve(pts, 1).covered.count == most_points(pts, 1, prune=True).covered.count
+
     def test_errors(self):
         with pytest.raises(ValueError):
             solve([], 1)
