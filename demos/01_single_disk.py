@@ -30,14 +30,15 @@ print(f"instance: {len(pts)} points uniform in [0, {SIDE:g}]^2")
 print()
 print(f"angular sweep : {swept.rho} points covered, "
       f"center ({disk.cx:.4f}, {disk.cy:.4f})")
-points = point_arrays(pts)    # coordinates, ids and neighbor pairs, read once
-table = anchor_table(points)
-print(f"the sweep's anchor table holds {len(table.anchor)} directed "
+points = point_arrays(pts)    # coordinates, ids and near lists, read once
+pairs = len(points.near) - len(pts)    # a near list holds its own point too
+print(f"the points' near lists hold {pairs} directed "
       f"neighbor pairs (vs n^2 = {len(pts)**2})")
 
+table = anchor_table(points)
 best_placement(table, np.zeros(len(pts), dtype=bool))    # the first disk
 print(f"the first disk swept {int(table.swept.sum())} of {len(pts)} anchors "
-      f"(all {len(table.anchor)} pairs fit in one sweep block)")
+      f"(all {pairs} pairs fit in one sweep block)")
 large = anchor_table(point_arrays(generate(n=5000, side=100.0, seed=2024).points))
 best_placement(large, np.zeros(5000, dtype=bool))
 print(f"on 5000 points in [0, 100]^2 it sweeps {int(large.swept.sum())} of 5000 "

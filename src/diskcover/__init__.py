@@ -2,7 +2,7 @@
 
 Library layout:
   geometry     points, disks, the one point record per call (coordinates,
-               ids, neighbor pairs), packed coverage words, the candidate set
+               ids, near lists), packed coverage words, the candidate set
   single_disk  exact single-disk optimum (angular sweep, one anchor table)
   exact        exact best-k disks by candidate enumeration
   solver       output-sensitive exact solver (greedy + neighborhood re-solve)

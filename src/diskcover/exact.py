@@ -306,11 +306,10 @@ def most_points(
     )
 
     if k >= len(rows):
-        # every candidate can be used; pad with the single best disk
-        xs, ys, count_list = cx[rows].tolist(), cy[rows].tolist(), counts.tolist()
-        best_single = min(range(len(rows)), key=lambda i: (-count_list[i], xs[i], ys[i]))
-        chosen = [UnitDisk(x, y) for x, y in zip(xs, ys)]
-        chosen += [chosen[best_single]] * (k - len(rows))
+        # every candidate can be used; pad with the single best disk, the
+        # first maximum in center order
+        chosen = [UnitDisk(x, y) for x, y in zip(cx[rows].tolist(), cy[rows].tolist())]
+        chosen += [chosen[int(counts.argmax())]] * (k - len(rows))
         stats.combos_evaluated = 1
         return MultiDiskResult(chosen, unpack_coverage(np.bitwise_or.reduce(words), gids), stats)
 

@@ -7,9 +7,10 @@ their boundary.
 
 The solvers read a point list through one record per call, ``PointArrays``
 from ``point_arrays``: coordinates and ids in id order, and each point's
-neighbors within REACH from the only KD-tree query.  It refuses repeated
-ids, so a count of rows is a count of ids.  The sweep, the candidates and
-the coverage join filter its pairs by their own rules.  ``covers`` and
+near list, the points within REACH of it, from the only KD-tree query and
+the only sort of pair keys.  It refuses repeated ids, so a count of rows is
+a count of ids.  The sweep, the candidates and the coverage join all read
+the near lists, each with its own filter.  ``covers`` and
 ``coverage``, the reference predicate and loop, take any point list;
 ``covered_mask`` applies the predicate to a record's rows.
 
@@ -48,11 +49,11 @@ PAIR_EPS = 1e-12
 # Candidate centers closer than this (per coordinate) are duplicates.
 CENTER_DEDUP_EPS = 1e-12
 
-# Pair radius of ``PointArrays``: it holds the sweep's and the candidates'
-# pairs (within 2 + PAIR_EPS) and every point a center covers when its
-# anchor is covered too, which the predicate allows within about 2 + 1e-9
-# (sqrt(1 + EPS_COVER) to each).  The tree's distances differ from the
-# predicate's only by rounding, about 1e-16 times the coordinates.
+# Near-list radius of ``PointArrays``: the lists hold the sweep's and the
+# candidates' pairs (within 2 + PAIR_EPS) and every point a center covers
+# when its anchor is covered too, which the predicate allows within about
+# 2 + 1e-9 (sqrt(1 + EPS_COVER) to each).  The tree's distances differ
+# from the predicate's only by rounding, about 1e-16 times the coordinates.
 REACH = 2.0 + 2e-6
 
 # Centers joined with their anchors' near lists at once, so that the
@@ -158,12 +159,15 @@ def coverage(d: UnitDisk, pts: Sequence[Point]) -> CoverageSet:
 
 @dataclass(frozen=True)
 class PointArrays:
-    """One point list as arrays, in id order, with its neighbor pairs.
+    """One point list as arrays, in id order, with each row's near list.
 
     Row r is the point of the r-th least id: ``ids`` ascend and ``x``, ``y``
-    are the rows' coordinates, so a row is a point's local id.  ``pairs``
-    holds one row pair (i, j), i < j, for every two points within REACH of
-    each other (duplicates included), in KD-tree order.
+    are the rows' coordinates, so a row is a point's local id.  Row r's near
+    list is every row within REACH of it, r itself and duplicates included,
+    in ascending order: entries ``near_ptr[r]`` to ``near_ptr[r + 1]`` of
+    ``near``, and ``near_row`` is r at each of them.  So no list is empty,
+    its length is 1 + the row's neighbors, and the entries with
+    ``near_row < near`` are each pair of neighbors once.
 
     Coordinates are used as given, and EPS_COVER is an absolute slack on the
     squared distance, so exactness holds only while the coordinates are
@@ -175,7 +179,9 @@ class PointArrays:
     x: np.ndarray
     y: np.ndarray
     ids: np.ndarray
-    pairs: np.ndarray
+    near_ptr: np.ndarray
+    near_row: np.ndarray
+    near: np.ndarray
 
 
 def point_arrays(pts: Sequence[Point]) -> PointArrays:
@@ -187,10 +193,15 @@ def point_arrays(pts: Sequence[Point]) -> PointArrays:
     x = np.array([p.x for p in pts], dtype=np.float64)[by_id]
     y = np.array([p.y for p in pts], dtype=np.float64)[by_id]
     # a sliding-midpoint tree builds faster than a median-split one
-    pairs = cKDTree(np.column_stack([x, y]), balanced_tree=False).query_pairs(
+    i, j = cKDTree(np.column_stack([x, y]), balanced_tree=False).query_pairs(
         r=REACH, output_type="ndarray"
-    ).reshape(-1, 2)
-    return PointArrays(x, y, ids[by_id], pairs)
+    ).reshape(-1, 2).T
+    # both directions of every pair and each row itself: one sort of row * n + neighbor
+    n, own = len(x), np.arange(len(x))
+    key = np.sort(np.concatenate((i, j, own)) * n + np.concatenate((j, i, own)))
+    near_row = key // n
+    near_ptr = np.concatenate(([0], np.cumsum(np.bincount(near_row, minlength=n))))
+    return PointArrays(x, y, ids[by_id], near_ptr, near_row, key - near_row * n)
 
 
 def covered_mask(
@@ -236,7 +247,8 @@ def candidate_centers(points: PointArrays) -> tuple[np.ndarray, np.ndarray, np.n
     ``center_coverage_bits`` relies on.
     """
     xs, ys = points.x, points.y
-    a, b = points.pairs[:, 0], points.pairs[:, 1]
+    pair = points.near_row < points.near
+    a, b = points.near_row[pair], points.near[pair]
     ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
     dx, dy = bx - ax, by - ay
     d2 = dx * dx + dy * dy
@@ -317,7 +329,7 @@ def center_coverage_bits(
         return empty, np.zeros((0, width), dtype=np.uint64), gids, empty
     indptr, local = _coverage_rows(cx, cy, anchor, points)
     rows = _first_distinct_rows(indptr, local, len(gids)) if distinct else np.arange(len(cx))
-    at, counts = _entries(indptr, rows)
+    at, counts = csr_entries(indptr, rows)
     rank = np.empty(len(by_x), dtype=np.int64)
     rank[by_x] = np.arange(len(by_x))
     col = rank[local[at]]
@@ -348,7 +360,7 @@ def unpack_coverage(words: np.ndarray, gids: np.ndarray) -> CoverageSet:
     return CoverageSet.from_ids(gids[bits[: len(gids)].astype(bool)])
 
 
-def _entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def csr_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions of the entries of CSR ``rows``, row after row, and the row lengths."""
     lengths = indptr[rows + 1] - indptr[rows]
     skip = np.repeat(indptr[rows] - (np.cumsum(lengths) - lengths), lengths)
@@ -365,19 +377,11 @@ def _coverage_rows(
     neighbors, a block of centers at a time.  ``cols`` are rows of
     ``points``, ascending within a row, as in the near lists.
     """
-    # each point's near list: itself and its pairs' other rows, ascending
-    n = len(points.ids)
-    own = np.arange(n)
-    src = np.concatenate((points.pairs[:, 0], points.pairs[:, 1], own))
-    dst = np.concatenate((points.pairs[:, 1], points.pairs[:, 0], own))
-    near_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=n), out=near_ptr[1:])
-    near = dst[np.argsort(src * n + dst)]
     lengths = np.empty(len(cx), dtype=np.int64)
     parts = []
     for lo in range(0, len(cx), BLOCK_ROWS):
-        at, n_near = _entries(near_ptr, anchor[lo : lo + BLOCK_ROWS])
-        col = near[at]
+        at, n_near = csr_entries(points.near_ptr, anchor[lo : lo + BLOCK_ROWS])
+        col = points.near[at]
         dx = points.x[col] - np.repeat(cx[lo : lo + BLOCK_ROWS], n_near)
         dy = points.y[col] - np.repeat(cy[lo : lo + BLOCK_ROWS], n_near)
         hit = dx * dx + dy * dy <= 1.0 + EPS_COVER
@@ -428,8 +432,8 @@ def _first_distinct_rows(indptr: np.ndarray, ids: np.ndarray, n_ids: int) -> np.
         # by entry, so that the two rows' entries line up
         again = lengths[rest] != lengths[lead]
         same = np.flatnonzero(~again)
-        at, n_at = _entries(indptr, rest[same])
-        lead_at, _ = _entries(indptr, lead[same])
+        at, n_at = csr_entries(indptr, rest[same])
+        lead_at, _ = csr_entries(indptr, lead[same])
         again[np.repeat(same, n_at)[ids[at] != ids[lead_at]]] = True
         pending, group = rest[again], group[others][again]
     return np.sort(np.concatenate(firsts))

@@ -4,25 +4,27 @@ An optimal disk can be translated until some covered point lies on its
 boundary, so it suffices to anchor each point p on the boundary,
 parameterize the center on the unit circle around p, and sweep the arcs
 contributed by neighbors within distance 2 (Chazelle & Lee, 1986).  The
-neighbors come from the pairs of the instance's ``PointArrays`` record, so
-each anchor only sees the points that a unit disk through it can reach:
-O(rho) of them by packing, where rho is the optimum.
+neighbors come from the anchor's near list in the instance's
+``PointArrays`` record, the other points of it within 2 + PAIR_EPS, so each
+anchor only sees the points that a unit disk through it can reach: O(rho)
+of them by packing, where rho is the optimum.
 
-``anchor_table`` keeps the record's pairs within 2 + PAIR_EPS and, per
-anchor, its best placement ``(count, cx, cy)``.  An anchor with d neighbors
-covers at most d + 1 points, so each entry starts as that upper bound and
-the table fills as ``best_placement`` asks: it sweeps anchors on numpy
-arrays, in blocks taken in bound-descending order, and stops at the first
-block whose bound is below the best count found so far.  On sparse input
-most anchors' bound is below rho and they are never swept.  Covered points
-are a boolean mask over the record's rows, as ``geometry.covered_mask``
-gives it for a list of disks; the record's ids are distinct, so a count of
-rows is a count of point ids.
+``anchor_table`` keeps, per anchor, its best placement ``(count, cx, cy)``.
+An anchor covers at most the points of its near list, so each entry starts
+at that list's length, an upper bound, and the table fills as
+``best_placement`` asks: it sweeps anchors on numpy arrays, in blocks taken
+in bound-descending order, and stops at the first block whose bound is
+below the best count found so far.  On sparse input most anchors' bound is
+below rho and they are never swept.  Covered points are a boolean mask over
+the record's rows, as ``geometry.covered_mask`` gives it for a list of
+disks; the record's ids are distinct, so a count of rows is a count of
+point ids.
 
 ``best_placement`` answers "the best disk on the points outside
 ``covered``".  Removing points changes the entry of an anchor only if one of
 its neighbors is removed, so a swept anchor with no covered neighbor reads
-its entry from the table.  Every other uncovered anchor is bounded by one
+its entry from the table; near lists are symmetric, so the covered points'
+own lists find the anchors that lost one.  Every other uncovered anchor is bounded by one
 more than its uncovered neighbors, and is swept over those neighbors when
 that bound reaches the best.  Only a sweep over all of an anchor's
 neighbors is stored, so the table always describes the full instance and
@@ -35,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from .geometry import PAIR_EPS, PointArrays, UnitDisk
+from .geometry import PAIR_EPS, PointArrays, UnitDisk, csr_entries
 
 TWO_PI = 2.0 * math.pi
 
@@ -46,22 +48,18 @@ SWEEP_BLOCK = 4096
 
 @dataclass(frozen=True)
 class AnchorTable:
-    """One instance's neighbor pairs and each anchor's best, filled lazily.
+    """Each anchor's best placement on one instance, filled lazily.
 
-    ``points`` is the instance's record.  Arrays are indexed by its rows
-    (``count``, ``cx``, ``cy``, ``swept``) or by directed neighbor pair
-    (``anchor``, ``neighbor``).  Pairs are ordered by anchor, and anchor
-    ``a``'s pairs are ``offset[a]`` to ``offset[a + 1]``.  For a ``swept``
-    anchor, ``count`` is the most points a disk with the anchor on its
-    boundary covers, and ``(cx, cy)`` the smallest such center.  For any
-    other anchor, ``count`` is the upper bound 1 + its number of neighbors,
-    duplicates included, and ``(cx, cy)`` is the anchor itself.
+    ``points`` is the instance's record, whose near lists hold each anchor's
+    neighbors.  ``count``, ``cx``, ``cy`` and ``swept`` are indexed by its
+    rows.  For a ``swept`` anchor, ``count`` is the most points a disk with
+    the anchor on its boundary covers, and ``(cx, cy)`` the smallest such
+    center.  For any other anchor, ``count`` is an upper bound, the length
+    of its near list (1 + its neighbors within REACH, duplicates included),
+    and ``(cx, cy)`` is the anchor itself.
     """
 
     points: PointArrays
-    anchor: np.ndarray
-    neighbor: np.ndarray
-    offset: np.ndarray
     count: np.ndarray
     cx: np.ndarray
     cy: np.ndarray
@@ -80,39 +78,30 @@ def _math_map(fn, *arrays: np.ndarray) -> np.ndarray:
 
 
 def anchor_table(points: PointArrays) -> AnchorTable:
-    """The neighbor pairs of ``points``, with every entry at its upper bound.
+    """The table of ``points``, with every entry at its upper bound.
 
     ``best_placement`` sweeps the anchors it needs.
     """
-    x, y = points.x, points.y
-    i, j = points.pairs[:, 0], points.pairs[:, 1]
-    near = (x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2 <= (2.0 + PAIR_EPS) ** 2
-    i, j = i[near], j[near]
-    # directed pairs by anchor, then neighbor: one sort of anchor * n + neighbor
-    n = len(x)
-    key = np.concatenate([i, j]) * n + np.concatenate([j, i])
-    anchor, neighbor = np.divmod(np.sort(key), n)
-    offset = np.searchsorted(anchor, np.arange(n + 1))
     return AnchorTable(
-        points, anchor, neighbor, offset,
-        count=np.diff(offset) + 1,
-        cx=x.copy(),
-        cy=y.copy(),
-        swept=np.zeros(n, dtype=bool),
+        points,
+        count=np.diff(points.near_ptr),
+        cx=points.x.copy(),
+        cy=points.y.copy(),
+        swept=np.zeros(len(points.x), dtype=bool),
     )
 
 
-def _arcs(table: AnchorTable, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(dup, start, end)`` of each pair in ``pairs``.
+def _arcs(points: PointArrays, at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(dup, start, end)`` of the near-list entries ``at``, (anchor, neighbor) pairs.
 
     A pair's arc is the closed range of angles, from ``start`` to ``end`` and
     wrapping past 0 when ``start > end``, at which a center on the unit
     circle around the anchor also covers the neighbor; a duplicate (``dup``)
     is covered from every angle.
     """
-    x, y = table.points.x, table.points.y
-    dx = x[table.neighbor[pairs]] - x[table.anchor[pairs]]
-    dy = y[table.neighbor[pairs]] - y[table.anchor[pairs]]
+    x, y = points.x, points.y
+    dx = x[points.near[at]] - x[points.near_row[at]]
+    dy = y[points.near[at]] - y[points.near_row[at]]
     # each direction of a pair takes its own differences: negating one would
     # turn +0.0 into -0.0 and atan2(+0.0, -1) = pi into atan2(-0.0, -1) = -pi.
     # hypot takes absolute values, so both directions get the same distance
@@ -127,16 +116,18 @@ def _sweep_anchors(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``_sweep`` of ``anchors`` over their neighbors inside the mask ``live``.
 
-    The entry of an anchor with no neighbor outside ``live`` is its sweep
-    over the full instance, and is stored in the table.
+    An anchor's neighbors are the other points of its near list within
+    2 + PAIR_EPS.  The entry of an anchor with no neighbor outside ``live``
+    is its sweep over the full instance, and is stored in the table.
     """
-    # each anchor's pairs, offset[a] to offset[a + 1], one run after another
-    lo = table.offset[anchors]
-    size = table.offset[anchors + 1] - lo
-    pairs = np.repeat(lo - np.cumsum(size) + size, size) + np.arange(size.sum())
-    kept = live[table.neighbor[pairs]]
-    lost = np.bincount(table.anchor[pairs[~kept]], minlength=len(live))
-    swept = _sweep(table, pairs[kept])
+    points = table.points
+    x, y = points.x, points.y
+    at, _ = csr_entries(points.near_ptr, anchors)
+    i, j = points.near_row[at], points.near[at]
+    at = at[(i != j) & ((x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2 <= (2.0 + PAIR_EPS) ** 2)]
+    kept = live[points.near[at]]
+    lost = np.bincount(points.near_row[at[~kept]], minlength=len(live))
+    swept = _sweep(points, at[kept])
     full = anchors[lost[anchors] == 0]
     for column, new in zip((table.count, table.cx, table.cy), swept):
         column[full] = new[full]
@@ -144,8 +135,8 @@ def _sweep_anchors(
     return swept
 
 
-def _sweep(table: AnchorTable, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best ``(count, cx, cy)`` of every anchor over the pairs ``pairs`` lists.
+def _sweep(points: PointArrays, at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best ``(count, cx, cy)`` of every anchor over the near-list entries ``at``.
 
     Each anchor's arc endpoints are sorted by angle, starts before ends at
     equal angle (closed arcs), and the depth after a start is the number of
@@ -156,9 +147,9 @@ def _sweep(table: AnchorTable, pairs: np.ndarray) -> tuple[np.ndarray, np.ndarra
     itself.  Every arc adds +1 and -1 to the depth, so one running sum over
     all anchors' events resets to zero between anchors.
     """
-    x, y = table.points.x, table.points.y
-    anchor = table.anchor[pairs]
-    dup, start, end = _arcs(table, pairs)
+    x, y = points.x, points.y
+    anchor = points.near_row[at]
+    dup, start, end = _arcs(points, at)
     n = len(x)
     count = 1 + np.bincount(anchor[dup], minlength=n)
     cx, cy = x.copy(), y.copy()
@@ -220,17 +211,18 @@ def best_placement(table: AnchorTable, covered: np.ndarray) -> tuple[int, UnitDi
     live = ~covered
     if not live.any():
         return None
-    n = len(live)
-    live_pair = live[table.neighbor]
-    # a swept uncovered anchor that loses no neighbor keeps its entry; every
-    # other uncovered anchor covers at most 1 + its uncovered neighbors
-    lost = np.zeros(n, dtype=bool)
-    lost[table.anchor[~live_pair]] = True
-    known = table.swept & live & ~lost
+    # near lists are symmetric, so the covered points' lists count the
+    # covered points of every list.  A swept anchor whose list holds none
+    # keeps its entry (a covered one's list holds itself); any other
+    # uncovered anchor covers at most 1 + its uncovered neighbors
+    ptr = table.points.near_ptr
+    at, _ = csr_entries(ptr, np.flatnonzero(covered))
+    lost = np.bincount(table.points.near[at], minlength=len(live))
+    bound = np.diff(ptr) - lost
+    known = table.swept & (lost == 0)
     count = np.where(known, table.count, 0)
     cx, cy = table.cx.copy(), table.cy.copy()
     best = count.max()
-    bound = 1 + np.bincount(table.anchor[live_pair], minlength=n)
     todo = np.flatnonzero(live & ~known & (bound >= best))
     todo = todo[np.argsort(-bound[todo], kind="stable")]
     # blocks of about SWEEP_BLOCK pairs, in bound-descending order.  An

@@ -1,11 +1,15 @@
 """Shared helpers for building point sets in tests."""
 
+import math
+
+import numpy as np
 import pytest
 from hypothesis import settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from diskcover import Point, UnitDisk
-from diskcover.geometry import candidate_centers, point_arrays
+from diskcover.geometry import CENTER_DEDUP_EPS, PAIR_EPS, candidate_centers, point_arrays
 from diskcover.rng import Xoshiro256StarStar
 
 # Property tests draw the same examples on every run and have no per-example
@@ -23,6 +27,46 @@ def candidates(pts):
     """The candidate disks of ``pts``, in ``candidate_centers`` order."""
     cx, cy, _ = candidate_centers(point_arrays(pts))
     return [UnitDisk(x, y) for x, y in zip(cx.tolist(), cy.tolist())]
+
+
+def reference_candidate_centers(pts):
+    """Oracle: the per-pair loop that defines the candidate centers.
+
+    Point centers, then two centers per KD-tree pair (one at the midpoint
+    when the distance is 2 within PAIR_EPS), sorted, each merged into the
+    last kept center when within CENTER_DEDUP_EPS of it per coordinate.
+    """
+    centers = [(p.x, p.y) for p in pts]
+    if len(pts) >= 2:
+        coords = np.array([[p.x, p.y] for p in pts])
+        pairs = cKDTree(coords).query_pairs(r=2.0 + 1e-9, output_type="ndarray")
+        for i, j in pairs:
+            ax, ay = pts[i].x, pts[i].y
+            bx, by = pts[j].x, pts[j].y
+            dx, dy = bx - ax, by - ay
+            d2 = dx * dx + dy * dy
+            d = math.sqrt(d2)
+            if d <= PAIR_EPS or d > 2.0 + PAIR_EPS:
+                continue
+            mx, my = (ax + bx) / 2.0, (ay + by) / 2.0
+            if abs(d - 2.0) <= PAIR_EPS:
+                centers.append((mx, my))
+                continue
+            h = math.sqrt(max(1.0 - d2 / 4.0, 0.0))
+            ux, uy = dx / d, dy / d
+            centers.append((mx - h * uy, my + h * ux))
+            centers.append((mx + h * uy, my - h * ux))
+    centers.sort()
+    kept = []
+    for c in centers:
+        if (
+            kept
+            and abs(c[0] - kept[-1][0]) <= CENTER_DEDUP_EPS
+            and abs(c[1] - kept[-1][1]) <= CENTER_DEDUP_EPS
+        ):
+            continue
+        kept.append(c)
+    return kept
 
 
 def uniform_points(seed, n, lo, hi):

@@ -7,11 +7,15 @@ Every tolerance is pinned here; nothing is deferred to later calibration.
 import math
 import statistics
 
+import numpy as np
 import pytest
+from scipy.optimize import Bounds, LinearConstraint, milp
 
 from diskcover import (
     CoverageSet,
+    UnitDisk,
     bench,
+    covers,
     exclusive_cover,
     generate,
     greedy_solve,
@@ -29,7 +33,7 @@ from diskcover.geometry import (
 from diskcover.harness import TIMING_FIELDS
 from diskcover.rng import Xoshiro256StarStar
 
-from conftest import uniform_points
+from conftest import reference_candidate_centers, uniform_points
 
 SMALL_CORPUS_SIZE = 500
 SMALL_CORPUS_SEED = 20240901
@@ -37,6 +41,9 @@ SMALL_CORPUS_SEED = 20240901
 REFERENCE_CONFIGS = [(1000, 200.0), (1000, 100.0), (500, 100.0)]
 BENCH_SEEDS = [101, 102, 103, 104, 105]
 SIDE200_MIN_RATIO = 5.0
+
+MILP_CORPUS_SIZE = 40
+MILP_CORPUS_SEED = 9
 
 
 def _verdict(num: int, ok: bool, text: str) -> None:
@@ -220,3 +227,62 @@ def test_criterion_8_bench_determinism(tmp_path):
     same = strip_timing(p1) == strip_timing(p2)
     _verdict(8, same, "repeated bench runs emit identical CSV (timing columns excluded)")
     assert same
+
+
+def _recount(disks, pts):
+    """Points covered by some disk, counted by the reference predicate."""
+    return sum(any(covers(d, p) for d in disks) for p in pts)
+
+
+def _milp_optimum(pts, m):
+    """(recount, bound): a HiGHS solution of the max-coverage MILP over the
+    reference candidate set, recounted by ``covers``, and HiGHS's bound.
+
+    Binary x_c per candidate with sum x <= m, y_p in [0, 1] with
+    y_p <= sum of the x_c whose disk covers p; maximize sum y.
+    """
+    disks = [UnitDisk(x, y) for x, y in reference_candidate_centers(pts)]
+    n_c, n_p = len(disks), len(pts)
+    cover = np.array([[covers(d, p) for d in disks] for p in pts], dtype=np.float64)
+    budget = np.concatenate([np.ones(n_c), np.zeros(n_p)])[None, :]
+    rows = np.vstack([budget, np.hstack([-cover, np.eye(n_p)])])
+    res = milp(
+        np.concatenate([np.zeros(n_c), -np.ones(n_p)]),
+        constraints=LinearConstraint(rows, -np.inf, np.concatenate([[m], np.zeros(n_p)])),
+        integrality=np.concatenate([np.ones(n_c), np.zeros(n_p)]),
+        bounds=Bounds(0.0, 1.0),
+        options={"mip_rel_gap": 0.0},
+    )
+    assert res.success, res.message
+    chosen = [d for d, v in zip(disks, res.x[:n_c]) if v > 0.5]
+    assert len(chosen) <= m
+    return _recount(chosen, pts), -res.mip_dual_bound
+
+
+def test_criterion_9_solver_matches_milp_optimum():
+    # an oracle that shares no code with ``solve`` or ``most_points``: the
+    # reference candidate loop, ``covers`` and scipy's HiGHS.  Dense squares
+    # (side 4 to 7) and sparse ones (side sqrt(n) to 3 sqrt(n)) alternate
+    rng = Xoshiro256StarStar(MILP_CORPUS_SEED)
+    bad = []
+    for i in range(MILP_CORPUS_SIZE):
+        n = rng.randint(8, 40)
+        m = rng.randint(4, 6)
+        side = rng.uniform(4.0, 7.0) if i % 2 == 0 else rng.uniform(math.sqrt(n), 3 * math.sqrt(n))
+        seed = rng.next_u64()
+        pts = generate(n, side, seed).points
+        recount, bound = _milp_optimum(pts, m)
+        sol = solve(pts, m, prune=True)
+        if (
+            abs(bound - recount) > 1e-6
+            or sol.covered.count != recount
+            or _recount(sol.disks, pts) != recount
+        ):
+            bad.append((n, side, seed, m, sol.covered.count, recount, bound))
+    _verdict(
+        9,
+        not bad,
+        f"solve(prune=True) == certified MILP optimum on {MILP_CORPUS_SIZE} instances "
+        "(n in [8,40], m in 4..6, dense and sparse)",
+    )
+    assert not bad, bad[:5]

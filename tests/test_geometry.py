@@ -21,9 +21,7 @@ from diskcover import (
 )
 from diskcover import geometry
 from diskcover.geometry import (
-    CENTER_DEDUP_EPS,
     EPS_COVER,
-    PAIR_EPS,
     REACH,
     candidate_centers,
     center_coverage_bits,
@@ -32,7 +30,13 @@ from diskcover.geometry import (
 )
 from diskcover.rng import Xoshiro256StarStar
 
-from conftest import candidates, make_points, point_sets, uniform_points
+from conftest import (
+    candidates,
+    make_points,
+    point_sets,
+    reference_candidate_centers,
+    uniform_points,
+)
 
 
 def nearest_anchors(cx, cy, points):
@@ -60,46 +64,6 @@ def packed_bits(disks, pts):
     cx = np.array([d.cx for d in disks], dtype=np.float64)
     cy = np.array([d.cy for d in disks], dtype=np.float64)
     return coverage_rows(cx, cy, nearest_anchors(cx, cy, points), points)[1]
-
-
-def reference_candidate_centers(pts):
-    """Oracle: the per-pair loop that defines the candidate centers.
-
-    Point centers, then two centers per KD-tree pair (one at the midpoint
-    when the distance is 2 within PAIR_EPS), sorted, each merged into the
-    last kept center when within CENTER_DEDUP_EPS of it per coordinate.
-    """
-    centers = [(p.x, p.y) for p in pts]
-    if len(pts) >= 2:
-        coords = np.array([[p.x, p.y] for p in pts])
-        pairs = cKDTree(coords).query_pairs(r=2.0 + 1e-9, output_type="ndarray")
-        for i, j in pairs:
-            ax, ay = pts[i].x, pts[i].y
-            bx, by = pts[j].x, pts[j].y
-            dx, dy = bx - ax, by - ay
-            d2 = dx * dx + dy * dy
-            d = math.sqrt(d2)
-            if d <= PAIR_EPS or d > 2.0 + PAIR_EPS:
-                continue
-            mx, my = (ax + bx) / 2.0, (ay + by) / 2.0
-            if abs(d - 2.0) <= PAIR_EPS:
-                centers.append((mx, my))
-                continue
-            h = math.sqrt(max(1.0 - d2 / 4.0, 0.0))
-            ux, uy = dx / d, dy / d
-            centers.append((mx - h * uy, my + h * ux))
-            centers.append((mx + h * uy, my - h * ux))
-    centers.sort()
-    kept = []
-    for c in centers:
-        if (
-            kept
-            and abs(c[0] - kept[-1][0]) <= CENTER_DEDUP_EPS
-            and abs(c[1] - kept[-1][1]) <= CENTER_DEDUP_EPS
-        ):
-            continue
-        kept.append(c)
-    return kept
 
 
 def exact_floats(centers):
@@ -196,24 +160,25 @@ class TestCoverage:
 
 
 class TestPointArrays:
-    """The one record every layer reads: rows in id order, and every pair
-    of rows within REACH once."""
+    """The one record every layer reads: rows in id order, and each row's
+    near list of the rows within REACH."""
 
     @given(point_sets(min_size=1))
-    def test_rows_and_pairs_match_brute_force(self, pts):
+    def test_rows_and_near_lists_match_brute_force(self, pts):
         points = point_arrays(pts)
         by_id = sorted(pts, key=lambda p: p.idx)
         assert points.ids.tolist() == [p.idx for p in by_id]
         assert points.x.tolist() == [p.x for p in by_id]
         assert points.y.tolist() == [p.y for p in by_id]
+        # each row's near list: every row within REACH, itself included, ascending
         expected = [
-            (r, s)
-            for r, p in enumerate(by_id)
-            for s, q in enumerate(by_id)
-            if r < s and (p.x - q.x) ** 2 + (p.y - q.y) ** 2 <= REACH**2
+            [s for s, q in enumerate(by_id) if (p.x - q.x) ** 2 + (p.y - q.y) ** 2 <= REACH**2]
+            for p in by_id
         ]
-        assert points.pairs.shape == (len(expected), 2)
-        assert sorted(map(tuple, points.pairs.tolist())) == expected
+        ptr = points.near_ptr.tolist()
+        assert ptr[0] == 0 and ptr[-1] == len(points.near) == len(points.near_row)
+        assert [points.near[lo:hi].tolist() for lo, hi in zip(ptr, ptr[1:])] == expected
+        assert points.near_row.tolist() == [r for r, near in enumerate(expected) for _ in near]
 
     def test_refuses_empty_and_repeated_ids(self):
         with pytest.raises(ValueError, match="^a point list must be non-empty$"):

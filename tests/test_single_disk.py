@@ -182,6 +182,19 @@ class TestSweep:
             pts = uniform_points(seed, 35, 0.0, 4.0)
             assert solve(pts, 1).rho == brute_force_rho(pts)
 
+    def test_pair_inside_reach_but_beyond_the_sweep(self):
+        # 2 + 1e-7 apart: within REACH, so each point is in the other's near
+        # list and bounds its entry, but beyond the sweep's 2 + PAIR_EPS, so
+        # no single disk covers both
+        pts = make_points([(0.0, 0.0), (2.0 + 1e-7, 0.0)])
+        table = table_of(pts)
+        assert table.points.near.tolist() == [0, 1, 0, 1]
+        assert table.count.tolist() == [2, 2]
+        assert best_placement(table, np.zeros(2, dtype=bool))[0] == 1
+        assert table.swept.all() and table.count.tolist() == [1, 1]
+        assert solve(pts, 1).rho == 1
+        assert solve(pts, 2).covered.count == 2
+
     def test_singleton_fallback_lexicographic(self):
         for coords in ([(4, 4), (0, 0), (9, 1)], [(0, 0)]):
             res = solve(make_points(coords), 1)
@@ -220,7 +233,8 @@ class TestAnchorTableMatchesReferenceSweep:
         pts = generate(2000, 40.0, 101).points
         entries = reference_entries(pts)
         table = table_of(pts)
-        assert len(table.anchor) > 4 * single_disk.SWEEP_BLOCK
+        # the directed neighbor pairs: every near-list entry but the row itself
+        assert len(table.points.near) - len(pts) > 4 * single_disk.SWEEP_BLOCK
         assert table_choice(table) == exact_bits(*reference_sweep(pts))
         check_lazy_entries(table, entries)
         sweep_every_anchor(table)
