@@ -24,11 +24,11 @@ point ids.
 ``covered``".  Removing points changes the entry of an anchor only if one of
 its neighbors is removed, so a swept anchor with no covered neighbor reads
 its entry from the table; near lists are symmetric, so the covered points'
-own lists find the anchors that lost one.  Every other uncovered anchor is bounded by one
-more than its uncovered neighbors, and is swept over those neighbors when
-that bound reaches the best.  Only a sweep over all of an anchor's
-neighbors is stored, so the table always describes the full instance and
-any ``covered`` mask works, not only a growing one.
+own lists find the anchors that lost one.  Every other uncovered anchor is
+bounded by one more than its uncovered neighbors, and is swept over those
+neighbors when that bound reaches the best.  Only a sweep over all of an
+anchor's neighbors is stored, so the table always describes the full
+instance and any ``covered`` mask works, not only a growing one.
 """
 
 from __future__ import annotations
