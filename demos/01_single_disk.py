@@ -3,7 +3,9 @@
 The angular sweep answers this exactly.  Some optimal disk has a covered
 point on its boundary, so the sweep anchors each point on the boundary and
 sweeps the arcs from which a center would also cover each point within
-distance 2.  One KD-tree pair query, made when the points are read into
+distance 2.  An arc's ends are the two unit disks through the anchor and
+that point, computed as the candidate disks are, so the sweep's disk is
+always one of the candidates below.  One KD-tree pair query, made when the points are read into
 arrays, finds those neighbors, so each anchor only sees the few points a
 disk through it can reach, and the work follows local density instead of
 n^2.  An anchor with d neighbors covers at most d + 1
@@ -48,5 +50,7 @@ print(f"on 5000 points in [0, 100]^2 it sweeps {int(large.swept.sum())} of 5000 
 cx, cy, _ = candidate_centers(points)
 brute = max(coverage(UnitDisk(x, y), pts).count for x, y in zip(cx.tolist(), cy.tolist()))
 assert swept.rho == brute
+assert (disk.cx, disk.cy) in set(zip(cx.tolist(), cy.tolist()))
 print()
-print(f"the best of {len(cx)} candidate disks covers {brute} points too")
+print(f"the best of {len(cx)} candidate disks covers {brute} points too,")
+print("and the sweep's disk is one of those candidates")

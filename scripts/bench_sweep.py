@@ -39,7 +39,9 @@ Each row also records what the call returned (coverage, and combos where the
 call counts them), so the two trees can be seen to agree.  ``speedup`` is
 the ratio of the two medians; ``paired_speedup`` is the median over the
 repeats of base ms / head ms within one repeat, whose two children ran back
-to back, so a slow spell of the host cancels out of each ratio.
+to back, so a slow spell of the host cancels out of each ratio;
+``paired_q1`` and ``paired_q3`` are the quartiles of those ratios, so a
+row's spread shows next to its median.
 """
 
 from __future__ import annotations
@@ -214,9 +216,9 @@ def main() -> None:
             result = {k: v for k, v in runs[name][0][row].items() if k != "ms"}
             entry[name] = {"median_ms": statistics.median(times), "runs_ms": times, **result}
         entry["speedup"] = entry["base"]["median_ms"] / entry["head"]["median_ms"]
-        entry["paired_speedup"] = statistics.median(
-            b / h for b, h in zip(entry["base"]["runs_ms"], entry["head"]["runs_ms"])
-        )
+        paired = [b / h for b, h in zip(entry["base"]["runs_ms"], entry["head"]["runs_ms"])]
+        entry["paired_speedup"] = statistics.median(paired)
+        entry["paired_q1"], entry["paired_q3"] = numpy.percentile(paired, [25, 75]).tolist()
         rows[row] = entry
     report = {
         "description": __doc__.splitlines()[0],
@@ -227,7 +229,8 @@ def main() -> None:
         "inner_repeats": INNER,
         "slow_rows": args.slow,
         "statistic": "median over the repeats of each child's median; paired_speedup: "
-        "median over the repeats of base / head within a repeat",
+        "median over the repeats of base / head within a repeat; paired_q1, paired_q3: "
+        "its quartiles (linear interpolation)",
         "seed": SEED,
         "python": platform.python_version(),
         "numpy": numpy.__version__,
@@ -244,6 +247,7 @@ def main() -> None:
             f"{row:48s} base {entry['base']['median_ms']:9.1f} ms   "
             f"head {entry['head']['median_ms']:9.1f} ms   x{entry['speedup']:.2f}"
             f"   paired x{entry['paired_speedup']:.2f}"
+            f" (q1 {entry['paired_q1']:.2f}, q3 {entry['paired_q3']:.2f})"
         )
 
 

@@ -9,8 +9,9 @@ The solvers read a point list through one record per call, ``PointArrays``
 from ``point_arrays``: coordinates and ids in id order, and each point's
 near list, the points within REACH of it, from the only KD-tree query and
 the only sort of pair keys.  It refuses repeated ids, so a count of rows is
-a count of ids.  The sweep, the candidates and the coverage join all read
-the near lists, each with its own filter.  ``covers`` and
+a count of ids.  The sweep and the candidates keep the near lists' pairs
+within 2 + PAIR_EPS and take their centers from ``pair_centers``; the
+coverage join applies the predicate to the lists.  ``covers`` and
 ``coverage``, the reference predicate and loop, take any point list;
 ``covered_mask`` applies the predicate to a record's rows.
 
@@ -173,7 +174,7 @@ class PointArrays:
     squared distance, so exactness holds only while the coordinates are
     small enough for it.  Measured: ``solve`` and ``most_points`` agree on
     instances translated by up to 1e6, and disagree on 13 of 30 at 1e7 and
-    24 of 30 at 1e8 (ROADMAP item 1, step b).
+    24 of 30 at 1e8 (defect A of ROADMAP item 1).
     """
 
     x: np.ndarray
@@ -230,15 +231,14 @@ def candidate_centers(points: PointArrays) -> tuple[np.ndarray, np.ndarray, np.n
     midpoint, when d is 2 within PAIR_EPS).  They suffice for exact coverage
     maximization: any disk can be translated until two covered points lie on
     its boundary or it covers at most one point, so some optimal solution of
-    best-k disks uses only these candidates.  For a pair a, b with
-    d = |b - a|, m = (a + b) / 2, h = sqrt(max(1 - d^2 / 4, 0)) and
-    u = (b - a) / d, the centers are (m.x - h u.y, m.y + h u.x) and
-    (m.x + h u.y, m.y - h u.x).
+    best-k disks uses only these candidates.  A pair a, b (a the lesser
+    row) gives the left and then the right center of ``pair_centers``, or
+    its midpoint alone.
 
     Point centers come first, in row order, then the through-pair centers
-    in the record's pair order, each in that formula's float operations;
-    then a stable sort by (cx, cy), and a center within CENTER_DEDUP_EPS
-    (per coordinate) of the last kept one is merged into it.
+    in the record's pair order; then a stable sort by (cx, cy), and a
+    center within CENTER_DEDUP_EPS (per coordinate) of the last kept one is
+    merged into it.
 
     ``anchor[r]`` is the row of the point that generated center r: the point
     itself, or the pair's first point a.  A merged center keeps the anchor
@@ -249,28 +249,40 @@ def candidate_centers(points: PointArrays) -> tuple[np.ndarray, np.ndarray, np.n
     xs, ys = points.x, points.y
     pair = points.near_row < points.near
     a, b = points.near_row[pair], points.near[pair]
-    ax, ay, bx, by = xs[a], ys[a], xs[b], ys[b]
-    dx, dy = bx - ax, by - ay
-    d2 = dx * dx + dy * dy
-    d = np.sqrt(d2)
+    d, (mx, my), (lx, ly), (rx, ry) = pair_centers(xs, ys, a, b)
     ok = (d > PAIR_EPS) & (d <= 2.0 + PAIR_EPS)
-    ax, ay, bx, by, dx, dy, d2, d = (v[ok] for v in (ax, ay, bx, by, dx, dy, d2, d))
-    mx, my = (ax + bx) / 2.0, (ay + by) / 2.0
     mid = np.abs(d - 2.0) <= PAIR_EPS
-    h = np.sqrt(np.maximum(1.0 - d2 / 4.0, 0.0))
-    ux, uy = dx / d, dy / d
-    # per pair: the first center (the midpoint when d == 2), then the mirror
+    # per pair: the left center (the midpoint when d == 2), then the right
     # center unless d == 2; C-order masking keeps pair order
-    both = np.stack((np.ones_like(mid), ~mid), axis=1)
-    first_x = np.where(mid, mx, mx - h * uy)
-    first_y = np.where(mid, my, my + h * ux)
-    cx = np.concatenate((xs, np.stack((first_x, mx + h * uy), axis=1)[both]))
-    cy = np.concatenate((ys, np.stack((first_y, my - h * ux), axis=1)[both]))
-    anchor = np.concatenate((np.arange(len(xs)), np.repeat(a[ok], 2 - mid)))
+    both = np.stack((ok, ok & ~mid), axis=1)
+    cx = np.concatenate((xs, np.stack((np.where(mid, mx, lx), rx), axis=1)[both]))
+    cy = np.concatenate((ys, np.stack((np.where(mid, my, ly), ry), axis=1)[both]))
+    anchor = np.concatenate((np.arange(len(xs)), np.repeat(a, both.sum(axis=1))))
     order = np.lexsort((cy, cx))
     cx, cy, anchor = cx[order], cy[order], anchor[order]
     keep = _kept_centers(cx, cy)
     return cx[keep], cy[keep], anchor[keep]
+
+
+def pair_centers(x: np.ndarray, y: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
+    """The unit disks through rows ``a[k]`` and ``b[k]``: ``(d, mid, left, right)``.
+
+    For d = |b - a|, m = (a + b) / 2, h = sqrt(max(1 - d^2 / 4, 0)) and
+    u = (b - a) / d, ``mid`` is m, and the centers ``left`` and ``right``,
+    on either side of the direction a -> b, are m + h (-u.y, u.x) and
+    m - h (-u.y, u.x); each is an (x, y) pair of arrays.  IEEE 754 rounds
+    + - * / and sqrt correctly, so no bit depends on the platform.  Swapping
+    a and b swaps left and right and, when d > 0, changes no bit.  A pair at
+    d = 0 gets non-finite centers.
+    """
+    dx, dy = x[b] - x[a], y[b] - y[a]
+    d2 = dx * dx + dy * dy
+    d = np.sqrt(d2)
+    mx, my = (x[a] + x[b]) / 2.0, (y[a] + y[b]) / 2.0
+    h = np.sqrt(np.maximum(1.0 - d2 / 4.0, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ux, uy = dx / d, dy / d
+    return d, (mx, my), (mx - h * uy, my + h * ux), (mx + h * uy, my - h * ux)
 
 
 def _kept_centers(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:

@@ -9,6 +9,13 @@ neighbors come from the anchor's near list in the instance's
 anchor only sees the points that a unit disk through it can reach: O(rho)
 of them by packing, where rho is the optimum.
 
+A neighbor's arc runs between the two unit disks through it and the anchor,
+which ``geometry.pair_centers`` computes with + - * / and sqrt exactly as
+``geometry.candidate_centers`` does, so every disk the sweep returns is a
+candidate center, bit for bit.  Arc endpoints are ordered around the anchor
+by a pseudo-angle built from abs, + and /: no trigonometry, whose last bit
+may differ between libraries and CPUs.
+
 ``anchor_table`` keeps, per anchor, its best placement ``(count, cx, cy)``.
 An anchor covers at most the points of its near list, so each entry starts
 at that list's length, an upper bound, and the table fills as
@@ -33,16 +40,13 @@ instance and any ``covered`` mask works, not only a growing one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from .geometry import PAIR_EPS, PointArrays, UnitDisk, csr_entries
+from .geometry import PAIR_EPS, PointArrays, UnitDisk, csr_entries, pair_centers
 
-TWO_PI = 2.0 * math.pi
-
-# Directed neighbor pairs per block of the sweep; a block's events peak at
-# about 200 bytes per pair.
+# Directed neighbor pairs per block of the sweep; a block's arrays peak at
+# about 340 bytes per pair, besides a few arrays of one value per point.
 SWEEP_BLOCK = 4096
 
 
@@ -66,17 +70,6 @@ class AnchorTable:
     swept: np.ndarray
 
 
-def _math_map(fn, *arrays: np.ndarray) -> np.ndarray:
-    # numpy's SIMD hypot, arctan2 and arccos can differ from the C library's
-    # (which math calls) in the last ulp, and a moved arc endpoint can move a
-    # tie-break.  numpy's cos, sin and float mod matched math on every value
-    # tried (x86-64 with AVX-512), so only these three go through math; the
-    # reference-loop tests pin the whole pipeline.  A memoryview yields
-    # Python floats one at a time, without the list .tolist() would build.
-    views = [memoryview(np.ascontiguousarray(a)) for a in arrays]
-    return np.fromiter(map(fn, *views), dtype=np.float64, count=len(arrays[0]))
-
-
 def anchor_table(points: PointArrays) -> AnchorTable:
     """The table of ``points``, with every entry at its upper bound.
 
@@ -91,24 +84,15 @@ def anchor_table(points: PointArrays) -> AnchorTable:
     )
 
 
-def _arcs(points: PointArrays, at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(dup, start, end)`` of the near-list entries ``at``, (anchor, neighbor) pairs.
-
-    A pair's arc is the closed range of angles, from ``start`` to ``end`` and
-    wrapping past 0 when ``start > end``, at which a center on the unit
-    circle around the anchor also covers the neighbor; a duplicate (``dup``)
-    is covered from every angle.
+def _pseudo_angle(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
+    """A key in [0, 4] that orders the directions (vx, vy) as their angle
+    from +x counterclockwise does, from p = vy / (|vx| + |vy|): p on the
+    right (vx >= 0), 2 - p on the left, 4 + p below the +x axis; + 0.0
+    turns p = -0.0 into 0.0.  Only abs, + - and /, so the key does not
+    depend on the platform.
     """
-    x, y = points.x, points.y
-    dx = x[points.near[at]] - x[points.near_row[at]]
-    dy = y[points.near[at]] - y[points.near_row[at]]
-    # each direction of a pair takes its own differences: negating one would
-    # turn +0.0 into -0.0 and atan2(+0.0, -1) = pi into atan2(-0.0, -1) = -pi.
-    # hypot takes absolute values, so both directions get the same distance
-    d = _math_map(math.hypot, dx, dy)
-    half = _math_map(math.acos, np.minimum(d / 2.0, 1.0))
-    theta = _math_map(math.atan2, dy, dx)
-    return d <= PAIR_EPS, np.mod(theta - half, TWO_PI), np.mod(theta + half, TWO_PI)
+    p = vy / (np.abs(vx) + np.abs(vy))
+    return np.where(vx < 0, 2.0 - p, np.where(p < 0, 4.0 + p, p + 0.0))
 
 
 def _sweep_anchors(
@@ -121,13 +105,16 @@ def _sweep_anchors(
     is its sweep over the full instance, and is stored in the table.
     """
     points = table.points
-    x, y = points.x, points.y
     at, _ = csr_entries(points.near_ptr, anchors)
-    i, j = points.near_row[at], points.near[at]
-    at = at[(i != j) & ((x[i] - x[j]) ** 2 + (y[i] - y[j]) ** 2 <= (2.0 + PAIR_EPS) ** 2)]
-    kept = live[points.near[at]]
-    lost = np.bincount(points.near_row[at[~kept]], minlength=len(live))
-    swept = _sweep(points, at[kept])
+    at = at[points.near_row[at] != points.near[at]]
+    anchor, other = points.near_row[at], points.near[at]
+    d, _, left, right = pair_centers(points.x, points.y, anchor, other)
+    reach = d <= 2.0 + PAIR_EPS
+    kept = reach & live[other]
+    lost = np.bincount(anchor[reach & ~kept], minlength=len(live))
+    # seen from the anchor, the arc runs counterclockwise from the center
+    # right of the direction to the neighbor to the one left of it
+    swept = _sweep(points, anchor[kept], d[kept], [c[kept] for c in right], [c[kept] for c in left])
     full = anchors[lost[anchors] == 0]
     for column, new in zip((table.count, table.cx, table.cy), swept):
         column[full] = new[full]
@@ -135,68 +122,67 @@ def _sweep_anchors(
     return swept
 
 
-def _sweep(points: PointArrays, at: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best ``(count, cx, cy)`` of every anchor over the near-list entries ``at``.
+def _sweep(
+    points: PointArrays, anchor: np.ndarray, d: np.ndarray, start: list, end: list
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best ``(count, cx, cy)`` of every anchor over its neighbors' arcs.
 
-    Each anchor's arc endpoints are sorted by angle, starts before ends at
-    equal angle (closed arcs), and the depth after a start is the number of
-    neighbors its angle covers; duplicates of the anchor add a base depth.
-    Per anchor, the count is one more than the deepest start, and among the
-    starts at that depth the smallest ``(cx, cy)`` wins, the first in angle
-    order on exact ties.  An anchor with no arcs keeps the disk centered on
-    itself.  Every arc adds +1 and -1 to the depth, so one running sum over
-    all anchors' events resets to zero between anchors.
+    A center on the unit circle around ``anchor[k]`` covers its neighbor k
+    along the closed arc from the k-th center of ``start`` counterclockwise
+    to that of ``end``, each an (x, y) pair of arrays.  A duplicate
+    (``d[k]`` <= PAIR_EPS) adds to the anchor's base depth, and so does an
+    arc that covers angle 0: its start's ``_pseudo_angle`` key is past its
+    end's.  A start's depth is the number of arcs whose closed key range
+    holds its key, so starts at one key share it.  The count is one more
+    than an anchor's greatest depth, and the disk is the own center of a
+    start at that depth: the least ``(cx, cy)``, then the first in
+    near-list order, since formula centers can be equal with other bits (a
+    signed zero, from -0.0 in the input).
+    An anchor with no arcs keeps the disk centered on itself.  Every arc
+    adds +1 and -1, so one running sum over all anchors' events returns to
+    zero between anchors.
     """
     x, y = points.x, points.y
-    anchor = points.near_row[at]
-    dup, start, end = _arcs(points, at)
     n = len(x)
+    dup = d <= PAIR_EPS
     count = 1 + np.bincount(anchor[dup], minlength=n)
     cx, cy = x.copy(), y.copy()
     arc = ~dup
-    a_anchor, a_start, a_end = anchor[arc], start[arc], end[arc]
-    if not len(a_anchor):
+    anchor = anchor[arc]
+    if not len(anchor):
         return count, cx, cy
-    # an arc that wraps past 0 is split into [start, 2pi] and [0, end]
-    wrap = a_start > a_end
-    w_anchor = a_anchor[wrap]
-    ev_anchor = np.concatenate([a_anchor, w_anchor, a_anchor, w_anchor])
-    ev_angle = np.concatenate(
-        [a_start, np.zeros(len(w_anchor)), a_end, np.full(len(w_anchor), TWO_PI)]
-    )
-    n_starts = len(a_anchor) + len(w_anchor)
-    ev_is_end = np.arange(2 * n_starts) >= n_starts
-    # sort by (anchor, angle, start before end) in two passes, each cheaper
-    # than a lexsort: first by (angle, end bit) as one integer (a float >= 0
+    (sx, sy), (ex, ey) = ([c[arc] for c in start], [c[arc] for c in end])
+    key = np.concatenate((
+        _pseudo_angle(sx - x[anchor], sy - y[anchor]),
+        _pseudo_angle(ex - x[anchor], ey - y[anchor]),
+    ))
+    m = len(anchor)
+    wrap = key[:m] > key[m:]
+    base = count - 1 + np.bincount(anchor[wrap], minlength=n)
+    # sort by (anchor, key, start before end) in two passes, each cheaper
+    # than a lexsort: first by (key, end bit) as one integer (a float >= 0
     # orders like its bits), then by anchor with that order as the tie-break
-    order = np.argsort((ev_angle.view(np.uint64) << np.uint64(1)) | ev_is_end)
+    bits = (key.view(np.uint64) << np.uint64(1)) | (np.arange(2 * m) >= m)
+    order = np.argsort(bits)
     rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    order = np.argsort(ev_anchor * len(order) + rank)
-    ev_anchor, ev_angle, ev_is_end = ev_anchor[order], ev_angle[order], ev_is_end[order]
-    depth = count[ev_anchor] - 1 + np.cumsum(np.where(ev_is_end, -1, 1))
+    rank[order] = np.arange(2 * m)
+    order = np.argsort(np.tile(anchor, 2) * (2 * m) + rank)
+    ev_arc, ev_is_end, ev_bits = order % m, order >= m, bits[order]
+    ev_anchor = anchor[ev_arc]
+    depth = base[ev_anchor] + np.cumsum(np.where(ev_is_end, -1, 1))
+    # a run of starts at one key all take the depth after its last one
+    new = (ev_anchor[1:] != ev_anchor[:-1]) | (ev_bits[1:] != ev_bits[:-1])
+    depth = depth[np.flatnonzero(np.append(new, True))][np.append(0, np.cumsum(new))]
 
-    s_anchor, s_angle, s_depth = ev_anchor[~ev_is_end], ev_angle[~ev_is_end], depth[~ev_is_end]
-    first = np.flatnonzero(np.concatenate(([True], s_anchor[1:] != s_anchor[:-1])))
-    swept = s_anchor[first]
+    s_arc, s_depth = ev_arc[~ev_is_end], depth[~ev_is_end]
     deepest = np.zeros(n, dtype=np.int64)
-    deepest[swept] = np.maximum.reduceat(s_depth, first)
-    top = s_depth == deepest[s_anchor]
-    t_anchor, t_angle = s_anchor[top], s_angle[top]
-    t_cx = x[t_anchor] + np.cos(t_angle)
-    t_cy = y[t_anchor] + np.sin(t_angle)
-    # per anchor, the smallest (cx, cy): the least cx, then the least cy at
-    # it.  x + cos(a) and y + sin(a) are never -0.0, so equal values have
-    # equal bits and any minimal center is the first one
-    t_new = np.concatenate(([True], t_anchor[1:] != t_anchor[:-1]))
-    t_first, t_group = np.flatnonzero(t_new), np.cumsum(t_new) - 1
-    least_cx = np.minimum.reduceat(t_cx, t_first)
-    least_cy = np.minimum.reduceat(
-        np.where(t_cx == least_cx[t_group], t_cy, np.inf), t_first
-    )
+    np.maximum.at(deepest, anchor[s_arc], s_depth)
+    top = s_arc[s_depth == deepest[anchor[s_arc]]]
+    top = top[np.lexsort((top, sy[top], sx[top], anchor[top]))]
+    top = top[np.concatenate(([True], anchor[top][1:] != anchor[top][:-1]))]
+    swept = anchor[top]
     count[swept] = deepest[swept] + 1
-    cx[swept] = least_cx
-    cy[swept] = least_cy
+    cx[swept], cy[swept] = sx[top], sy[top]
     return count, cx, cy
 
 

@@ -329,6 +329,27 @@ class TestCandidateDisks:
         with pytest.raises(ValueError, match="non-empty"):
             candidate_centers(point_arrays([]))
 
+    @given(
+        st.lists(
+            st.tuples(*[st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 2.0]), st.floats(-3, 3))] * 2),
+            min_size=2,
+            max_size=8,
+        )
+    )
+    def test_pair_centers_swap_left_and_right(self, coords):
+        # the sweep computes each pair from both of its points; the two
+        # directions give the same floats, signed zeros included, unless d = 0
+        x, y = (np.array(c) for c in zip(*coords))
+        a, b = (v.ravel() for v in np.meshgrid(np.arange(len(x)), np.arange(len(x))))
+        d, mid, left, right = geometry.pair_centers(x, y, a, b)
+        d_ba, mid_ba, left_ba, right_ba = geometry.pair_centers(x, y, b, a)
+        apart = d > 0
+
+        def bits(*arrays):
+            return [v[apart].view(np.uint64).tolist() for v in arrays]
+
+        assert bits(d, *mid, *left, *right) == bits(d_ba, *mid_ba, *right_ba, *left_ba)
+
     @given(point_sets(min_size=1))
     def test_matches_reference_loop_bit_for_bit(self, pts):
         got = [(d.cx, d.cy) for d in candidates(pts)]

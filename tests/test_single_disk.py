@@ -3,18 +3,16 @@ from contextlib import contextmanager
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from diskcover import coverage, generate, solve
-from diskcover.geometry import PAIR_EPS, point_arrays
+from diskcover import coverage, generate, greedy_solve, solve
+from diskcover.geometry import PAIR_EPS, candidate_centers, point_arrays
 from diskcover import single_disk
 from diskcover.single_disk import anchor_table, best_placement
 
 from conftest import candidates, make_points, point_sets, uniform_points
-
-TWO_PI = 2.0 * math.pi
 
 
 def _better(count, cx, cy, best):
@@ -23,61 +21,67 @@ def _better(count, cx, cy, best):
     return best is None or count > best[0] or (count == best[0] and (cx, cy) < best[1:])
 
 
+def through_pair(p, q):
+    """``geometry.pair_centers`` for one pair, in plain floats: the distance
+    and the centers left and right of the direction p -> q."""
+    dx, dy = q.x - p.x, q.y - p.y
+    d2 = dx * dx + dy * dy
+    d = math.sqrt(d2)
+    if d == 0.0:
+        return d, None, None
+    mx, my = (p.x + q.x) / 2.0, (p.y + q.y) / 2.0
+    h = math.sqrt(max(1.0 - d2 / 4.0, 0.0))
+    ux, uy = dx / d, dy / d
+    return d, (mx - h * uy, my + h * ux), (mx + h * uy, my - h * ux)
+
+
+def pseudo_angle(vx, vy):
+    """The sweep's key of a direction, in [0, 4]: p = vy / (|vx| + |vy|) on
+    the right, 2 - p on the left, 4 + p below the +x axis."""
+    p = vy / (abs(vx) + abs(vy))
+    return 2.0 - p if vx < 0 else 4.0 + p if p < 0 else p + 0.0
+
+
+def in_arc(start, end, key):
+    """Whether ``key`` is in the closed arc from ``start`` to ``end``, which
+    covers angle 0 when ``start > end``."""
+    return start <= key <= end if start <= end else key >= start or key <= end
+
+
 def reference_entries(pts):
     """The per-anchor angular sweep as a plain loop: for each point, in order,
     the best (count, cx, cy) of a disk with that point on its boundary.
 
-    For anchor p and neighbor q at distance d, a center at angle a on the
-    unit circle around p covers q iff a lies in the closed arc of half-width
-    arccos(d/2) centered on the direction p->q.  Sweeping arc endpoints
-    (starts before ends at equal angle) yields the densest placement with p
-    on the boundary; duplicates of p enter as a base depth, and an anchor
-    with no arcs contributes the disk centered on itself.
+    A center on the unit circle around anchor p covers neighbor q iff it lies
+    on the closed arc between the two unit disks through p and q, counter-
+    clockwise from the one right of p -> q.  Directions are compared by the
+    sweep's pseudo-angle, and each arc start is scored by counting, one arc
+    at a time, the arcs whose key range holds it: no events are sorted.
+    Duplicates of p add to every count, and an anchor with no arcs
+    contributes the disk centered on itself.
     """
     coords = [(p.x, p.y) for p in pts]
     groups = cKDTree(coords).query_ball_point(coords, r=2.0 + 1e-9)
-    r2 = (2.0 + PAIR_EPS) ** 2
     entries = []
     for i, p in enumerate(pts):
         base = 0
-        events = []
-        for j in groups[i]:
-            q = pts[j]
-            if j == i or (p.x - q.x) ** 2 + (p.y - q.y) ** 2 > r2:
+        arcs = []
+        for j in sorted(groups[i]):
+            d, left, right = through_pair(p, pts[j])
+            if j == i or d > 2.0 + PAIR_EPS:
                 continue
-            dx, dy = q.x - p.x, q.y - p.y
-            d = math.hypot(dx, dy)
             if d <= PAIR_EPS:
                 base += 1
                 continue
-            half = math.acos(min(d / 2.0, 1.0))
-            theta = math.atan2(dy, dx)
-            a = (theta - half) % TWO_PI
-            b = (theta + half) % TWO_PI
-            if a <= b:
-                events += [(a, 0, 1), (b, 1, -1)]
-            else:
-                # arc wraps past 0: split into [a, 2pi] and [0, b]
-                events += [(a, 0, 1), (TWO_PI, 1, -1), (0.0, 0, 1), (b, 1, -1)]
-        if not events:
-            entries.append((1 + base, p.x, p.y))
-            continue
-        events.sort()
-        depth = base
-        max_depth = -1
-        angles = []
-        for angle, _, delta in events:
-            depth += delta
-            if delta > 0:
-                if depth > max_depth:
-                    max_depth, angles = depth, [angle]
-                elif depth == max_depth:
-                    angles.append(angle)
-        entry = None
-        for a in angles:
-            if _better(max_depth + 1, p.x + math.cos(a), p.y + math.sin(a), entry):
-                entry = (max_depth + 1, p.x + math.cos(a), p.y + math.sin(a))
-        entries.append(entry)
+            start = pseudo_angle(right[0] - p.x, right[1] - p.y)
+            end = pseudo_angle(left[0] - p.x, left[1] - p.y)
+            arcs.append((start, end, right))
+        best = None
+        for key, _, center in arcs:
+            count = 1 + base + sum(in_arc(start, end, key) for start, end, _ in arcs)
+            if _better(count, *center, best):
+                best = (count, *center)
+        entries.append(best or (1 + base, p.x, p.y))
     return entries
 
 
@@ -214,12 +218,49 @@ class TestSweep:
         with pytest.raises(ValueError):
             solve([], 1)
 
+    @pytest.mark.parametrize(
+        "n, side, seed, copies",
+        [
+            (n, side, seed, 1)
+            for n, side in ((40, 3.0), (120, 6.0), (300, 20.0), (2000, 40.0))
+            for seed in (1, 2, 3)
+        ]
+        + [(k, None, None, copies) for k in (3, 5) for copies in (1, 2, 3)],
+    )
+    def test_disks_are_candidate_centers(self, n, side, seed, copies):
+        # the sweep returns an arc start, a through-pair center computed as
+        # candidate_centers computes it, or a point; integer lattices add
+        # duplicates and pairs at distance exactly 2.  Jittered sets are left
+        # out: dedup may merge a center into one within CENTER_DEDUP_EPS
+        pts = generate(n, side, seed).points if side else lattice(n, copies)
+        cx, cy, _ = candidate_centers(point_arrays(pts))
+        centers = set(zip(map(float.hex, cx.tolist()), map(float.hex, cy.tolist())))
+        for disk in solve(pts, 1).disks + greedy_solve(pts, 3).disks:
+            assert (disk.cx.hex(), disk.cy.hex()) in centers
+
+
+# The wrap rule by name.  An arc that covers angle 0 (start key past its end
+# key) adds to its anchor's base depth instead of being split at 0.
+# Anchor (0, 0) has three arcs that all cover angle 0 and overlap only
+# around it, so its deepest start lies below the +x axis.
+DEEPEST_OVERLAP_STRADDLES_X = make_points([(0.0, 0.0), (1.0, 0.3), (1.0, -0.3), (1.5, 0.0)])
+# Anchor (0, 0): the arc of (1, 1) starts and the arc of (1, -1) ends at the
+# center (1, 0), both exactly on the axis, with key 0.0.
+ARC_ENDPOINT_ON_THE_AXIS = make_points([(0, 0), (1, 1), (1, -1)])
+# The tie-break on equal centers.  Anchor (0, -0.0) has two arcs that start
+# at (1, -0.0) and (1, 0.0), equal values with other bits; the first
+# neighbor in near-list order wins.
+SIGNED_ZERO_TIE = make_points([(0.0, -0.0), (2.0, -0.0), (2.0, 0.0)])
+
 
 class TestAnchorTableMatchesReferenceSweep:
     """The table's choices equal the loop's bit for bit, first disk and greedy
     steps alike (floats compared as hex)."""
 
     @given(point_sets(min_size=1), st.sampled_from([1, 3, single_disk.SWEEP_BLOCK]))
+    @example(DEEPEST_OVERLAP_STRADDLES_X, 1)
+    @example(ARC_ENDPOINT_ON_THE_AXIS, 1)
+    @example(SIGNED_ZERO_TIE, 1)
     def test_first_disk_on_generated_sets(self, pts, block):
         entries = reference_entries(by_id(pts))
         table = table_of(pts)
