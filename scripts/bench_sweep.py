@@ -31,7 +31,8 @@ instance.  Rows:
 * ``kernel``: the combination enumeration, on ``most_points(pts, 2,
   dedup=False)`` for 300:20 seed 5 (the ``bench`` baseline column), ``solve``
   m=3 on dense 64:10, and ``most_points(pts, 2, dedup=True, prune=True)``
-  on 5000:100 (the ``verify`` oracle);
+  on 5000:100 (the ``verify`` oracle) and on 2000:40, where the oracle's
+  near-list bound leaves the most candidates to build;
 * ``--slow`` adds ``solve`` m=3 on 2000:40: 171,868,741 combos, about
   1.4 s a run with the packed kernel (``BENCH_7.json``).
 
@@ -80,10 +81,15 @@ def _timed(call, setup=lambda: ()):
 
 
 def _counts(result) -> dict:
-    """Coverage and combos of a ``Solution`` or a ``MultiDiskResult``."""
+    """Coverage and combos of a ``Solution``, and also the rows searched of a
+    ``MultiDiskResult``."""
     if hasattr(result, "total_combos"):
         return {"covered": result.covered.count, "combos": result.total_combos}
-    return {"covered": result.covered.count, "combos": result.stats.combos_evaluated}
+    return {
+        "covered": result.covered.count,
+        "combos": result.stats.combos_evaluated,
+        "candidates_after_dedup": result.stats.candidates_after_dedup,
+    }
 
 
 def measure(slow: bool) -> dict:
@@ -145,6 +151,8 @@ def measure(slow: bool) -> dict:
          lambda pts: most_points(pts, 2, dedup=False)),
         ("solve_m3 64:10", 64, 10.0, SEED, lambda pts: solve(pts, 3)),
         ("most_points_m2_prune 5000:100", 5000, 100.0, SEED,
+         lambda pts: most_points(pts, 2, dedup=True, prune=True)),
+        ("most_points_m2_prune 2000:40", 2000, 40.0, SEED,
          lambda pts: most_points(pts, 2, dedup=True, prune=True)),
     ]
     if slow:

@@ -6,7 +6,8 @@ optimum over arbitrary disk placements.  The candidates and their coverage
 read one ``geometry.PointArrays`` record of the input.  Each candidate's
 coverage is one row of uint64 words with a bit per point, built from the
 points within 2 of the candidate's anchor, the point that generated it
-(``geometry.center_coverage_bits``, which also returns each row's count).
+(``geometry.coverage_rows``, packed by ``geometry.packed_coverage``, which
+also returns each row's count).
 Bit l stands for the point of rank l in x, so a disk's bits, and those of
 the nearby disks that follow it in center order, share one or two words.
 Scoring a combination is an OR of rows and a popcount, and a block of
@@ -21,12 +22,15 @@ tie-breaks are reproducible.  Two optional reductions:
 
 * dedup: candidates with identical coverage are collapsed to the first
   (smallest-center) representative.  Never changes the optimum value.
-* prune: branch-and-bound over candidates re-sorted by coverage count
-  descending; a partial selection is abandoned when its union plus the best
-  remaining counts cannot beat the incumbent, and the search stops once the
-  incumbent covers every point (on dense inputs that bound exceeds the point
-  count and cuts nothing).  Never changes the optimum value, but may return
-  a different equally-good disk set.
+* prune: coverage rows are built only for the candidates whose count bound,
+  the length of the anchor's near list, can take part in a combination
+  better than a greedy one (``_pruned_rows``), highest bound first; then
+  branch-and-bound over those rows re-sorted by coverage count descending:
+  a partial selection is abandoned when its union plus the best remaining
+  counts cannot beat the incumbent, and the search stops once the
+  incumbent covers every point (on dense inputs that bound exceeds the
+  point count and cuts nothing).  Never changes the optimum value, but may
+  return a different equally-good disk set.
 
 Both searches score their combinations in blocks of at most BLOCK_WORDS
 words; a block reproduces, combination for combination, the counts and the
@@ -44,11 +48,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    BLOCK_ROWS,
     CoverageSet,
     Point,
+    PointArrays,
     UnitDisk,
     candidate_centers,
-    center_coverage_bits,
+    coverage_rows,
+    csr_entries,
+    packed_coverage,
     point_arrays,
     unpack_coverage,
 )
@@ -60,6 +68,16 @@ BLOCK_WORDS = 1 << 17
 
 @dataclass
 class ExactSolveStats:
+    """What one ``most_points`` call built and scored.
+
+    ``candidates_generated`` is every candidate center, with or without
+    prune (``harness`` derives the faithful enumeration's pair count from
+    it).  ``candidates_after_dedup`` is the number of coverage rows searched:
+    the candidates left by dedup, all of them without it; under prune only
+    the built candidates are deduplicated, so it counts those.
+    ``combos_evaluated`` counts the complete k-combinations scored.
+    """
+
     combos_evaluated: int = 0
     candidates_generated: int = 0
     candidates_after_dedup: int = 0
@@ -280,6 +298,60 @@ def _enumerate_exact(
     return count, combo, math.comb(len(words), k)
 
 
+def _greedy_cover(indptr: np.ndarray, cols: np.ndarray, n_points: int, k: int) -> int:
+    """Points covered by k CSR coverage rows taken greedily, each step the
+    first row of largest gain; a value k disks realize."""
+    covered = np.zeros(n_points, dtype=bool)
+    for _ in range(k):
+        fresh = np.concatenate(([0], np.cumsum(~covered[cols])))
+        t = int((fresh[indptr[1:]] - fresh[indptr[:-1]]).argmax())
+        covered[cols[indptr[t] : indptr[t + 1]]] = True
+    return int(covered.sum())
+
+
+def _pruned_rows(
+    points: PointArrays, cx: np.ndarray, cy: np.ndarray, anchor: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidates whose rows can be in a k-combination better than a
+    greedy one, ascending, and their coverage as CSR rows (indptr, cols).
+
+    A center covers only points of its anchor's near list, so the list's
+    length ``ub`` bounds its count.  The first join takes every candidate
+    whose ``ub`` is at least the BLOCK_ROWS-th largest (every candidate if
+    there are no more), and k of their rows taken greedily cover ``inc``
+    points.  With C the largest count joined and L the largest ``ub`` not
+    joined, a combination that uses a candidate not joined covers at most
+    L + (k - 1) * max(C, L) points.  So each further join takes the
+    candidates with ``ub > inc - (k - 1) * C``, until one raises no C: then
+    L <= inc - (k - 1) * C <= C (inc is at most k times the first C), the
+    bound is at most ``inc``, which the joined rows realize, and their
+    optimum is the optimum.  A second further join only has candidates of
+    ``ub`` at most the first C, so it raises no C: there are at most two.
+    """
+    ub = np.diff(points.near_ptr)[anchor]
+    top = np.partition(ub, -BLOCK_ROWS)[-BLOCK_ROWS] if len(ub) > BLOCK_ROWS else 0
+    built = [np.flatnonzero(ub >= top)]
+    parts = [coverage_rows(cx[built[0]], cy[built[0]], anchor[built[0]], points)]
+    if len(built[0]) < len(ub):
+        inc = _greedy_cover(*parts[0], len(points.x), k)
+        most = int(np.diff(parts[0][0]).max())
+        floor = inc - (k - 1) * most
+        while len(band := np.flatnonzero((ub < top) & (ub > floor))):
+            built.append(band)
+            parts.append(coverage_rows(cx[band], cy[band], anchor[band], points))
+            most = max(most, int(np.diff(parts[-1][0]).max()))
+            top, floor = floor + 1, inc - (k - 1) * most
+    if len(parts) == 1:
+        return built[0], *parts[0]
+    # the joins' rows, merged into center order
+    built = np.concatenate(built)
+    order = np.argsort(built)
+    lengths = np.concatenate([np.diff(indptr) for indptr, _ in parts])
+    at, lengths = csr_entries(np.concatenate(([0], np.cumsum(lengths))), order)
+    cols = np.concatenate([cols for _, cols in parts])[at]
+    return built[order], np.concatenate(([0], np.cumsum(lengths))), cols
+
+
 def most_points(
     pts: list[Point], k: int, dedup: bool = True, prune: bool = False
 ) -> MultiDiskResult:
@@ -300,7 +372,12 @@ def most_points(
 
     points = point_arrays(pts)
     cx, cy, anchor = candidate_centers(points)
-    rows, words, gids, counts = center_coverage_bits(cx, cy, anchor, points, distinct=dedup)
+    if prune:
+        built, indptr, cols = _pruned_rows(points, cx, cy, anchor, k)
+    else:
+        built, (indptr, cols) = np.arange(len(cx)), coverage_rows(cx, cy, anchor, points)
+    rows, words, gids, counts = packed_coverage(indptr, cols, points, distinct=dedup)
+    rows = built[rows]
     stats = ExactSolveStats(
         candidates_generated=len(cx), candidates_after_dedup=len(rows)
     )

@@ -240,11 +240,13 @@ def candidate_centers(points: PointArrays) -> tuple[np.ndarray, np.ndarray, np.n
     center within CENTER_DEDUP_EPS (per coordinate) of the last kept one is
     merged into it.
 
-    ``anchor[r]`` is the row of the point that generated center r: the point
-    itself, or the pair's first point a.  A merged center keeps the anchor
-    of the center it was merged into.  Each anchor is covered by its center
+    ``anchor[r]`` is the row of a point that generated center r: the point
+    itself, or the member of the pair with the shorter near list (a on
+    ties).  Both members lie on the disk's boundary, so either is covered
     (squared distance at most 1 + EPS_COVER), which is what
-    ``center_coverage_bits`` relies on.
+    ``center_coverage_bits`` relies on; the shorter list makes the join
+    smaller and its length, which bounds the center's count, tighter.  A
+    merged center keeps the anchor of the center it was merged into.
     """
     xs, ys = points.x, points.y
     pair = points.near_row < points.near
@@ -257,8 +259,17 @@ def candidate_centers(points: PointArrays) -> tuple[np.ndarray, np.ndarray, np.n
     both = np.stack((ok, ok & ~mid), axis=1)
     cx = np.concatenate((xs, np.stack((np.where(mid, mx, lx), rx), axis=1)[both]))
     cy = np.concatenate((ys, np.stack((np.where(mid, my, ly), ry), axis=1)[both]))
-    anchor = np.concatenate((np.arange(len(xs)), np.repeat(a, both.sum(axis=1))))
-    order = np.lexsort((cy, cx))
+    # a pair anchors on its member with the shorter near list, a on ties
+    n_near = np.diff(points.near_ptr)
+    short = np.where(n_near[b] < n_near[a], b, a)
+    anchor = np.concatenate((np.arange(len(xs)), np.repeat(short, both.sum(axis=1))))
+    # a stable sort by (cx, cy): one quicksort of cx, then the runs of
+    # equal cx re-sorted by (cx, cy, position)
+    order = np.argsort(cx)
+    tied = cx[order[1:]] == cx[order[:-1]]
+    run = np.flatnonzero(np.concatenate(([False], tied)) | np.concatenate((tied, [False])))
+    sub = order[run]
+    order[run] = sub[np.lexsort((sub, cy[sub], cx[sub]))]
     cx, cy, anchor = cx[order], cy[order], anchor[order]
     keep = _kept_centers(cx, cy)
     return cx[keep], cy[keep], anchor[keep]
@@ -331,20 +342,30 @@ def center_coverage_bits(
     coverage of center r is exact whenever its anchor is covered, or nothing
     is: every covered point is then within REACH of the anchor, so the
     predicate is applied, exactly as ``coverage`` writes it, to the anchor
-    and its neighbors.
+    and its neighbors.  It is ``packed_coverage`` of ``coverage_rows``.
+    """
+    return packed_coverage(*coverage_rows(cx, cy, anchor, points), points, distinct)
+
+
+def packed_coverage(
+    indptr: np.ndarray, cols: np.ndarray, points: PointArrays, distinct: bool = False
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """CSR coverage rows of ``coverage_rows`` packed into words.
+
+    Returns (rows, words, gids, counts) as ``center_coverage_bits`` does,
+    ``rows`` indexing the CSR rows: all of them, or with ``distinct`` the
+    first of each distinct coverage set, chosen before anything is packed.
     """
     by_x = np.argsort(points.x, kind="stable")
     gids = points.ids[by_x]
     width = -(-len(gids) // 64)
-    if not len(cx):
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, np.zeros((0, width), dtype=np.uint64), gids, empty
-    indptr, local = _coverage_rows(cx, cy, anchor, points)
-    rows = _first_distinct_rows(indptr, local, len(gids)) if distinct else np.arange(len(cx))
+    rows = np.arange(len(indptr) - 1)
+    if distinct and len(rows):
+        rows = _first_distinct_rows(indptr, cols, len(gids))
     at, counts = csr_entries(indptr, rows)
     rank = np.empty(len(by_x), dtype=np.int64)
     rank[by_x] = np.arange(len(by_x))
-    col = rank[local[at]]
+    col = rank[cols[at]]
     words = np.zeros((len(rows), width), dtype=np.uint64)
     # one scatter sets each covered point's bit in its row's word
     word = np.repeat(np.arange(len(rows)) * width, counts) + (col >> 6)
@@ -379,7 +400,7 @@ def csr_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.nd
     return np.arange(len(skip)) + skip, lengths
 
 
-def _coverage_rows(
+def coverage_rows(
     cx: np.ndarray, cy: np.ndarray, anchor: np.ndarray, points: PointArrays
 ) -> tuple[np.ndarray, np.ndarray]:
     """Covered points of each center as CSR rows (indptr, cols).
@@ -390,7 +411,7 @@ def _coverage_rows(
     ``points``, ascending within a row, as in the near lists.
     """
     lengths = np.empty(len(cx), dtype=np.int64)
-    parts = []
+    parts = [points.near[:0]]
     for lo in range(0, len(cx), BLOCK_ROWS):
         at, n_near = csr_entries(points.near_ptr, anchor[lo : lo + BLOCK_ROWS])
         col = points.near[at]

@@ -1,6 +1,7 @@
 import itertools
 import math
 from contextlib import suppress
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -471,3 +472,84 @@ class TestMostPoints:
         with pytest.raises(ValueError):
             most_points(make_points([(0, 0)]), 0)
 
+
+
+def record_joins(monkeypatch):
+    """The number of candidates of each coverage join ``most_points`` makes."""
+    joins = []
+    join = exact.coverage_rows
+
+    def counted(cx, cy, anchor, points):
+        joins.append(len(cx))
+        return join(cx, cy, anchor, points)
+
+    monkeypatch.setattr(exact, "coverage_rows", counted)
+    return joins
+
+
+def union_of(disks, pts):
+    union = 0
+    for d in disks:
+        union |= coverage(d, pts).bits
+    return union
+
+
+class TestPrunedBuild:
+    """Under prune only the candidates whose near-list bound can beat the
+    greedy incumbent get coverage rows; the value is the unpruned one."""
+
+    @given(point_sets(min_size=1, max_size=12), st.sampled_from([1, 3, 64]))
+    def test_value_matches_the_unpruned_dedup_optimum(self, pts, block_rows):
+        for k in (1, 2, 3):
+            want = most_points(pts, k)
+            with patch.object(exact, "BLOCK_ROWS", block_rows):
+                got = most_points(pts, k, prune=True)
+            assert got.covered.count == want.covered.count, k
+            assert union_of(got.disks, pts) == got.covered.bits
+            assert got.stats.candidates_generated == want.stats.candidates_generated
+            assert got.stats.candidates_after_dedup <= want.stats.candidates_after_dedup
+
+    def test_a_join_that_raises_the_largest_count_needs_another(self, monkeypatch):
+        # 62 candidates, by near-list bound: 1 of 6, 17 of 5, 15 of 4, 23 of
+        # 3 and 6 of 2.  The first block is the 18 of bound >= 5 (ties join
+        # the 16th), whose largest count is 3, and two of them cover 6; so
+        # the 15 of bound > 6 - 3 join next.  One of those covers 4, so the
+        # 23 of bound > 6 - 4 join as well, and the 6 of bound 2 never do.
+        joins = record_joins(monkeypatch)
+        monkeypatch.setattr(exact, "BLOCK_ROWS", 16)
+        pts = generate(16, 6.0, 50).points
+        got = most_points(pts, 2, prune=True)
+        assert joins == [18, 15, 23]
+        want = most_points(pts, 2)
+        assert got.covered == want.covered and got.covered.count == 7
+        assert (got.stats.candidates_generated, got.stats.candidates_after_dedup) == (62, 30)
+        assert want.stats.candidates_after_dedup == 34
+
+    def test_padding_when_k_reaches_the_built_rows(self, monkeypatch):
+        # two stacks of 4 coincident points and a lone point: the first
+        # block is both stacks (bound 4, tied), which cover 8, and the lone
+        # point (bound 1) cannot beat 8 - 4, so k = 2 uses every built row
+        monkeypatch.setattr(exact, "BLOCK_ROWS", 1)
+        pts = make_points([(0, 0)] * 4 + [(10, 0)] * 4 + [(20, 0)])
+        got = most_points(pts, 2, prune=True)
+        assert (got.stats.candidates_generated, got.stats.candidates_after_dedup) == (3, 2)
+        assert got.stats.combos_evaluated == 1
+        assert got.disks == [UnitDisk(0.0, 0.0), UnitDisk(10.0, 0.0)]
+        assert got.covered.count == most_points(pts, 2).covered.count == 8
+
+    def test_builds_under_a_third_of_the_rows_on_sparse_input(self):
+        pts = generate(5000, 100.0, 101).points
+        got = most_points(pts, 2, prune=True)
+        # the unpruned rows do not depend on k
+        full = most_points(pts, 1)
+        assert got.stats.candidates_generated == full.stats.candidates_generated == 36130
+        assert 3 * got.stats.candidates_after_dedup < full.stats.candidates_after_dedup
+        assert got.covered.count == 19
+        assert union_of(got.disks, pts) == got.covered.bits
+
+    @given(point_sets(min_size=1))
+    def test_count_is_at_most_the_anchors_near_list(self, pts):
+        points = point_arrays(pts)
+        cx, cy, anchor = candidate_centers(points)
+        _, _, _, counts = center_coverage_bits(cx, cy, anchor, points)
+        assert (counts <= np.diff(points.near_ptr)[anchor]).all()
