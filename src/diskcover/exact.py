@@ -345,7 +345,7 @@ def _pruned_rows(
         return built[0], *parts[0]
     # the joins' rows, merged into center order
     built = np.concatenate(built)
-    order = np.argsort(built)
+    order = np.argsort(built, kind="stable")
     lengths = np.concatenate([np.diff(indptr) for indptr, _ in parts])
     at, lengths = csr_entries(np.concatenate(([0], np.cumsum(lengths))), order)
     cols = np.concatenate([cols for _, cols in parts])[at]
@@ -361,8 +361,9 @@ def most_points(
     sorted list of disk centers.  Every k, k=1 included, enumerates the
     candidate set: k=1 returns the first candidate of maximum count in
     center order, and its stats count candidates and scored candidates like
-    any other k.  If fewer distinct candidates than k exist, the solution is
-    padded by repeating the best disk.  The ids of ``pts`` must be distinct;
+    any other k.  If no more rows than k are searched (distinct candidates,
+    or under prune the built ones), all of them are used, padded by repeating
+    the best disk.  The ids of ``pts`` must be distinct;
     a repeated id raises ValueError.
     """
     if not pts:
@@ -383,7 +384,7 @@ def most_points(
     )
 
     if k >= len(rows):
-        # every candidate can be used; pad with the single best disk, the
+        # every row can be used; pad with the single best disk, the
         # first maximum in center order
         chosen = [UnitDisk(x, y) for x, y in zip(cx[rows].tolist(), cy[rows].tolist())]
         chosen += [chosen[int(counts.argmax())]] * (k - len(rows))

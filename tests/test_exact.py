@@ -473,7 +473,6 @@ class TestMostPoints:
             most_points(make_points([(0, 0)]), 0)
 
 
-
 def record_joins(monkeypatch):
     """The number of candidates of each coverage join ``most_points`` makes."""
     joins = []
