@@ -3,16 +3,19 @@
     python3 scripts/bench_sweep.py --base REV --out BENCH.json [--repeats 5] [--slow]
 
 The base revision's ``src/`` is exported with ``git archive`` into a
-temporary directory; the head is this checkout's ``src/``.  Both must have
-the library layout of ``7d5c532`` or later (``geometry.point_arrays``, a
-lazy ``single_disk.anchor_table`` and ``solver._greedy_step(table,
-covered)``).  Each repeat runs one child process per tree, back to back,
-and the tree that runs first alternates from repeat to repeat, so a slow
-spell of a shared host, or a cost of running second, falls on both.  A
-child times each row INNER times and reports the median; every figure is
-the median of those over the repeats.  Instances are ``generate(n, side, 101)`` unless a
-row names another seed, timed after one warm-up ``solve`` on a small
-instance.  Rows:
+temporary directory; the head is this checkout's ``src/``.  Both trees are
+imported into this one process, as the packages ``diskcover_base`` and
+``diskcover_head``, so both must have the library layout of ``2a0d561`` or
+later (``geometry.point_arrays``, the public ``geometry.coverage_rows`` and
+``packed_coverage``, a lazy ``single_disk.anchor_table`` and
+``solver._greedy_step(table, covered)``).  Each tree gets its own inputs,
+built before anything is timed, and one warm-up ``solve`` on a small
+instance.  A repeat times each row INNER times per tree, call by call, the
+two trees alternating and the one that goes first alternating too, so a
+slow spell of a shared host falls on both trees alike; it records each
+tree's median.  Every figure is the median of those over the repeats.
+Instances are ``generate(n, side, 101)`` unless a row names another seed.
+Rows:
 
 * ``sweep``: ``solve(pts, 1)`` on the whole instance (the first disk);
 * ``greedy_step``: ``solver._greedy_step`` on the points its first disk
@@ -24,10 +27,10 @@ instance.  Rows:
   first step (in the ``sweep`` row) and after the timed step (in the
   ``greedy_step`` row);
 * ``solve_m2``: ``solve(pts, 2)`` end to end;
-* ``geometry``: ``point_arrays``, ``candidate_centers`` and
-  ``center_coverage_bits(..., distinct=True)`` on 5000:100 and 2000:40, the
-  candidate set and its distinct coverage rows as ``most_points`` builds
-  them;
+* ``geometry``: ``point_arrays``, ``candidate_centers``, ``coverage_rows``
+  and ``packed_coverage(..., distinct=True)`` on 5000:100 and 2000:40, the
+  candidate set and its distinct coverage rows as unpruned ``most_points``
+  builds them;
 * ``kernel``: the combination enumeration, on ``most_points(pts, 2,
   dedup=False)`` for 300:20 seed 5 (the ``bench`` baseline column), ``solve``
   m=3 on dense 64:10, and ``most_points(pts, 2, dedup=True, prune=True)``
@@ -36,11 +39,11 @@ instance.  Rows:
 * ``--slow`` adds ``solve`` m=3 on 2000:40: 171,868,741 combos, about
   1.4 s a run with the packed kernel (``BENCH_7.json``).
 
-Each row also records what the call returned (coverage, and combos where the
-call counts them), so the two trees can be seen to agree.  ``speedup`` is
-the ratio of the two medians; ``paired_speedup`` is the median over the
-repeats of base ms / head ms within one repeat, whose two children ran back
-to back, so a slow spell of the host cancels out of each ratio;
+Each row also records what the last call returned (coverage, and combos
+where the call counts them), so the two trees can be seen to agree.
+``speedup`` is the ratio of the two medians; ``paired_speedup`` is the
+median over the repeats of base ms / head ms within one repeat, whose calls
+alternated, so a slow spell of the host cancels out of each ratio;
 ``paired_q1`` and ``paired_q3`` are the quartiles of those ratios, so a
 row's spread shows next to its median.
 """
@@ -48,6 +51,8 @@ row's spread shows next to its median.
 from __future__ import annotations
 
 import argparse
+import importlib
+import importlib.util
 import json
 import os
 import platform
@@ -65,19 +70,8 @@ STEP_SIZES = [(5000, 100.0), (20000, 200.0)]
 SOLVE_SIZES = [(1000, 200.0), (5000, 100.0), (20000, 200.0), (2000, 40.0)]
 GEOMETRY_SIZES = [(5000, 100.0), (2000, 40.0)]
 SLOW_SIZE = (2000, 40.0)
-# timings of a row in one child, of which it reports the median
+# timings of a row per tree in one repeat, of which it records the median
 INNER = 5
-
-
-def _timed(call, setup=lambda: ()):
-    """Median ms of INNER calls ``call(*setup())``, setup untimed, and the last result."""
-    times = []
-    for _ in range(INNER):
-        args = setup()
-        t0 = time.perf_counter()
-        out = call(*args)
-        times.append(1e3 * (time.perf_counter() - t0))
-    return statistics.median(times), out
 
 
 def _counts(result) -> dict:
@@ -92,60 +86,69 @@ def _counts(result) -> dict:
     }
 
 
-def measure(slow: bool) -> dict:
-    """One run of every row on the ``diskcover`` found first on sys.path."""
+def cases(diskcover, slow: bool) -> list[tuple]:
+    """(row, call, setup, summary) of every row, on the package ``diskcover``.
+
+    A timing runs ``call(*setup())`` and times only the call; ``summary``
+    reads what the last call returned.  The inputs are built here.
+    """
     import numpy as np
 
-    from diskcover import generate, most_points, single_disk, solve, solver
-    from diskcover.geometry import candidate_centers, center_coverage_bits, point_arrays
+    generate, solve, most_points = diskcover.generate, diskcover.solve, diskcover.most_points
 
-    # first calls pay one-time costs (lazy imports, first allocations)
-    solve(generate(50, 5.0, SEED).points, 2)
-    rows = {}
-    for n, side in STEP_SIZES:
-        pts = generate(n, side, SEED).points
-        ms, first = _timed(lambda: solve(pts, 1))
-        rows[f"sweep {n}:{side:g}"] = {"ms": ms, "rho": first.rho}
-        tables = []
+    def step(table, covered):
+        # the table rides along with the step's result, for its summary
+        return diskcover.solver._greedy_step(table, covered), table
 
-        def first_step(pts=pts, covered=first.covered.ids()):
-            table = single_disk.anchor_table(point_arrays(pts))
-            solver._greedy_step(table, np.zeros(len(pts), dtype=bool))
-            tables.append((table, int(table.swept.sum())))
-            return table, np.isin(table.points.ids, covered)
-
-        ms, (disk, union) = _timed(solver._greedy_step, first_step)
-        table, swept_first = tables[-1]
-        rows[f"sweep {n}:{side:g}"]["anchors_swept"] = swept_first
-        rows[f"greedy_step {n}:{side:g}"] = {
-            "ms": ms,
+    def step_summary(out):
+        (disk, union), table = out
+        return {
             "covered": int(union.sum()),
             "disk": [disk.cx.hex(), disk.cy.hex()],
             "anchors_swept": int(table.swept.sum()),
         }
+
+    out = []
+    for n, side in STEP_SIZES:
+        pts = generate(n, side, SEED).points
+        covered = solve(pts, 1).covered.ids()
+
+        def first_step(pts=pts):
+            table = diskcover.single_disk.anchor_table(diskcover.geometry.point_arrays(pts))
+            step(table, np.zeros(len(pts), dtype=bool))
+            return table
+
+        def after_first_step(first_step=first_step, covered=covered):
+            table = first_step()
+            return table, np.isin(table.points.ids, covered)
+
+        out.append((
+            f"sweep {n}:{side:g}", lambda pts=pts: solve(pts, 1), tuple,
+            lambda sol, first_step=first_step: {
+                "rho": sol.rho, "anchors_swept": int(first_step().swept.sum()),
+            },
+        ))
+        out.append((f"greedy_step {n}:{side:g}", step, after_first_step, step_summary))
     for n, side in SOLVE_SIZES:
         pts = generate(n, side, SEED).points
-        ms, sol = _timed(lambda: solve(pts, 2))
-        rows[f"solve_m2 {n}:{side:g}"] = {
-            "ms": ms,
-            "covered": sol.covered.count,
-            "rho": sol.rho,
-            "combos": sol.total_combos,
-        }
+        out.append((
+            f"solve_m2 {n}:{side:g}", lambda pts=pts: solve(pts, 2), tuple,
+            lambda sol: {"covered": sol.covered.count, "rho": sol.rho, "combos": sol.total_combos},
+        ))
     for n, side in GEOMETRY_SIZES:
         pts = generate(n, side, SEED).points
 
         def geometry_row(pts=pts):
-            points = point_arrays(pts)
-            centers = candidate_centers(points)
-            return len(centers[0]), center_coverage_bits(*centers, points, distinct=True)[0]
+            points = diskcover.geometry.point_arrays(pts)
+            centers = diskcover.geometry.candidate_centers(points)
+            rows = diskcover.geometry.coverage_rows(*centers, points)
+            distinct = diskcover.geometry.packed_coverage(*rows, points, distinct=True)[0]
+            return len(centers[0]), distinct
 
-        ms, (n_candidates, distinct) = _timed(geometry_row)
-        rows[f"geometry {n}:{side:g}"] = {
-            "ms": ms,
-            "candidates": n_candidates,
-            "distinct_rows": len(distinct),
-        }
+        out.append((
+            f"geometry {n}:{side:g}", geometry_row, tuple,
+            lambda out: {"candidates": out[0], "distinct_rows": len(out[1])},
+        ))
     kernel = [
         ("most_points_m2_nodedup 300:20 seed 5", 300, 20.0, 5,
          lambda pts: most_points(pts, 2, dedup=False)),
@@ -160,23 +163,59 @@ def measure(slow: bool) -> dict:
         kernel.append((f"solve_m3 {n}:{side:g}", n, side, SEED, lambda pts: solve(pts, 3)))
     for name, n, side, seed, call in kernel:
         pts = generate(n, side, seed).points
-        ms, result = _timed(lambda: call(pts))
-        rows[f"kernel {name}"] = {"ms": ms, **_counts(result)}
-    return rows
+        out.append((f"kernel {name}", lambda call=call, pts=pts: call(pts), tuple, _counts))
+    return out
+
+
+def measure(packages: dict, repeats: int, slow: bool) -> dict:
+    """Per tree and row: the median ms of each repeat and the summary."""
+    rows = {name: cases(package, slow) for name, package in packages.items()}
+    for package in packages.values():
+        # first calls pay one-time costs (lazy imports, first allocations)
+        package.solve(package.generate(50, 5.0, SEED).points, 2)
+    runs = {name: {row[0]: [] for row in rows[name]} for name in packages}
+    last = {}
+    base_first = True
+    for _ in range(repeats):
+        for i, (row, *_) in enumerate(rows["base"]):
+            times = {name: [] for name in packages}
+            for _ in range(INNER):
+                for name in ("base", "head") if base_first else ("head", "base"):
+                    _, call, setup, _ = rows[name][i]
+                    args = setup()
+                    t0 = time.perf_counter()
+                    last[name, i] = call(*args)
+                    times[name].append(1e3 * (time.perf_counter() - t0))
+                base_first = not base_first
+            for name in packages:
+                runs[name][row].append(statistics.median(times[name]))
+    return {
+        name: {
+            row: {"runs_ms": runs[name][row], **summary(last[name, i])}
+            for i, (row, _, _, summary) in enumerate(rows[name])
+        }
+        for name in packages
+    }
+
+
+def _load(src: Path, name: str):
+    """The package ``diskcover`` of the tree ``src``, imported as ``name``."""
+    spec = importlib.util.spec_from_file_location(
+        name, src / "diskcover" / "__init__.py",
+        submodule_search_locations=[str(src / "diskcover")],
+    )
+    package = importlib.util.module_from_spec(spec)
+    sys.modules[name] = package
+    spec.loader.exec_module(package)
+    for module in ("geometry", "single_disk", "solver"):
+        importlib.import_module(f"{name}.{module}")
+    return package
 
 
 def _git(*args: str) -> str:
     return subprocess.run(
         ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
     ).stdout.strip()
-
-
-def _child(src: Path, slow: bool) -> dict:
-    out = subprocess.run(
-        [sys.executable, __file__, "--measure", str(src)] + ["--slow"] * slow,
-        check=True, capture_output=True, text=True,
-    ).stdout
-    return json.loads(out)
 
 
 def main() -> None:
@@ -188,12 +227,7 @@ def main() -> None:
         "--slow", action="store_true",
         help=f"also time solve m=3 on {SLOW_SIZE[0]}:{SLOW_SIZE[1]:g} (171,868,741 combos)",
     )
-    parser.add_argument("--measure", help=argparse.SUPPRESS)
     args = parser.parse_args()
-    if args.measure:
-        sys.path.insert(0, args.measure)
-        print(json.dumps(measure(args.slow)))
-        return
     if not args.base or not args.out:
         parser.error("--base and --out are required")
 
@@ -209,20 +243,18 @@ def main() -> None:
         with tarfile.open(archive) as tar:
             tar.extractall(tmp, filter="data")
         trees = {"base": Path(tmp) / "src", "head": ROOT / "src"}
-        runs = {name: [] for name in trees}
-        for repeat in range(args.repeats):
-            # the tree that runs first alternates, so that an effect of the
-            # order on this host falls on both trees alike
-            for name in ("base", "head") if repeat % 2 == 0 else ("head", "base"):
-                runs[name].append(_child(trees[name], args.slow))
+        # measured while the base tree exists, for the imports its calls make
+        runs = measure(
+            {name: _load(src, f"diskcover_{name}") for name, src in trees.items()},
+            args.repeats, args.slow,
+        )
 
     rows = {}
-    for row in runs["base"][0]:
+    for row in runs["base"]:
         entry = {}
         for name in trees:
-            times = [run[row]["ms"] for run in runs[name]]
-            result = {k: v for k, v in runs[name][0][row].items() if k != "ms"}
-            entry[name] = {"median_ms": statistics.median(times), "runs_ms": times, **result}
+            times = runs[name][row]["runs_ms"]
+            entry[name] = {"median_ms": statistics.median(times), **runs[name][row]}
         entry["speedup"] = entry["base"]["median_ms"] / entry["head"]["median_ms"]
         paired = [b / h for b, h in zip(entry["base"]["runs_ms"], entry["head"]["runs_ms"])]
         entry["paired_speedup"] = statistics.median(paired)
@@ -236,9 +268,10 @@ def main() -> None:
         "repeats": args.repeats,
         "inner_repeats": INNER,
         "slow_rows": args.slow,
-        "statistic": "median over the repeats of each child's median; paired_speedup: "
-        "median over the repeats of base / head within a repeat; paired_q1, paired_q3: "
-        "its quartiles (linear interpolation)",
+        "statistic": "median over the repeats of each tree's median of INNER calls, the "
+        "trees alternating call by call in one process; paired_speedup: median over the "
+        "repeats of base / head within a repeat; paired_q1, paired_q3: its quartiles "
+        "(linear interpolation)",
         "seed": SEED,
         "python": platform.python_version(),
         "numpy": numpy.__version__,

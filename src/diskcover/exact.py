@@ -24,13 +24,14 @@ tie-breaks are reproducible.  Two optional reductions:
   (smallest-center) representative.  Never changes the optimum value.
 * prune: coverage rows are built only for the candidates whose count bound,
   the length of the anchor's near list, can take part in a combination
-  better than a greedy one (``_pruned_rows``), highest bound first; then
-  branch-and-bound over those rows re-sorted by coverage count descending:
-  a partial selection is abandoned when its union plus the best remaining
-  counts cannot beat the incumbent, and the search stops once the
-  incumbent covers every point (on dense inputs that bound exceeds the
-  point count and cuts nothing).  Never changes the optimum value, but may
-  return a different equally-good disk set.
+  better than a greedy one (``_pruned_rows``); then branch-and-bound over
+  the rows left by dedup, re-sorted by coverage count descending, from the
+  same greedy pick (``_greedy``) over them: a partial selection is
+  abandoned when its union plus the best remaining counts cannot beat the
+  incumbent, and the search stops once the incumbent covers every point
+  (on dense inputs that bound exceeds the point count and cuts nothing).
+  Never changes the optimum value, but may return a different equally-good
+  disk set.
 
 Both searches score their combinations in blocks of at most BLOCK_WORDS
 words; a block reproduces, combination for combination, the counts and the
@@ -170,42 +171,12 @@ def _enumerate_all(words: np.ndarray, counts: np.ndarray, k: int) -> tuple[int, 
     return best, combo
 
 
-def _greedy_seed(
-    words: np.ndarray, counts: np.ndarray, order: np.ndarray, k: int
-) -> tuple[int, tuple[int, ...]]:
-    """Greedy-by-marginal-gain k-subset; a realizable incumbent for pruning.
-
-    Each step takes the smallest index of largest gain.  ``order`` lists the
-    rows by count descending, and a gain never exceeds its count, so a step
-    scores the rows in that order a block at a time and stops at the first
-    block whose leading count is below the best gain so far.
-    """
-    union = np.zeros(words.shape[1], dtype=np.uint64)
-    chosen: list[int] = []
-    step = max(1, BLOCK_WORDS // words.shape[1])
-    for _ in range(k):
-        base = int(np.bitwise_count(union).sum())
-        best_gain, best_i = -1, -1
-        for lo in range(0, len(order), step):
-            if counts[order[lo]] < best_gain:
-                break
-            rows = order[lo : lo + step]
-            gains = _union_counts(words, union, rows) - base
-            gains[np.isin(rows, chosen)] = -1
-            gain = int(gains.max())
-            i = int(rows[gains == gain].min())
-            if gain > best_gain or (gain == best_gain and i < best_i):
-                best_gain, best_i = gain, i
-        chosen.append(best_i)
-        union |= words[best_i]
-    return int(np.bitwise_count(union).sum()), tuple(sorted(chosen))
-
-
 class _PrunedSearch:
     """Branch-and-bound over the rows in count-descending order.
 
-    The incumbent starts at the greedy solution, so abandoning branches that
-    can at best tie never loses the optimum value, and reaching ``full`` ends
+    The incumbent starts at the given one, which k rows realize (in
+    ``most_points``, the ``_greedy`` one), so abandoning branches that can
+    at best tie never loses the optimum value, and reaching ``full`` ends
     the search.  A level computes the bound of every row it may still take
     at once: the union with that row plus the counts of the rows that would
     follow it.  ``ucount + ranked[t]`` is non-increasing in ``t`` and the
@@ -214,12 +185,14 @@ class _PrunedSearch:
     the running maximum of its scores.
     """
 
-    def __init__(self, words: np.ndarray, counts: np.ndarray, k: int, full: int):
+    def __init__(
+        self, words: np.ndarray, counts: np.ndarray, k: int, full: int, incumbent: tuple
+    ):
         self.words, self.k, self.full = words, k, full
         self.order = np.argsort(-counts, kind="stable")
         self.ranked = counts[self.order]
         self.prefix = np.concatenate(([0], np.cumsum(self.ranked)))
-        self.best, self.combo = _greedy_seed(words, counts, self.order, k)
+        self.best, self.combo = incumbent
         self.combos = 0
 
     def run(self) -> tuple[int, tuple[int, ...], int]:
@@ -280,33 +253,45 @@ class _PrunedSearch:
 
 
 def _enumerate_exact(
-    words: np.ndarray, counts: np.ndarray, k: int, prune: bool, full: int
+    words: np.ndarray, counts: np.ndarray, k: int, full: int, incumbent: tuple | None = None
 ) -> tuple[int, tuple[int, ...], int]:
     """Best k-subset of the coverage rows ``words`` (k < len(words)).
 
     ``counts[i]`` is the popcount of row i, as int64 (the pruned search
     negates it), and ``full`` (the point count) bounds the popcount of every
     union.  Returns (count, chosen index tuple, combos evaluated), where
-    combos counts complete k-subsets whose union was scored.  Without
-    pruning every k-subset is scored, in lexicographic order, and the first
-    maximum wins, which (for center-sorted candidates) realizes the
+    combos counts complete k-subsets whose union was scored.  Given an
+    ``incumbent`` (count, chosen index tuple) the search is pruned from it.
+    Without one every k-subset is scored, in lexicographic order, and the
+    first maximum wins, which (for center-sorted candidates) realizes the
     smallest-sorted-center tie-break.
     """
-    if prune:
-        return _PrunedSearch(words, counts, k, full).run()
+    if incumbent is not None:
+        return _PrunedSearch(words, counts, k, full, incumbent).run()
     count, combo = _enumerate_all(words, counts, k)
     return count, combo, math.comb(len(words), k)
 
 
-def _greedy_cover(indptr: np.ndarray, cols: np.ndarray, n_points: int, k: int) -> int:
-    """Points covered by k CSR coverage rows taken greedily, each step the
-    first row of largest gain; a value k disks realize."""
+def _greedy(
+    indptr: np.ndarray, cols: np.ndarray, rows: np.ndarray, n_points: int, k: int
+) -> tuple[int, tuple[int, ...]]:
+    """Greedy-by-marginal-gain k of the CSR coverage ``rows``, a value k disks
+    realize: each step takes the first row of largest gain among those not
+    yet taken.  Returns the points covered and the positions in ``rows``
+    taken, ascending."""
+    at, lengths = csr_entries(indptr, rows)
+    ptr = np.concatenate(([0], np.cumsum(lengths)))
+    row_cols, owner = cols[at], np.repeat(np.arange(len(rows)), lengths)
     covered = np.zeros(n_points, dtype=bool)
-    for _ in range(k):
-        fresh = np.concatenate(([0], np.cumsum(~covered[cols])))
-        t = int((fresh[indptr[1:]] - fresh[indptr[:-1]]).argmax())
-        covered[cols[indptr[t] : indptr[t + 1]]] = True
-    return int(covered.sum())
+    taken: list[int] = []
+    for _ in range(min(k, len(rows))):
+        gains = lengths - np.bincount(owner[covered[row_cols]], minlength=len(rows))
+        # once every gain is 0, a taken row would be first again
+        gains[taken] = -1
+        t = int(gains.argmax())
+        taken.append(t)
+        covered[row_cols[ptr[t] : ptr[t + 1]]] = True
+    return int(covered.sum()), tuple(sorted(taken))
 
 
 def _pruned_rows(
@@ -318,8 +303,8 @@ def _pruned_rows(
     A center covers only points of its anchor's near list, so the list's
     length ``ub`` bounds its count.  The first join takes every candidate
     whose ``ub`` is at least the BLOCK_ROWS-th largest (every candidate if
-    there are no more), and k of their rows taken greedily cover ``inc``
-    points.  With C the largest count joined and L the largest ``ub`` not
+    there are no more), and k of their rows taken by ``_greedy`` cover
+    ``inc`` points.  With C the largest count joined and L the largest ``ub`` not
     joined, a combination that uses a candidate not joined covers at most
     L + (k - 1) * max(C, L) points.  So each further join takes the
     candidates with ``ub > inc - (k - 1) * C``, until one raises no C: then
@@ -333,7 +318,7 @@ def _pruned_rows(
     built = [np.flatnonzero(ub >= top)]
     parts = [coverage_rows(cx[built[0]], cy[built[0]], anchor[built[0]], points)]
     if len(built[0]) < len(ub):
-        inc = _greedy_cover(*parts[0], len(points.x), k)
+        inc, _ = _greedy(*parts[0], np.arange(len(built[0])), len(points.x), k)
         most = int(np.diff(parts[0][0]).max())
         floor = inc - (k - 1) * most
         while len(band := np.flatnonzero((ub < top) & (ub > floor))):
@@ -378,23 +363,22 @@ def most_points(
     else:
         built, (indptr, cols) = np.arange(len(cx)), coverage_rows(cx, cy, anchor, points)
     rows, words, gids, counts = packed_coverage(indptr, cols, points, distinct=dedup)
-    rows = built[rows]
-    stats = ExactSolveStats(
-        candidates_generated=len(cx), candidates_after_dedup=len(rows)
-    )
+    centers = built[rows]
+    stats = ExactSolveStats(candidates_generated=len(cx), candidates_after_dedup=len(rows))
 
     if k >= len(rows):
         # every row can be used; pad with the single best disk, the
         # first maximum in center order
-        chosen = [UnitDisk(x, y) for x, y in zip(cx[rows].tolist(), cy[rows].tolist())]
+        chosen = [UnitDisk(x, y) for x, y in zip(cx[centers].tolist(), cy[centers].tolist())]
         chosen += [chosen[int(counts.argmax())]] * (k - len(rows))
         stats.combos_evaluated = 1
         return MultiDiskResult(chosen, unpack_coverage(np.bitwise_or.reduce(words), gids), stats)
 
-    _, combo, combos = _enumerate_exact(words, counts, k, prune, len(pts))
+    incumbent = _greedy(indptr, cols, rows, len(pts), k) if prune else None
+    _, combo, combos = _enumerate_exact(words, counts, k, len(pts), incumbent)
     stats.combos_evaluated = combos
     union = np.bitwise_or.reduce(words[list(combo)])
-    centers = rows[list(combo)]
+    centers = centers[list(combo)]
     chosen = sorted(
         (UnitDisk(x, y) for x, y in zip(cx[centers].tolist(), cy[centers].tolist())),
         key=lambda d: (d.cx, d.cy),

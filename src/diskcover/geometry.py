@@ -172,9 +172,11 @@ class PointArrays:
 
     Coordinates are used as given, and EPS_COVER is an absolute slack on the
     squared distance, so exactness holds only while the coordinates are
-    small enough for it.  Measured: ``solve`` and ``most_points`` agree on
-    instances translated by up to 1e6, and disagree on 13 of 30 at 1e7 and
-    24 of 30 at 1e8 (defect A of ROADMAP item 1).
+    small enough for it.  Measured on ``generate(40, 6.0, seed)``, seeds
+    0-29, m=2 with prune, the offset added to x and y: ``solve`` and
+    ``most_points`` cover the same count at offsets up to 1e6, differ on 17
+    of 30 at 1e7 and 21 of 30 at 1e8, and ``solve``'s count moves from the
+    unshifted one on 18 and 25 of 30 (defect A of ROADMAP item 1).
     """
 
     x: np.ndarray
@@ -244,7 +246,7 @@ def candidate_centers(points: PointArrays) -> tuple[np.ndarray, np.ndarray, np.n
     itself, or the member of the pair with the shorter near list (a on
     ties).  Both members lie on the disk's boundary, so either is covered
     (squared distance at most 1 + EPS_COVER), which is what
-    ``center_coverage_bits`` relies on; the shorter list makes the join
+    ``coverage_rows`` relies on; the shorter list makes the join
     smaller and its length, which bounds the center's count, tighter.  A
     merged center keeps the anchor of the center it was merged into.
     """
@@ -317,44 +319,19 @@ def _kept_centers(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     return keep
 
 
-def center_coverage_bits(
-    cx: np.ndarray,
-    cy: np.ndarray,
-    anchor: np.ndarray,
-    points: PointArrays,
-    distinct: bool = False,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Coverage of the unit disks centered at (cx[r], cy[r]), packed into words.
-
-    Returns (rows, words, gids, counts).  ``words[t]`` is the coverage of
-    center ``rows[t]``: a row of uint64 words with one bit per point, in
-    which bit ``l % 64`` of word ``l // 64`` stands for the point of rank
-    ``l`` in x (a stable sort of ``points.x``), whose id is ``gids[l]``.  So
-    a disk's bits, and those of disks with nearby centers, fall in one or
-    two adjacent words, and a row has ceil(len(gids) / 64) words whatever
-    the magnitude of the ids.  ``counts[t]`` (int64) is the number of
-    points row t covers.  Without ``distinct`` every center is a row; with
-    it, only the first center of each distinct coverage set, chosen before
-    anything is packed.
-
-    ``anchor[r]`` is a row of ``points``: ``candidate_centers`` returns one
-    per center, and any other disk may pass its nearest point.  The
-    coverage of center r is exact whenever its anchor is covered, or nothing
-    is: every covered point is then within REACH of the anchor, so the
-    predicate is applied, exactly as ``coverage`` writes it, to the anchor
-    and its neighbors.  It is ``packed_coverage`` of ``coverage_rows``.
-    """
-    return packed_coverage(*coverage_rows(cx, cy, anchor, points), points, distinct)
-
-
 def packed_coverage(
     indptr: np.ndarray, cols: np.ndarray, points: PointArrays, distinct: bool = False
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """CSR coverage rows of ``coverage_rows`` packed into words.
 
-    Returns (rows, words, gids, counts) as ``center_coverage_bits`` does,
-    ``rows`` indexing the CSR rows: all of them, or with ``distinct`` the
-    first of each distinct coverage set, chosen before anything is packed.
+    Returns (rows, words, gids, counts).  ``rows`` index the CSR rows: all
+    of them, or with ``distinct`` the first of each distinct coverage set,
+    chosen before anything is packed.  ``words[t]`` is the coverage of CSR
+    row ``rows[t]``: ceil(len(gids) / 64) uint64 words, whatever the
+    magnitude of the ids, in which bit ``l % 64`` of word ``l // 64`` stands
+    for the point of rank ``l`` in x (a stable sort of ``points.x``), whose
+    id is ``gids[l]``, so nearby centers share words.  ``counts[t]`` (int64)
+    is the number of points row t covers.
     """
     by_x = np.argsort(points.x, kind="stable")
     gids = points.ids[by_x]
@@ -385,7 +362,7 @@ def _distinct_id_order(ids: np.ndarray) -> np.ndarray:
 
 
 def unpack_coverage(words: np.ndarray, gids: np.ndarray) -> CoverageSet:
-    """The coverage set of one row of ``center_coverage_bits`` words.
+    """The coverage set of one row of ``packed_coverage`` words.
 
     ``gids`` maps the row's bits to point ids, as returned with it.
     """
@@ -405,10 +382,13 @@ def coverage_rows(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Covered points of each center as CSR rows (indptr, cols).
 
-    ``anchor[r]`` is a row of ``points``, and center r's row is the
-    predicate applied to the anchor's near list, the anchor and its
-    neighbors, a block of centers at a time.  ``cols`` are rows of
-    ``points``, ascending within a row, as in the near lists.
+    ``anchor[r]`` is a row of ``points``: ``candidate_centers`` returns one
+    per center, and any other disk may pass its nearest point.  Center r's
+    row is the predicate applied, exactly as ``coverage`` writes it, to the
+    anchor's near list, the anchor and its neighbors, a block of centers at
+    a time.  It is exact whenever the anchor is covered, or nothing is:
+    every covered point is then within REACH of the anchor.  ``cols`` are
+    rows of ``points``, ascending within a row, as in the near lists.
     """
     lengths = np.empty(len(cx), dtype=np.int64)
     parts = [points.near[:0]]

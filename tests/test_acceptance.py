@@ -26,7 +26,8 @@ from diskcover import (
 )
 from diskcover.geometry import (
     candidate_centers,
-    center_coverage_bits,
+    coverage_rows,
+    packed_coverage,
     point_arrays,
     unpack_coverage,
 )
@@ -110,7 +111,8 @@ def test_criterion_2_single_disk_equivalence():
         pts = uniform_points(seed, n, 0.0, side)
         swept = solve(pts, 1).rho
         points = point_arrays(pts)
-        _, words, gids, _ = center_coverage_bits(*candidate_centers(points), points)
+        rows = coverage_rows(*candidate_centers(points), points)
+        _, words, gids, _ = packed_coverage(*rows, points)
         brute = max(unpack_coverage(row, gids).count for row in words)
         if swept != brute:
             bad.append((n, side, seed, swept, brute))

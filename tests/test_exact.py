@@ -20,7 +20,8 @@ from diskcover import (
 )
 from diskcover.geometry import (
     candidate_centers,
-    center_coverage_bits,
+    coverage_rows,
+    packed_coverage,
     point_arrays,
     unpack_coverage,
 )
@@ -84,12 +85,15 @@ def reference_best_k(pts, k, dedup):
     return [(d.cx, d.cy) for d in chosen], union, combos, len(cands), len(disks)
 
 
-def reference_greedy_seed(bits, counts, order, k):
+def reference_greedy(bits, k):
     """Greedy-by-marginal-gain k-subset on Python-int bitsets, one row at a time.
 
-    Each step takes the smallest index of largest gain, scanning ``order``
-    (count descending) until a count falls below the best gain so far.
+    Each step takes the smallest index of largest gain among the rows not
+    yet taken, scanning the rows by count descending until a count falls
+    below the best gain so far.
     """
+    counts = [b.bit_count() for b in bits]
+    order = sorted(range(len(bits)), key=lambda i: -counts[i])
     union = 0
     chosen = []
     for _ in range(k):
@@ -125,7 +129,7 @@ def reference_enumerate(bits, counts, k, prune, full):
     order = list(range(m))
     if prune:
         order.sort(key=lambda i: -counts[i])
-        best_count, best_combo = reference_greedy_seed(bits, counts, order, k)
+        best_count, best_combo = reference_greedy(bits, k)
         if best_count == full:
             return best_count, best_combo, 0
     else:
@@ -174,28 +178,44 @@ KERNEL_ROWS = {1: 300, 2: 80, 3: 28, 4: 16}
 
 
 def kernel_cases(pts, dedup):
-    """(words, Python-int bitsets) of evenly spaced candidate rows, per k.
+    """(k, words, Python-int bitsets, CSR rows) of evenly spaced candidate
+    rows, per k.
 
     The bitsets come from ``coverage``, one disk at a time, so the packer is
     checked too; the kernel only sees rows, so a subset of them is as good
-    an input as all of them.
+    an input as all of them.  The CSR rows are ``(indptr, cols, rows)``,
+    ``rows`` the kept rows' positions in the CSR rows of ``coverage_rows``.
     """
     points = point_arrays(pts)
     cx, cy, anchor = candidate_centers(points)
-    rows, words, gids, _ = center_coverage_bits(cx, cy, anchor, points, distinct=dedup)
+    indptr, cols = coverage_rows(cx, cy, anchor, points)
+    rows, words, gids, _ = packed_coverage(indptr, cols, points, distinct=dedup)
     assert sorted(gids.tolist()) == points.ids.tolist()
     bits = [coverage(UnitDisk(cx[r], cy[r]), pts).bits for r in rows.tolist()]
     assert [unpack_coverage(w, gids).bits for w in words] == bits
     for k in (1, 2, 3, 4):
         keep = np.unique(np.linspace(0, len(rows) - 1, min(len(rows), KERNEL_ROWS[k])).astype(int))
         if k < len(keep):
-            yield k, words[keep], [bits[i] for i in keep.tolist()]
+            yield k, words[keep], [bits[i] for i in keep.tolist()], (indptr, cols, rows[keep])
 
 
-def assert_enumeration_matches(words, bits, k, full):
+def csr_of(bits):
+    """The CSR rows ``(indptr, cols, rows)`` of Python-int bitsets, bit l in column l."""
+    cols = [[b for b in range(x.bit_length()) if x >> b & 1] for x in bits]
+    indptr = np.cumsum([0] + [len(c) for c in cols])
+    return indptr, np.array([b for c in cols for b in c], dtype=np.int64), np.arange(len(bits))
+
+
+def assert_enumeration_matches(words, bits, k, full, csr=None):
+    """The kernel against ``reference_enumerate``, unpruned and pruned from
+    the incumbent of ``exact._greedy`` on the CSR rows of ``bits``, which
+    must be ``reference_greedy``'s."""
     counts = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-    for prune in (False, True):
-        got = exact._enumerate_exact(words, counts, k, prune, full)
+    greedy = exact._greedy(*(csr or csr_of(bits)), full, k)
+    assert greedy == reference_greedy(bits, k), k
+    for incumbent in (None, greedy):
+        prune = incumbent is not None
+        got = exact._enumerate_exact(words, counts, k, full, incumbent)
         want = reference_enumerate(bits, [b.bit_count() for b in bits], k, prune, full)
         assert got == want, (k, prune)
         if not prune:
@@ -203,8 +223,8 @@ def assert_enumeration_matches(words, bits, k, full):
 
 
 def assert_kernel_matches_reference(pts, dedup):
-    for k, words, bits in kernel_cases(pts, dedup):
-        assert_enumeration_matches(words, bits, k, len(pts))
+    for k, words, bits, csr in kernel_cases(pts, dedup):
+        assert_enumeration_matches(words, bits, k, len(pts), csr)
 
 
 def packed_rows(bits, width):
@@ -247,7 +267,7 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("rows_per_block", [1, 2, 3])
     def test_tiny_blocks(self, monkeypatch, rows_per_block):
         # ties and the pruned break point fall across block edges: blocks of
-        # 1-3 rows in the greedy seed, the bounds and the last level, and
+        # 1-3 rows in the bounds and the last level, and
         # 1-3 outer rows (or 1-3 columns of one row) in the pair kernel
         for pts in (
             generate(10, 0.9 * math.sqrt(10), 19).points,
@@ -258,6 +278,29 @@ class TestKernelMatchesReference:
             for cols in (1, 24):
                 monkeypatch.setattr(exact, "BLOCK_WORDS", rows_per_block * cols * width)
                 assert_kernel_matches_reference(pts, dedup=True)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize(
+        "xy",
+        [
+            [(0, 0), (0.1, 0), (0, 0.1), (0.1, 0.1)],
+            # the first row, the disk on (0, 0), is the first pick
+            [(0, 0), (0.1, 0), (0.2, 0), (0.3, 0)],
+        ],
+    )
+    def test_greedy_takes_new_rows_once_nothing_is_left_to_gain(self, xy, k):
+        # four points inside one unit disk: the first pick covers them all,
+        # and each later pick gains 0 but must still be a row not yet taken
+        pts = make_points(xy)
+        _, words, bits, csr = next(case for case in kernel_cases(pts, True) if case[0] == k)
+        assert k < len(bits)
+        covered, taken = exact._greedy(*csr, 4, k)
+        assert covered == 4 and len(set(taken)) == k
+        assert (covered, taken) == reference_greedy(bits, k)
+        assert_enumeration_matches(words, bits, k, 4, csr)
+        res = most_points(pts, k, prune=True)
+        assert res.covered.count == 4 and res.stats.combos_evaluated == 0
+        assert len({(d.cx, d.cy) for d in res.disks}) == k
 
     @pytest.mark.parametrize("rows_per_block", [1, 2, 3])
     def test_zero_rows(self, monkeypatch, rows_per_block):
@@ -300,7 +343,7 @@ class TestKernelMatchesReference:
         width = -(-n // 64)
         assert width >= 3
         for dedup in (True, False):
-            for k, words, bits in kernel_cases(pts, dedup):
+            for k, words, bits, csr in kernel_cases(pts, dedup):
                 nonzero = words != 0
                 touched = {
                     tuple(np.flatnonzero(nonzero[a : a + rows_per_block].any(axis=0)).tolist())
@@ -309,7 +352,7 @@ class TestKernelMatchesReference:
                 assert len(touched) > 1 and all(len(t) < width for t in touched), k
                 for cols in (1, 24):
                     monkeypatch.setattr(exact, "BLOCK_WORDS", rows_per_block * cols * width)
-                    assert_enumeration_matches(words, bits, k, n)
+                    assert_enumeration_matches(words, bits, k, n, csr)
 
 
 class TestMostPoints:
@@ -406,11 +449,11 @@ class TestMostPoints:
     def test_prune_stops_once_every_point_is_covered(self):
         # every candidate here covers a large share of the 24 points, so the
         # bound (union plus the next counts) exceeds 24 and cuts nothing;
-        # the greedy seed already covers every point
+        # the greedy incumbent already covers every point
         res = most_points(generate(24, 1.6, 1).points, 3, prune=True)
         assert res.covered.count == 24
         assert res.stats.combos_evaluated == 0
-        # here the greedy seed covers 9 of 10 and the search reaches 10 at
+        # here the greedy incumbent covers 9 of 10 and the search reaches 10 at
         # its 92nd combo; going on to the end of the search scores 154
         pts = generate(10, 0.9 * math.sqrt(10), 19).points
         res = most_points(pts, 2, prune=True)
@@ -418,18 +461,19 @@ class TestMostPoints:
         assert res.stats.combos_evaluated == 92
         assert res.covered == most_points(pts, 2).covered
         # at k=3 the stop comes from the last level and leaves two levels of
-        # the search: the greedy seed covers 11 of 12, the 781st combo all
-        # 12, and a search that cannot stop (full above the point count)
+        # the search: the greedy incumbent covers 11 of 12, the 781st combo
+        # all 12, and a search that cannot stop (full above the point count)
         # scores 2,420
         pts = generate(12, 0.9 * math.sqrt(12), 1).points
         res = most_points(pts, 3, prune=True)
         assert res.covered.count == 12
         assert res.stats.combos_evaluated == 781
         points = point_arrays(pts)
-        _, words, _, counts = center_coverage_bits(
-            *candidate_centers(points), points, distinct=True
-        )
-        assert exact._enumerate_exact(words, counts, 3, True, 13)[2] == 2420
+        indptr, cols = coverage_rows(*candidate_centers(points), points)
+        rows, words, _, counts = packed_coverage(indptr, cols, points, distinct=True)
+        greedy = exact._greedy(indptr, cols, rows, 12, 3)
+        assert greedy[0] == 11
+        assert exact._enumerate_exact(words, counts, 3, 13, greedy)[2] == 2420
 
     def test_stats_invariant(self):
         rng = Xoshiro256StarStar(20)
@@ -550,5 +594,5 @@ class TestPrunedBuild:
     def test_count_is_at_most_the_anchors_near_list(self, pts):
         points = point_arrays(pts)
         cx, cy, anchor = candidate_centers(points)
-        _, _, _, counts = center_coverage_bits(cx, cy, anchor, points)
+        _, _, _, counts = packed_coverage(*coverage_rows(cx, cy, anchor, points), points)
         assert (counts <= np.diff(points.near_ptr)[anchor]).all()

@@ -24,7 +24,8 @@ from diskcover.geometry import (
     EPS_COVER,
     REACH,
     candidate_centers,
-    center_coverage_bits,
+    coverage_rows,
+    packed_coverage,
     point_arrays,
     unpack_coverage,
 )
@@ -47,10 +48,12 @@ def nearest_anchors(cx, cy, points):
     return tree.query(np.column_stack((cx, cy)))[1]
 
 
-def coverage_rows(cx, cy, anchor, points, distinct=False):
-    """(rows, bits) of ``center_coverage_bits``, each row unpacked; checks
-    that the returned counts are the rows' popcounts."""
-    rows, words, gids, counts = center_coverage_bits(cx, cy, anchor, points, distinct=distinct)
+def unpacked_rows(cx, cy, anchor, points, distinct=False):
+    """(rows, bits) of ``packed_coverage`` of ``coverage_rows``, each row
+    unpacked; checks that the returned counts are the rows' popcounts."""
+    rows, words, gids, counts = packed_coverage(
+        *coverage_rows(cx, cy, anchor, points), points, distinct=distinct
+    )
     bits = [unpack_coverage(w, gids).bits for w in words]
     assert counts.dtype == np.int64
     assert counts.tolist() == [b.bit_count() for b in bits]
@@ -58,12 +61,12 @@ def coverage_rows(cx, cy, anchor, points, distinct=False):
 
 
 def packed_bits(disks, pts):
-    """Each disk's coverage bits, unpacked from ``center_coverage_bits``, with
+    """Each disk's coverage bits, unpacked from ``packed_coverage``, with
     the nearest point as each disk's anchor."""
     points = point_arrays(pts)
     cx = np.array([d.cx for d in disks], dtype=np.float64)
     cy = np.array([d.cy for d in disks], dtype=np.float64)
-    return coverage_rows(cx, cy, nearest_anchors(cx, cy, points), points)[1]
+    return unpacked_rows(cx, cy, nearest_anchors(cx, cy, points), points)[1]
 
 
 def exact_floats(centers):
@@ -189,7 +192,7 @@ class TestPointArrays:
 
 
 class TestAnchorJoin:
-    """``center_coverage_bits`` gathers each center's coverage from its
+    """``coverage_rows`` gathers each center's coverage from its
     anchor's near list; these pin it to ``coverage``, disk by disk, with the
     anchors ``candidate_centers`` returns (``packed_bits`` above passes
     nearest points)."""
@@ -207,16 +210,16 @@ class TestAnchorJoin:
     def test_candidate_rows_match_per_disk_coverage(self, pts):
         points = point_arrays(pts)
         cx, cy, anchor = candidate_centers(points)
-        rows, bits = coverage_rows(cx, cy, anchor, points)
+        rows, bits = unpacked_rows(cx, cy, anchor, points)
         assert rows.tolist() == list(range(len(cx)))
         assert bits == [coverage(d, pts).bits for d in candidates(pts)]
-        rows, bits = coverage_rows(cx, cy, anchor, points, distinct=True)
+        rows, bits = unpacked_rows(cx, cy, anchor, points, distinct=True)
         assert bits == [coverage(UnitDisk(cx[r], cy[r]), pts).bits for r in rows.tolist()]
 
     def test_disk_covering_nothing_is_empty_with_any_anchor(self):
         points = point_arrays(make_points([(0, 0), (0.5, 0), (2, 0)]))
         for a in range(3):
-            _, bits = coverage_rows(np.array([10.0]), np.array([10.0]), np.array([a]), points)
+            _, bits = unpacked_rows(np.array([10.0]), np.array([10.0]), np.array([a]), points)
             assert bits == [0]
 
     def test_pairs_at_exactly_two_and_duplicates(self):
@@ -226,7 +229,7 @@ class TestAnchorJoin:
         for off in (0.0, 1e3, 1e6):
             pts = make_points([(x + off, y - off) for x, y in coords])
             points = point_arrays(pts)
-            _, bits = coverage_rows(*candidate_centers(points), points)
+            _, bits = unpacked_rows(*candidate_centers(points), points)
             assert bits == [coverage(d, pts).bits for d in candidates(pts)]
 
 
@@ -245,8 +248,8 @@ class TestDistinctRows:
     def check(self, pts):
         points = point_arrays(pts)
         cx, cy, anchor = candidate_centers(points)
-        _, bits = coverage_rows(cx, cy, anchor, points)
-        rows, _ = coverage_rows(cx, cy, anchor, points, distinct=True)
+        _, bits = unpacked_rows(cx, cy, anchor, points)
+        rows, _ = unpacked_rows(cx, cy, anchor, points, distinct=True)
         assert rows.tolist() == distinct_reference(bits)
 
     @given(point_sets(min_size=1))
