@@ -27,15 +27,17 @@ Rows:
   first step (in the ``sweep`` row) and after the timed step (in the
   ``greedy_step`` row);
 * ``solve_m2``: ``solve(pts, 2)`` end to end;
-* ``geometry``: ``point_arrays``, ``candidate_centers``, ``coverage_rows``
-  and ``packed_coverage(..., distinct=True)`` on 5000:100 and 2000:40, the
+* ``geometry``: ``point_arrays``, ``candidate_centers``, ``coverage_rows``,
+  ``distinct_rows`` and ``packed_coverage`` on 5000:100 and 2000:40, the
   candidate set and its distinct coverage rows as unpruned ``most_points``
-  builds them;
+  builds them (on a tree up to ``ac33c95``, which has no ``distinct_rows``,
+  ``packed_coverage(..., distinct=True)``, the same work);
 * ``kernel``: the combination enumeration, on ``most_points(pts, 2,
   dedup=False)`` for 300:20 seed 5 (the ``bench`` baseline column), ``solve``
   m=3 on dense 64:10, and ``most_points(pts, 2, dedup=True, prune=True)``
-  on 5000:100 (the ``verify`` oracle) and on 2000:40, where the oracle's
-  near-list bound leaves the most candidates to build;
+  on 5000:100 (the ``verify`` oracle), on 2000:40, where the oracle's
+  near-list bound leaves the most candidates to build, and on dense 300:6,
+  where it joins nearly every candidate in two joins;
 * ``--slow`` adds ``solve`` m=3 on 2000:40: 171,868,741 combos, about
   1.4 s a run with the packed kernel (``BENCH_7.json``).
 
@@ -138,11 +140,18 @@ def cases(diskcover, slow: bool) -> list[tuple]:
     for n, side in GEOMETRY_SIZES:
         pts = generate(n, side, SEED).points
 
-        def geometry_row(pts=pts):
-            points = diskcover.geometry.point_arrays(pts)
-            centers = diskcover.geometry.candidate_centers(points)
-            rows = diskcover.geometry.coverage_rows(*centers, points)
-            distinct = diskcover.geometry.packed_coverage(*rows, points, distinct=True)[0]
+        def geometry_row(pts=pts, geometry=diskcover.geometry):
+            points = geometry.point_arrays(pts)
+            centers = geometry.candidate_centers(points)
+            indptr, cols = geometry.coverage_rows(*centers, points)
+            if not hasattr(geometry, "distinct_rows"):
+                # up to ac33c95 the dedup was packed_coverage's flag
+                return len(centers[0]), geometry.packed_coverage(
+                    indptr, cols, points, distinct=True
+                )[0]
+            rows = np.arange(len(centers[0]))
+            distinct = geometry.distinct_rows(indptr, cols, rows, len(pts))
+            geometry.packed_coverage(indptr, cols, distinct, points)
             return len(centers[0]), distinct
 
         out.append((
@@ -156,6 +165,8 @@ def cases(diskcover, slow: bool) -> list[tuple]:
         ("most_points_m2_prune 5000:100", 5000, 100.0, SEED,
          lambda pts: most_points(pts, 2, dedup=True, prune=True)),
         ("most_points_m2_prune 2000:40", 2000, 40.0, SEED,
+         lambda pts: most_points(pts, 2, dedup=True, prune=True)),
+        ("most_points_m2_prune 300:6", 300, 6.0, SEED,
          lambda pts: most_points(pts, 2, dedup=True, prune=True)),
     ]
     if slow:

@@ -23,13 +23,13 @@ tie-breaks are reproducible.  Two optional reductions:
 * dedup: candidates with identical coverage are collapsed to the first
   (smallest-center) representative.  Never changes the optimum value.
 * prune: coverage rows are built only for the candidates whose count bound,
-  the length of the anchor's near list, can take part in a combination
-  better than a greedy one (``_pruned_rows``); then branch-and-bound over
-  the rows left by dedup, re-sorted by coverage count descending, from the
-  same greedy pick (``_greedy``) over them: a partial selection is
-  abandoned when its union plus the best remaining counts cannot beat the
-  incumbent, and the search stops once the incumbent covers every point
-  (on dense inputs that bound exceeds the point count and cuts nothing).
+  the length of the anchor's near list, can take part in a combination better
+  than a greedy one (``_pruned_rows``), in center order; then branch-and-bound
+  over the rows left by dedup, re-sorted by count descending, from the same
+  greedy pick (``_greedy``) over them: a partial selection is abandoned when
+  its union plus the best remaining counts cannot beat the incumbent, and the
+  search stops once the incumbent covers every point (on dense inputs that
+  bound exceeds the point count and cuts nothing).
   Never changes the optimum value, but may return a different equally-good
   disk set.
 
@@ -57,6 +57,7 @@ from .geometry import (
     candidate_centers,
     coverage_rows,
     csr_entries,
+    distinct_rows,
     packed_coverage,
     point_arrays,
     unpack_coverage,
@@ -298,43 +299,38 @@ def _pruned_rows(
     points: PointArrays, cx: np.ndarray, cy: np.ndarray, anchor: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The candidates whose rows can be in a k-combination better than a
-    greedy one, ascending, and their coverage as CSR rows (indptr, cols).
+    greedy one, in join order, and their coverage as CSR rows (indptr, cols).
 
     A center covers only points of its anchor's near list, so the list's
-    length ``ub`` bounds its count.  The first join takes every candidate
-    whose ``ub`` is at least the BLOCK_ROWS-th largest (every candidate if
-    there are no more), and k of their rows taken by ``_greedy`` cover
-    ``inc`` points.  With C the largest count joined and L the largest ``ub`` not
-    joined, a combination that uses a candidate not joined covers at most
-    L + (k - 1) * max(C, L) points.  So each further join takes the
-    candidates with ``ub > inc - (k - 1) * C``, until one raises no C: then
-    L <= inc - (k - 1) * C <= C (inc is at most k times the first C), the
-    bound is at most ``inc``, which the joined rows realize, and their
-    optimum is the optimum.  A second further join only has candidates of
-    ``ub`` at most the first C, so it raises no C: there are at most two.
+    length ``ub`` bounds its count.  Each join takes the candidates not yet
+    joined with ``ub`` above ``floor``, first those of ``ub`` at least the
+    BLOCK_ROWS-th largest (all if there are no more); while some are left,
+    k of the first join's rows taken by ``_greedy`` cover ``inc`` points.
+    With C the largest count joined and L the largest ``ub`` not joined, a
+    combination using a candidate not joined covers at most L + (k - 1) *
+    max(C, L) points, so the next floor is ``inc - (k - 1) * C``.  Once a
+    join raises no C, L <= inc - (k - 1) * C <= C (inc <= k * first C), the
+    bound is at most ``inc``, which the joined rows realize, so their
+    optimum is the optimum.  A third join only has candidates of ``ub`` at
+    most the first C, so it raises no C: there are at most three joins.
     """
     ub = np.diff(points.near_ptr)[anchor]
-    top = np.partition(ub, -BLOCK_ROWS)[-BLOCK_ROWS] if len(ub) > BLOCK_ROWS else 0
-    built = [np.flatnonzero(ub >= top)]
-    parts = [coverage_rows(cx[built[0]], cy[built[0]], anchor[built[0]], points)]
-    if len(built[0]) < len(ub):
-        inc, _ = _greedy(*parts[0], np.arange(len(built[0])), len(points.x), k)
-        most = int(np.diff(parts[0][0]).max())
+    floor = np.partition(ub, -BLOCK_ROWS)[-BLOCK_ROWS] - 1 if len(ub) > BLOCK_ROWS else 0
+    joined = np.zeros(len(ub), dtype=bool)
+    built, parts, most = [], [], 0
+    while len(band := np.flatnonzero(~joined & (ub > floor))):
+        joined[band] = True
+        built.append(band)
+        parts.append(coverage_rows(cx[band], cy[band], anchor[band], points))
+        if joined.all():
+            break
+        most = max(most, int(np.diff(parts[-1][0]).max()))
+        if len(parts) == 1:
+            inc, _ = _greedy(*parts[0], np.arange(len(band)), len(points.x), k)
         floor = inc - (k - 1) * most
-        while len(band := np.flatnonzero((ub < top) & (ub > floor))):
-            built.append(band)
-            parts.append(coverage_rows(cx[band], cy[band], anchor[band], points))
-            most = max(most, int(np.diff(parts[-1][0]).max()))
-            top, floor = floor + 1, inc - (k - 1) * most
-    if len(parts) == 1:
-        return built[0], *parts[0]
-    # the joins' rows, merged into center order
-    built = np.concatenate(built)
-    order = np.argsort(built, kind="stable")
-    lengths = np.concatenate([np.diff(indptr) for indptr, _ in parts])
-    at, lengths = csr_entries(np.concatenate(([0], np.cumsum(lengths))), order)
-    cols = np.concatenate([cols for _, cols in parts])[at]
-    return built[order], np.concatenate(([0], np.cumsum(lengths))), cols
+    starts = itertools.accumulate(len(cols) for _, cols in parts)
+    indptr = np.concatenate([parts[0][0], *(p[1:] + s for (p, _), s in zip(parts[1:], starts))])
+    return np.concatenate(built), indptr, np.concatenate([cols for _, cols in parts])
 
 
 def most_points(
@@ -346,10 +342,11 @@ def most_points(
     sorted list of disk centers.  Every k, k=1 included, enumerates the
     candidate set: k=1 returns the first candidate of maximum count in
     center order, and its stats count candidates and scored candidates like
-    any other k.  If no more rows than k are searched (distinct candidates,
-    or under prune the built ones), all of them are used, padded by repeating
-    the best disk.  The ids of ``pts`` must be distinct;
-    a repeated id raises ValueError.
+    any other k.  Rows are searched in center order, under prune too, so
+    dedup keeps each set's least center.  If no more rows than k are
+    searched, all are used (one combination) and padded by repeating the
+    first disk of maximum count in center order.  The ids of ``pts`` must
+    be distinct; a repeated id raises ValueError.
     """
     if not pts:
         raise ValueError("most_points requires a non-empty point list")
@@ -360,27 +357,23 @@ def most_points(
     cx, cy, anchor = candidate_centers(points)
     if prune:
         built, indptr, cols = _pruned_rows(points, cx, cy, anchor, k)
+        rows = np.argsort(built, kind="stable")
     else:
-        built, (indptr, cols) = np.arange(len(cx)), coverage_rows(cx, cy, anchor, points)
-    rows, words, gids, counts = packed_coverage(indptr, cols, points, distinct=dedup)
+        built = rows = np.arange(len(cx))
+        indptr, cols = coverage_rows(cx, cy, anchor, points)
+    if dedup:
+        rows = distinct_rows(indptr, cols, rows, len(pts))
+    words, gids, counts = packed_coverage(indptr, cols, rows, points)
     centers = built[rows]
     stats = ExactSolveStats(candidates_generated=len(cx), candidates_after_dedup=len(rows))
 
-    if k >= len(rows):
-        # every row can be used; pad with the single best disk, the
-        # first maximum in center order
-        chosen = [UnitDisk(x, y) for x, y in zip(cx[centers].tolist(), cy[centers].tolist())]
-        chosen += [chosen[int(counts.argmax())]] * (k - len(rows))
-        stats.combos_evaluated = 1
-        return MultiDiskResult(chosen, unpack_coverage(np.bitwise_or.reduce(words), gids), stats)
-
-    incumbent = _greedy(indptr, cols, rows, len(pts), k) if prune else None
-    _, combo, combos = _enumerate_exact(words, counts, k, len(pts), incumbent)
-    stats.combos_evaluated = combos
+    if k < len(rows):
+        incumbent = _greedy(indptr, cols, rows, len(pts), k) if prune else None
+        _, combo, stats.combos_evaluated = _enumerate_exact(words, counts, k, len(pts), incumbent)
+    else:
+        combo, stats.combos_evaluated = range(len(rows)), 1
     union = np.bitwise_or.reduce(words[list(combo)])
-    centers = centers[list(combo)]
-    chosen = sorted(
-        (UnitDisk(x, y) for x, y in zip(cx[centers].tolist(), cy[centers].tolist())),
-        key=lambda d: (d.cx, d.cy),
-    )
+    centers = centers[list(combo) + [int(counts.argmax())] * (k - len(combo))]
+    chosen = [UnitDisk(x, y) for x, y in zip(cx[centers].tolist(), cy[centers].tolist())]
+    chosen = sorted(chosen[: len(combo)], key=lambda d: (d.cx, d.cy)) + chosen[len(combo) :]
     return MultiDiskResult(chosen, unpack_coverage(union, gids), stats)

@@ -320,25 +320,21 @@ def _kept_centers(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
 
 
 def packed_coverage(
-    indptr: np.ndarray, cols: np.ndarray, points: PointArrays, distinct: bool = False
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """CSR coverage rows of ``coverage_rows`` packed into words.
+    indptr: np.ndarray, cols: np.ndarray, rows: np.ndarray, points: PointArrays
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The CSR coverage ``rows`` of ``coverage_rows`` packed into words, in
+    the order given.
 
-    Returns (rows, words, gids, counts).  ``rows`` index the CSR rows: all
-    of them, or with ``distinct`` the first of each distinct coverage set,
-    chosen before anything is packed.  ``words[t]`` is the coverage of CSR
-    row ``rows[t]``: ceil(len(gids) / 64) uint64 words, whatever the
-    magnitude of the ids, in which bit ``l % 64`` of word ``l // 64`` stands
-    for the point of rank ``l`` in x (a stable sort of ``points.x``), whose
-    id is ``gids[l]``, so nearby centers share words.  ``counts[t]`` (int64)
-    is the number of points row t covers.
+    Returns (words, gids, counts).  ``words[t]`` is the coverage of CSR row
+    ``rows[t]``: ceil(len(gids) / 64) uint64 words, whatever the magnitude
+    of the ids, in which bit ``l % 64`` of word ``l // 64`` stands for the
+    point of rank ``l`` in x (a stable sort of ``points.x``), whose id is
+    ``gids[l]``, so nearby centers share words.  ``counts[t]`` (int64) is
+    the number of points row t covers.
     """
     by_x = np.argsort(points.x, kind="stable")
     gids = points.ids[by_x]
     width = -(-len(gids) // 64)
-    rows = np.arange(len(indptr) - 1)
-    if distinct and len(rows):
-        rows = _first_distinct_rows(indptr, cols, len(gids))
     at, counts = csr_entries(indptr, rows)
     rank = np.empty(len(by_x), dtype=np.int64)
     rank[by_x] = np.arange(len(by_x))
@@ -348,7 +344,7 @@ def packed_coverage(
     word = np.repeat(np.arange(len(rows)) * width, counts) + (col >> 6)
     bit = np.left_shift(np.uint64(1), (col & 63).astype(np.uint64))
     np.bitwise_or.at(words.reshape(-1), word, bit)
-    return rows, words, gids, counts
+    return words, gids, counts
 
 
 def _distinct_id_order(ids: np.ndarray) -> np.ndarray:
@@ -415,25 +411,28 @@ def _id_keys(n: int) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _first_distinct_rows(indptr: np.ndarray, ids: np.ndarray, n_ids: int) -> np.ndarray:
-    """Ascending indices of the first row of each distinct CSR row of ids below n_ids.
+def distinct_rows(indptr: np.ndarray, ids: np.ndarray, rows: np.ndarray, n_ids: int) -> np.ndarray:
+    """The first of each distinct coverage set among the CSR ``rows`` of ids
+    below n_ids, in the order of ``rows``.
 
     A row's key is the wrapping sum of the keys of its ids.  Rows are grouped
-    by key, in row order within a group, and each row is compared with its
-    group's first row: a row of another length differs, one of the same
-    length is compared entry by entry, and an equal row is a repeat.  The
-    rows that differ (a key collision) are grouped again among themselves
-    until none do.
+    by key, in the order of ``rows`` within a group, and each row is compared
+    with its group's first row: a row of another length differs, one of the
+    same length is compared entry by entry, and an equal row is a repeat.
+    The rows that differ (a key collision) are grouped again among
+    themselves until none do.
     """
-    lengths = indptr[1:] - indptr[:-1]
+    lo, hi = indptr[rows], indptr[rows + 1]
+    lengths = hi - lo
     sums = np.zeros(len(ids) + 1, dtype=np.uint64)
     np.cumsum(_id_keys(n_ids)[ids], out=sums[1:])
-    keys = sums[indptr[1:]] - sums[indptr[:-1]]
+    keys = sums[hi] - sums[lo]
+    # positions in rows, by key
     pending = np.argsort(keys, kind="stable")
     key = keys[pending]
     group = np.zeros(len(pending), dtype=np.int64)
     np.cumsum(key[1:] != key[:-1], out=group[1:])
-    firsts = []
+    firsts = [pending[:0]]
     while len(pending):
         leads = np.ones(len(pending), dtype=bool)
         leads[1:] = group[1:] != group[:-1]
@@ -445,11 +444,11 @@ def _first_distinct_rows(indptr: np.ndarray, ids: np.ndarray, n_ids: int) -> np.
         # by entry, so that the two rows' entries line up
         again = lengths[rest] != lengths[lead]
         same = np.flatnonzero(~again)
-        at, n_at = csr_entries(indptr, rest[same])
-        lead_at, _ = csr_entries(indptr, lead[same])
+        at, n_at = csr_entries(indptr, rows[rest[same]])
+        lead_at, _ = csr_entries(indptr, rows[lead[same]])
         again[np.repeat(same, n_at)[ids[at] != ids[lead_at]]] = True
         pending, group = rest[again], group[others][again]
-    return np.sort(np.concatenate(firsts))
+    return rows[np.sort(np.concatenate(firsts))]
 
 
 def union_cover(sets: Sequence[CoverageSet]) -> CoverageSet:

@@ -111,8 +111,8 @@ def test_criterion_2_single_disk_equivalence():
         pts = uniform_points(seed, n, 0.0, side)
         swept = solve(pts, 1).rho
         points = point_arrays(pts)
-        rows = coverage_rows(*candidate_centers(points), points)
-        _, words, gids, _ = packed_coverage(*rows, points)
+        indptr, cols = coverage_rows(*candidate_centers(points), points)
+        words, gids, _ = packed_coverage(indptr, cols, np.arange(len(indptr) - 1), points)
         brute = max(unpack_coverage(row, gids).count for row in words)
         if swept != brute:
             bad.append((n, side, seed, swept, brute))

@@ -21,6 +21,7 @@ from diskcover import (
 from diskcover.geometry import (
     candidate_centers,
     coverage_rows,
+    distinct_rows,
     packed_coverage,
     point_arrays,
     unpack_coverage,
@@ -189,7 +190,10 @@ def kernel_cases(pts, dedup):
     points = point_arrays(pts)
     cx, cy, anchor = candidate_centers(points)
     indptr, cols = coverage_rows(cx, cy, anchor, points)
-    rows, words, gids, _ = packed_coverage(indptr, cols, points, distinct=dedup)
+    rows = np.arange(len(cx))
+    if dedup:
+        rows = distinct_rows(indptr, cols, rows, len(pts))
+    words, gids, _ = packed_coverage(indptr, cols, rows, points)
     assert sorted(gids.tolist()) == points.ids.tolist()
     bits = [coverage(UnitDisk(cx[r], cy[r]), pts).bits for r in rows.tolist()]
     assert [unpack_coverage(w, gids).bits for w in words] == bits
@@ -470,7 +474,8 @@ class TestMostPoints:
         assert res.stats.combos_evaluated == 781
         points = point_arrays(pts)
         indptr, cols = coverage_rows(*candidate_centers(points), points)
-        rows, words, _, counts = packed_coverage(indptr, cols, points, distinct=True)
+        rows = distinct_rows(indptr, cols, np.arange(len(indptr) - 1), 12)
+        words, _, counts = packed_coverage(indptr, cols, rows, points)
         greedy = exact._greedy(indptr, cols, rows, 12, 3)
         assert greedy[0] == 11
         assert exact._enumerate_exact(words, counts, 3, 13, greedy)[2] == 2420
@@ -530,6 +535,36 @@ def record_joins(monkeypatch):
     return joins
 
 
+def searched_centers(pts, k):
+    """The candidates pruned ``most_points`` joins, their CSR coverage rows
+    (built, indptr, cols), and the candidates whose rows it searches."""
+    seen = {}
+    pruned, pack = exact._pruned_rows, exact.packed_coverage
+
+    def record_joined(*args):
+        seen["joined"] = pruned(*args)
+        return seen["joined"]
+
+    def record_searched(indptr, cols, rows, points):
+        seen["rows"] = rows
+        return pack(indptr, cols, rows, points)
+
+    with patch.object(exact, "_pruned_rows", record_joined):
+        with patch.object(exact, "packed_coverage", record_searched):
+            most_points(pts, k, prune=True)
+    built, indptr, cols = seen["joined"]
+    return (built, indptr, cols), built[seen["rows"]].tolist()
+
+
+def least_centers(built, indptr, cols):
+    """The least joined candidate of each coverage set, ascending: a dict of tuples."""
+    least = {}
+    for c, lo, hi in zip(built.tolist(), indptr[:-1].tolist(), indptr[1:].tolist()):
+        key = tuple(cols[lo:hi].tolist())
+        least[key] = min(least.get(key, c), c)
+    return sorted(least.values())
+
+
 def union_of(disks, pts):
     union = 0
     for d in disks:
@@ -568,6 +603,23 @@ class TestPrunedBuild:
         assert (got.stats.candidates_generated, got.stats.candidates_after_dedup) == (62, 30)
         assert want.stats.candidates_after_dedup == 34
 
+    def test_dedup_across_joins_keeps_the_least_center(self, monkeypatch):
+        # the joins come back in join order: 18, 15 and 23 candidates, each
+        # ascending, so a set met in two joins must keep its least center
+        joins = record_joins(monkeypatch)
+        monkeypatch.setattr(exact, "BLOCK_ROWS", 16)
+        joined, searched = searched_centers(generate(16, 6.0, 50).points, 2)
+        assert joins == [18, 15, 23]
+        assert searched == least_centers(*joined)
+        assert len(searched) == 30
+
+    @given(point_sets(min_size=1, max_size=12), st.sampled_from([1, 3]))
+    def test_searched_rows_are_the_least_centers_in_center_order(self, pts, block_rows):
+        for k in (1, 2, 3):
+            with patch.object(exact, "BLOCK_ROWS", block_rows):
+                joined, searched = searched_centers(pts, k)
+            assert searched == least_centers(*joined), k
+
     def test_padding_when_k_reaches_the_built_rows(self, monkeypatch):
         # two stacks of 4 coincident points and a lone point: the first
         # block is both stacks (bound 4, tied), which cover 8, and the lone
@@ -594,5 +646,6 @@ class TestPrunedBuild:
     def test_count_is_at_most_the_anchors_near_list(self, pts):
         points = point_arrays(pts)
         cx, cy, anchor = candidate_centers(points)
-        _, _, _, counts = packed_coverage(*coverage_rows(cx, cy, anchor, points), points)
+        indptr, cols = coverage_rows(cx, cy, anchor, points)
+        _, _, counts = packed_coverage(indptr, cols, np.arange(len(cx)), points)
         assert (counts <= np.diff(points.near_ptr)[anchor]).all()

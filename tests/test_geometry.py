@@ -25,6 +25,7 @@ from diskcover.geometry import (
     REACH,
     candidate_centers,
     coverage_rows,
+    distinct_rows,
     packed_coverage,
     point_arrays,
     unpack_coverage,
@@ -50,10 +51,13 @@ def nearest_anchors(cx, cy, points):
 
 def unpacked_rows(cx, cy, anchor, points, distinct=False):
     """(rows, bits) of ``packed_coverage`` of ``coverage_rows``, each row
-    unpacked; checks that the returned counts are the rows' popcounts."""
-    rows, words, gids, counts = packed_coverage(
-        *coverage_rows(cx, cy, anchor, points), points, distinct=distinct
-    )
+    unpacked: all rows, or with ``distinct`` those ``distinct_rows`` keeps;
+    checks that the returned counts are the rows' popcounts."""
+    indptr, cols = coverage_rows(cx, cy, anchor, points)
+    rows = np.arange(len(cx))
+    if distinct:
+        rows = distinct_rows(indptr, cols, rows, len(points.x))
+    words, gids, counts = packed_coverage(indptr, cols, rows, points)
     bits = [unpack_coverage(w, gids).bits for w in words]
     assert counts.dtype == np.int64
     assert counts.tolist() == [b.bit_count() for b in bits]
@@ -233,24 +237,30 @@ class TestAnchorJoin:
             assert bits == [coverage(d, pts).bits for d in candidates(pts)]
 
 
-def distinct_reference(bits):
-    """First index of each distinct coverage set, ascending: a dict of tuples."""
+def distinct_reference(bits, order):
+    """The first index in ``order`` of each distinct coverage set, in that
+    order: a dict of tuples."""
     first = {}
-    for i, b in enumerate(bits):
-        first.setdefault(tuple(CoverageSet(b).ids()), i)
-    return sorted(first.values())
+    for i in order:
+        first.setdefault(tuple(CoverageSet(bits[i]).ids()), i)
+    return list(first.values())
 
 
 class TestDistinctRows:
     """The distinct rows are picked by a 64-bit key per row; rows whose keys
-    collide are told apart entry by entry."""
+    collide are told apart entry by entry.  Each check runs on the rows in
+    center order, reversed and in one fixed shuffle."""
 
     def check(self, pts):
         points = point_arrays(pts)
         cx, cy, anchor = candidate_centers(points)
         _, bits = unpacked_rows(cx, cy, anchor, points)
         rows, _ = unpacked_rows(cx, cy, anchor, points, distinct=True)
-        assert rows.tolist() == distinct_reference(bits)
+        assert rows.tolist() == distinct_reference(bits, range(len(bits)))
+        indptr, cols = coverage_rows(cx, cy, anchor, points)
+        for order in (np.arange(len(cx))[::-1], np.random.default_rng(7).permutation(len(cx))):
+            got = distinct_rows(indptr, cols, order, len(pts))
+            assert got.tolist() == distinct_reference(bits, order.tolist())
 
     @given(point_sets(min_size=1))
     def test_matches_dict_reference(self, pts):
