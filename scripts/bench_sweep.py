@@ -39,7 +39,7 @@ Rows:
   near-list bound leaves the most candidates to build, and on dense 300:6,
   where it joins nearly every candidate in two joins;
 * ``--slow`` adds ``solve`` m=3 on 2000:40: 171,868,741 combos, about
-  1.4 s a run with the packed kernel (``BENCH_7.json``).
+  0.2 s a run with the shared k >= 3 pair table (``BENCH_20.json``).
 
 Each row also records what the last call returned (coverage, and combos
 where the call counts them), so the two trees can be seen to agree.

@@ -35,9 +35,11 @@ tie-breaks are reproducible.  Two optional reductions:
 
 Both searches score their combinations in blocks of at most BLOCK_WORDS
 words; a block reproduces, combination for combination, the counts and the
-first-maximum-wins order of scoring the combinations one at a time.  The
-unpruned search scores each pair exactly, but only on the words where the
-outer rows of its block have points outside the prefix's union.
+first-maximum-wins order of scoring the combinations one at a time.
+Without prune, k=2 scores each pair on the words where the outer rows of
+its block have points, and k >= 3 builds one table of every pair's union,
+in chunks, and scores each (k - 2)-prefix against it on the words the
+prefix's union touches.
 """
 
 from __future__ import annotations
@@ -63,8 +65,9 @@ from .geometry import (
     unpack_coverage,
 )
 
-# The most uint64 words one scoring block ORs together (1 MB); it bounds the
-# memory a block adds, whatever the number of candidates.
+# The most uint64 words one scoring block, or one chunk of the k >= 3 pair
+# table, holds (1 MB); it bounds the memory a block adds, whatever the number
+# of candidates.
 BLOCK_WORDS = 1 << 17
 
 
@@ -103,38 +106,34 @@ def _union_counts(words: np.ndarray, union: np.ndarray, rows: np.ndarray) -> np.
     return out
 
 
-def _best_pair(
-    cols: np.ndarray, ncols: np.ndarray, union: np.ndarray, base: np.ndarray
-) -> tuple[int, tuple[int, int]]:
-    """Best pair j < t of the columns of a word-major matrix ORed with ``union``,
-    first maximum wins.
+def _best_pair(cols: np.ndarray, ncols: np.ndarray, counts: np.ndarray) -> tuple[int, tuple[int, int]]:
+    """Best pair j < t of the columns of a word-major matrix, first maximum
+    wins: the k=2 kernel.
 
-    ``cols[w, j]`` is word w of row j, ``ncols`` is ``~cols`` and ``base[t]``
-    is popcount(union | row t).  The union of a pair is the disjoint union
-    of union | row t and rest_j & ~row t, where rest_j = row j & ~union, so
-    its popcount is base[t] plus popcount(rest_j & ~row t), summed only over
-    the words in which some rest_j of the block is nonzero.  A block scores
-    a few outer rows j, from row a on, against every row t > a; a row too
-    long for one block is alone in its block and cut into column blocks,
-    which keeps the order.  No entry needs a mask: one with t < j scores as
-    (t, j), which comes first in the block, and one with t == j > a at most
-    as (a, j), so the row-major argmax of a block is its lexicographically
-    first best pair.
+    ``cols[w, j]`` is word w of row j, ``ncols`` is ``~cols`` and
+    ``counts[t]`` is the popcount of row t.  The union of a pair is the
+    disjoint union of row t and row j & ~row t, so its popcount is
+    counts[t] plus popcount(row j & ~row t), summed only over the words in
+    which some row j of the block is nonzero.  A block scores a few outer
+    rows j, from row a on, against every row t > a; a row too long for one
+    block is alone in its block and cut into column blocks, which keeps the
+    order.  No entry needs a mask: one with t < j scores as (t, j), which
+    comes first in the block, and one with t == j > a at most as (a, j), so
+    the row-major argmax of a block is its lexicographically first best pair.
     """
     width, n = cols.shape
     span = max(1, BLOCK_WORDS // width)
     rows_per = max(1, span // n)
-    outside = ~union[:, None]
     best, pair = -1, (0, 1)
     for a in range(0, n - 1, rows_per):
         b = min(a + rows_per, n - 1)
-        rest = cols[:, a:b] & outside
+        rest = cols[:, a:b]
         touched = rest.any(axis=1).nonzero()[0].tolist()
         for c0 in range(a + 1, n, span):
             c1 = min(c0 + span, n)
-            # with no word touched every row scores base, and its first
+            # with no word touched every row scores its count, and its first
             # maximum lies in row a
-            score = base[c0:c1]
+            score = counts[c0:c1]
             for w in touched:
                 score = score + np.bitwise_count(rest[w, :, None] & ncols[w, None, c0:c1])
             flat = int(score.argmax())
@@ -147,28 +146,63 @@ def _best_pair(
 def _enumerate_all(words: np.ndarray, counts: np.ndarray, k: int) -> tuple[int, tuple[int, ...]]:
     """First maximum of all k-subsets in lexicographic order (k < len(words)).
 
-    Each prefix of k - 2 rows, in lexicographic order, is followed by one
-    ``_best_pair`` over the rows after it, ORed with the prefix's union.  The
-    complement of the rows is built once; a prefix adds popcount(union &
-    ~row t) to each later row's count, over the words its union touches.
+    k=1 is the first row of largest count and k=2 one ``_best_pair`` over
+    all rows.  For k >= 3 a subset is a (k - 2)-prefix and a pair j < t of
+    later rows, and one table holds every pair in lexicographic order:
+    ``~(row j | row t)`` word-major and pc = popcount(row j | row t).  A
+    prefix with union U scores a pair as pc + popcount(U & ~(row j | row
+    t)), summed only over the words U touches.  The table is built in chunks
+    of consecutive j, at most BLOCK_WORDS words each (at least one j).
+    Chunk by chunk, the prefixes come in lexicographic order; one ending at
+    row p scores the pairs with j > p, a suffix of the chunk, whose argmax
+    is its lexicographically first best pair.  A result replaces the best
+    on a larger count, or on an equal one if its prefix is smaller: the
+    best then comes from an earlier chunk, whose pairs all come first.
     """
     if k == 1:
         i = int(counts.argmax())
         return int(counts[i]), (i,)
     cols = np.ascontiguousarray(words.T)
-    ncols = ~cols
-    counts = counts.astype(np.int32)
+    if k == 2:
+        return _best_pair(cols, ~cols, counts.astype(np.int32))
+    n, width = words.shape
+    rows = words.tolist()
+    # holds the popcount of any union
+    dtype = np.min_scalar_type(64 * width)
+    # table words before each j
+    before = np.concatenate(([0], np.cumsum(np.arange(n - 1, 0, -1)))) * width
     best, combo = -1, ()
-    # a prefix leaves at least two rows after it
-    for prefix in itertools.combinations(range(len(words) - 2), k - 2):
-        pos = prefix[-1] + 1 if prefix else 0
-        union = np.bitwise_or.reduce(cols[:, prefix], axis=1)
-        base = counts[pos:]
-        for w in union.nonzero()[0].tolist():
-            base = base + np.bitwise_count(union[w] & ncols[w, pos:])
-        count, (j, t) = _best_pair(cols[:, pos:], ncols[:, pos:], union, base)
-        if count > best:
-            best, combo = count, prefix + (pos + j, pos + t)
+    j0 = 0
+    while j0 < n - 1:
+        j1 = max(j0 + 1, int(np.searchsorted(before, before[j0] + BLOCK_WORDS, side="right")) - 1)
+        js = np.arange(j0, j1)
+        lens = n - 1 - js
+        # the position in the chunk of each j's first pair
+        starts = np.concatenate(([0], np.cumsum(lens)))
+        nw = cols[:, np.repeat(js, lens)]
+        # pair i of the chunk is (j, j + 1 + i - starts[j - j0])
+        t = np.arange(starts[-1])
+        t -= np.repeat(starts[:-1] - js - 1, lens)
+        nw |= cols[:, t]
+        del t
+        pc = np.bitwise_count(nw).sum(axis=0, dtype=dtype)
+        np.invert(nw, out=nw)
+        for prefix in itertools.combinations(range(j1 - 1), k - 2):
+            union = rows[prefix[0]]
+            for r in prefix[1:]:
+                union = [a | b for a, b in zip(union, rows[r])]
+            s = int(starts[max(0, prefix[-1] + 1 - j0)])
+            score = pc[s:]
+            for w, u in enumerate(union):
+                if u:
+                    score = score + np.bitwise_count(nw[w, s:] & u)
+            i = int(score.argmax())
+            count = int(score[i])
+            if count > best or (count == best and prefix < combo[:-2]):
+                f = s + i
+                j = int(np.searchsorted(starts, f, side="right")) - 1
+                best, combo = count, prefix + (j0 + j, j0 + j + 1 + f - int(starts[j]))
+        j0 = j1
     return best, combo
 
 

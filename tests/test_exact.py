@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from contextlib import suppress
 from unittest.mock import patch
 
@@ -175,7 +176,7 @@ def reference_enumerate(bits, counts, k, prune, full):
 
 # rows of the coverage matrix the kernel comparison keeps, by k: enough to
 # cross word and block edges, few enough for the one-at-a-time reference
-KERNEL_ROWS = {1: 300, 2: 80, 3: 28, 4: 16}
+KERNEL_ROWS = {1: 300, 2: 80, 3: 28, 4: 16, 5: 12}
 
 
 def kernel_cases(pts, dedup):
@@ -197,7 +198,7 @@ def kernel_cases(pts, dedup):
     assert sorted(gids.tolist()) == points.ids.tolist()
     bits = [coverage(UnitDisk(cx[r], cy[r]), pts).bits for r in rows.tolist()]
     assert [unpack_coverage(w, gids).bits for w in words] == bits
-    for k in (1, 2, 3, 4):
+    for k in (1, 2, 3, 4, 5):
         keep = np.unique(np.linspace(0, len(rows) - 1, min(len(rows), KERNEL_ROWS[k])).astype(int))
         if k < len(keep):
             yield k, words[keep], [bits[i] for i in keep.tolist()], (indptr, cols, rows[keep])
@@ -271,8 +272,9 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("rows_per_block", [1, 2, 3])
     def test_tiny_blocks(self, monkeypatch, rows_per_block):
         # ties and the pruned break point fall across block edges: blocks of
-        # 1-3 rows in the bounds and the last level, and
-        # 1-3 outer rows (or 1-3 columns of one row) in the pair kernel
+        # 1-3 rows in the bounds and the last level, 1-3 outer rows (or 1-3
+        # columns of one row) in the k=2 pair kernel, and pair table chunks
+        # of one j each, or of 24-72 pairs, for k >= 3
         for pts in (
             generate(10, 0.9 * math.sqrt(10), 19).points,
             word_boundary_points(65, 7, duplicates=True),
@@ -318,25 +320,44 @@ class TestKernelMatchesReference:
         words = packed_rows(bits, 3)
         for cols in (1, len(bits)):
             monkeypatch.setattr(exact, "BLOCK_WORDS", rows_per_block * cols * 3)
-            for k in (2, 3, 4):
+            for k in (2, 3, 4, 5):
                 assert_enumeration_matches(words, bits, k, 192)
         zeros = [0] * 6
-        for k in (2, 3, 4):
+        for k in (2, 3, 4, 5):
             assert_enumeration_matches(packed_rows(zeros, 2), zeros, k, 128)
 
     @pytest.mark.parametrize("rows_per_block", [1, 2, 3])
     def test_rows_inside_the_prefix_union(self, monkeypatch, rows_per_block):
-        # runs of a repeated row and of its subsets: at k = 3 and 4 a prefix
-        # through a run's first row has whole blocks of rows inside its
-        # union, which touch no word, and the first maximum must still win
+        # runs of a repeated row and of its subsets: at k = 3 to 5 a prefix
+        # through a run's first row has whole runs of pairs inside its
+        # union, which score alike, and the first maximum must still win
         a = (0b1011 << 60) | (0b11 << 130)
         b = (1 << 70) | (1 << 71)
         bits = [a, a, a, a, a & (2**64 - 1), b, b, b, a | b, 1 << 150, a, b, 0, 1 << 5, a]
         words = packed_rows(bits, 3)
         for cols in (1, len(bits)):
             monkeypatch.setattr(exact, "BLOCK_WORDS", rows_per_block * cols * 3)
-            for k in (2, 3, 4):
+            for k in (2, 3, 4, 5):
                 assert_enumeration_matches(words, bits, k, 192)
+
+    def test_pair_table_memory_is_bounded_by_block_words(self, monkeypatch):
+        # 200 rows of 3 words: the whole k >= 3 pair table is 19,900 pairs of
+        # 3 words (478 KB), a chunk of 4,096 words 32 KB; the chunks, not
+        # the table, must bound what the enumeration holds at once
+        rng = np.random.default_rng(3)
+        words = rng.integers(0, 2**64, (200, 3), dtype=np.uint64)
+        words &= rng.integers(0, 2**64, (200, 3), dtype=np.uint64)
+        counts = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+        want = exact._enumerate_all(words, counts, 3)
+        monkeypatch.setattr(exact, "BLOCK_WORDS", 4096)
+        tracemalloc.start()
+        try:
+            got = exact._enumerate_all(words, counts, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 300_000, peak
 
     @pytest.mark.parametrize("n", [129, 160, 200])
     @pytest.mark.parametrize("rows_per_block", [1, 2, 3])
