@@ -274,7 +274,7 @@ class TestKernelMatchesReference:
         # ties and the pruned break point fall across block edges: blocks of
         # 1-3 rows in the bounds and the last level, 1-3 outer rows (or 1-3
         # columns of one row) in the k=2 pair kernel, and pair table chunks
-        # of one j each, or of 24-72 pairs, for k >= 3
+        # of at most 1-3 or 24-72 pairs for k >= 3
         for pts in (
             generate(10, 0.9 * math.sqrt(10), 19).points,
             word_boundary_points(65, 7, duplicates=True),
