@@ -37,7 +37,8 @@ Rows:
   m=3 on dense 64:10, and ``most_points(pts, 2, dedup=True, prune=True)``
   on 5000:100 (the ``verify`` oracle), on 2000:40, where the oracle's
   near-list bound leaves the most candidates to build, and on dense 300:6,
-  where it joins nearly every candidate in two joins;
+  where it joins nearly every candidate in two joins, and ``solve(pts, 6,
+  prune=True)`` on 5000:100, five pruned neighborhood re-solves;
 * ``--slow`` adds ``solve`` m=3 on 2000:40: 171,868,741 combos, about
   0.2 s a run with the shared k >= 3 pair table (``BENCH_20.json``).
 
@@ -168,6 +169,7 @@ def cases(diskcover, slow: bool) -> list[tuple]:
          lambda pts: most_points(pts, 2, dedup=True, prune=True)),
         ("most_points_m2_prune 300:6", 300, 6.0, SEED,
          lambda pts: most_points(pts, 2, dedup=True, prune=True)),
+        ("solve_m6_prune 5000:100", 5000, 100.0, SEED, lambda pts: solve(pts, 6, prune=True)),
     ]
     if slow:
         n, side = SLOW_SIZE

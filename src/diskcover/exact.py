@@ -3,11 +3,11 @@
 The search space is the finite candidate set of ``geometry.candidate_centers``
 (at most n^2 disks); the optimum over all k-subsets of candidates equals the
 optimum over arbitrary disk placements.  The candidates and their coverage
-read one ``geometry.PointArrays`` record of the input.  Each candidate's
-coverage is one row of uint64 words with a bit per point, built from the
-points within 2 of the candidate's anchor, the point that generated it
-(``geometry.coverage_rows``, packed by ``geometry.packed_coverage``, which
-also returns each row's count).
+read one ``geometry.PointArrays`` record: the one given, or that of the
+point list given.  Each candidate's coverage is one row of uint64 words
+with a bit per point, built from the points within 2 of the candidate's
+anchor, the point that generated it (``geometry.coverage_rows``, packed by
+``geometry.packed_coverage``, which also returns each row's count).
 Bit l stands for the point of rank l in x, so a disk's bits, and those of
 the nearby disks that follow it in center order, share one or two words.
 Scoring a combination is an OR of rows and a popcount, and a block of
@@ -368,9 +368,10 @@ def _pruned_rows(
 
 
 def most_points(
-    pts: list[Point], k: int, dedup: bool = True, prune: bool = False
+    pts: list[Point] | PointArrays, k: int, dedup: bool = True, prune: bool = False
 ) -> MultiDiskResult:
-    """Optimal coverage of pts by k unit disks, over the candidate set.
+    """Optimal coverage of pts, a point list or its record, by k unit disks,
+    over the candidate set.
 
     Tie-break: maximum coverage first, then the lexicographically smallest
     sorted list of disk centers.  Every k, k=1 included, enumerates the
@@ -380,14 +381,15 @@ def most_points(
     dedup keeps each set's least center.  If no more rows than k are
     searched, all are used (one combination) and padded by repeating the
     first disk of maximum count in center order.  The ids of ``pts`` must
-    be distinct; a repeated id raises ValueError.
+    be distinct; a repeated id raises ValueError, as does an empty list or
+    record.
     """
     if not pts:
         raise ValueError("most_points requires a non-empty point list")
     if k < 1:
         raise ValueError("most_points requires k >= 1")
 
-    points = point_arrays(pts)
+    points = pts if isinstance(pts, PointArrays) else point_arrays(pts)
     cx, cy, anchor = candidate_centers(points)
     if prune:
         built, indptr, cols = _pruned_rows(points, cx, cy, anchor, k)

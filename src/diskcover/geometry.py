@@ -168,7 +168,9 @@ class PointArrays:
     in ascending order: entries ``near_ptr[r]`` to ``near_ptr[r + 1]`` of
     ``near``, and ``near_row`` is r at each of them.  So no list is empty,
     its length is 1 + the row's neighbors, and the entries with
-    ``near_row < near`` are each pair of neighbors once.
+    ``near_row < near`` are each pair of neighbors once.  ``len`` is the
+    number of rows.  ``restrict`` gives the record of some of the rows,
+    the solver's neighborhood, from these lists, without another tree.
 
     Coordinates are used as given, and EPS_COVER is an absolute slack on the
     squared distance, so exactness holds only while the coordinates are
@@ -185,6 +187,21 @@ class PointArrays:
     near_ptr: np.ndarray
     near_row: np.ndarray
     near: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def restrict(self, keep: np.ndarray) -> PointArrays:
+        """The record of the rows where the mask ``keep`` is true, in order:
+        their near lists without the rows left out, renumbered."""
+        rows = np.flatnonzero(keep)
+        # the kept rows' entries whose neighbor is kept too
+        at, lengths = csr_entries(self.near_ptr, rows)
+        both = keep[self.near[at]]
+        near_row = np.repeat(np.arange(len(rows)), lengths)[both]
+        near_ptr = np.concatenate(([0], np.cumsum(np.bincount(near_row, minlength=len(rows)))))
+        near = (np.cumsum(keep) - 1)[self.near[at[both]]]
+        return PointArrays(self.x[rows], self.y[rows], self.ids[rows], near_ptr, near_row, near)
 
 
 def point_arrays(pts: Sequence[Point]) -> PointArrays:

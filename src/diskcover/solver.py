@@ -17,10 +17,12 @@ The better branch is provably optimal at every step, while the expensive
 exact search only ever sees the neighborhood, whose size is bounded by a
 constant times the single-disk optimum rather than by n.
 
-Both branches are scored as boolean masks over the rows of the input's
-``PointArrays`` record, which the anchor table and the neighborhood filter
-share, and the incumbent's cover is kept as one, from the first disk on;
-the ``CoverageSet`` of the result is built from it once.
+A call builds one ``PointArrays`` record, of its input.  The anchor table
+reads it, and each re-solve reads the neighborhood's rows of it, with the
+near lists restricted to them (``neighbor_points``), so no re-solve builds
+another record or tree.  Both branches are scored as boolean masks over the
+record's rows, and the incumbent's cover is kept as one, from the first
+disk on; the ``CoverageSet`` of the result is built from it once.
 """
 
 from __future__ import annotations
@@ -64,14 +66,20 @@ class Solution:
     total_combos: int = 0
 
 
-def neighbor_points(points: PointArrays, disks: list[UnitDisk]) -> list[Point]:
-    """Points of ``points`` within NEIGHBOR_RADIUS of at least one disk center,
-    in id order (ids and coordinates preserved)."""
+def neighbor_points(points: PointArrays, disks: list[UnitDisk]) -> PointArrays:
+    """The record of the rows of ``points`` within NEIGHBOR_RADIUS of at least
+    one disk center (``PointArrays.restrict``), in id order.
+
+    Distances do not change, so its near lists are those of ``points``
+    restricted to these rows; no tree is built.  They could differ from a
+    fresh ``point_arrays``' only for a pair whose tree distance rounds
+    across REACH, and no filter reads that far: the sweep and the candidates
+    stop at 2 + PAIR_EPS and the predicate at about 2 + 1e-9.
+    """
     if not disks:
         raise ValueError("neighbor_points requires at least one disk")
     limit = NEIGHBOR_RADIUS * NEIGHBOR_RADIUS + NEIGHBOR_EPS
-    near = np.flatnonzero(covered_mask(points, disks, limit))
-    return list(map(Point, *(a[near].tolist() for a in (points.x, points.y, points.ids))))
+    return points.restrict(covered_mask(points, disks, limit))
 
 
 def _greedy_step(table: AnchorTable, covered: np.ndarray) -> tuple[UnitDisk, np.ndarray]:
@@ -103,14 +111,12 @@ def solve(pts: list[Point], m: int, prune: bool = False) -> Solution:
     combos_evaluated in each trace counts the complete disk combinations the
     neighborhood search scored; the greedy branch contributes none.
     """
-    if not pts:
-        raise ValueError("solve requires a non-empty point list")
     if m < 1:
         raise ValueError("solve requires m >= 1")
 
     table = anchor_table(point_arrays(pts))
     points = table.points
-    first, covered = _greedy_step(table, np.zeros(len(points.ids), dtype=bool))
+    first, covered = _greedy_step(table, np.zeros(len(points), dtype=bool))
     disks: list[UnitDisk] = [first]
     rho = int(covered.sum())
     traces: list[IterationTrace] = []
@@ -156,12 +162,10 @@ def greedy_solve(pts: list[Point], m: int) -> Solution:
     and as the quality floor the exact solver is tested against.  The ids
     of ``pts`` must be distinct, as in ``solve``.
     """
-    if not pts:
-        raise ValueError("greedy_solve requires a non-empty point list")
     if m < 1:
         raise ValueError("greedy_solve requires m >= 1")
     table = anchor_table(point_arrays(pts))
-    first, covered = _greedy_step(table, np.zeros(len(table.points.ids), dtype=bool))
+    first, covered = _greedy_step(table, np.zeros(len(table.points), dtype=bool))
     disks = [first]
     rho = int(covered.sum())
     for _ in range(2, m + 1):

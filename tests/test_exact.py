@@ -17,6 +17,7 @@ from diskcover import (
     generate,
     greedy_solve,
     most_points,
+    neighbor_points,
     solve,
 )
 from diskcover.geometry import (
@@ -541,6 +542,14 @@ class TestMostPoints:
             most_points([], 1)
         with pytest.raises(ValueError):
             most_points(make_points([(0, 0)]), 0)
+
+    def test_empty_record_is_refused(self):
+        # a record bypasses point_arrays' check; the neighborhood of a disk
+        # with no point within 3 is an empty one
+        empty = neighbor_points(point_arrays(make_points([(3.5, 0)])), [UnitDisk(0, 0)])
+        for pts in ([], empty):
+            with pytest.raises(ValueError, match="^most_points requires a non-empty point list$"):
+                most_points(pts, 1)
 
 
 def record_joins(monkeypatch):

@@ -44,17 +44,32 @@ def middle_split_instance():
     return make_points(coords)
 
 
+def neighbors_by_double_loop(pts, disks):
+    """The points within NEIGHBOR_RADIUS of some disk, by the point-by-disk
+    double loop with the same radius and slack."""
+    limit = NEIGHBOR_RADIUS * NEIGHBOR_RADIUS + NEIGHBOR_EPS
+    out = []
+    for p in pts:
+        for d in disks:
+            dx = p.x - d.cx
+            dy = p.y - d.cy
+            if dx * dx + dy * dy <= limit:
+                out.append(p)
+                break
+    return out
+
+
 class TestNeighborPoints:
     def test_radius_three_cutoff(self):
         pts = make_points([(0, 0), (2.5, 0), (3.5, 0)])
         nbr = neighbor_points(point_arrays(pts), [UnitDisk(0, 0)])
-        assert [p.idx for p in nbr] == [0, 1]
+        assert nbr.ids.tolist() == [0, 1]
 
     def test_empty_points(self):
         # an instance always has a point (its table needs one); here no
         # point lies within the radius, so the neighborhood is empty
         pts = make_points([(3.5, 0), (0, -4)])
-        assert neighbor_points(point_arrays(pts), [UnitDisk(0, 0)]) == []
+        assert len(neighbor_points(point_arrays(pts), [UnitDisk(0, 0)])) == 0
 
     def test_requires_disks(self):
         pts = make_points([(0, 0)])
@@ -71,23 +86,11 @@ class TestNeighborPoints:
             for p in pts
             if (p.x - g1.cx) ** 2 + (p.y - g1.cy) ** 2 <= NEIGHBOR_RADIUS**2 + NEIGHBOR_EPS
         ]
-        assert [p.idx for p in nbr] == expected
+        assert nbr.ids.tolist() == expected
 
     def test_matches_double_loop_reference(self):
         # oracle: the point-by-disk double loop, on random instances with
         # points placed exactly at distance 3 (and just past it) from a center
-        def reference(pts, disks):
-            limit = NEIGHBOR_RADIUS * NEIGHBOR_RADIUS + NEIGHBOR_EPS
-            out = []
-            for p in pts:
-                for d in disks:
-                    dx = p.x - d.cx
-                    dy = p.y - d.cy
-                    if dx * dx + dy * dy <= limit:
-                        out.append(p)
-                        break
-            return out
-
         rng = Xoshiro256StarStar(31)
         for _ in range(40):
             disks = [UnitDisk(rng.uniform(0, 20), rng.uniform(0, 20)) for _ in range(rng.randint(1, 3))]
@@ -96,12 +99,24 @@ class TestNeighborPoints:
                 coords += [(d.cx + 3.0, d.cy), (d.cx, d.cy - 3.0), (d.cx + 1.8, d.cy + 2.4)]
                 coords += [(d.cx - 3.0 - 1e-6, d.cy)]
             pts = [Point(x, y, 2 * i + 1) for i, (x, y) in enumerate(coords)]
-            assert neighbor_points(point_arrays(pts), disks) == reference(pts, disks)
+            nbr = neighbor_points(point_arrays(pts), disks)
+            assert nbr.ids.tolist() == [p.idx for p in neighbors_by_double_loop(pts, disks)]
 
     def test_union_over_multiple_disks(self):
         pts = make_points([(0, 0), (6, 0), (12, 0)])
         nbr = neighbor_points(point_arrays(pts), [UnitDisk(0, 0), UnitDisk(12, 0)])
-        assert [p.idx for p in nbr] == [0, 2]
+        assert nbr.ids.tolist() == [0, 2]
+
+    @given(point_sets(min_size=1), st.lists(st.integers(0, 10**6), min_size=1, max_size=3))
+    def test_record_is_the_record_of_the_selected_points(self, pts, picks):
+        # the instance's near lists, restricted and renumbered, are the near
+        # lists a fresh record of the selected points builds
+        disks = [UnitDisk(pts[i % len(pts)].x, pts[i % len(pts)].y) for i in picks]
+        nbr = neighbor_points(point_arrays(pts), disks)
+        want = point_arrays(neighbors_by_double_loop(pts, disks))
+        for name in ("x", "y", "ids", "near_ptr", "near_row", "near"):
+            got, expected = getattr(nbr, name), getattr(want, name)
+            assert got.dtype == expected.dtype and np.array_equal(got, expected), name
 
 
 class TestTableCover:
@@ -376,13 +391,13 @@ class TestOneRecordPerCall:
         most_points(pts, k, prune=True)
         assert trees == [120]
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_solve_builds_one_tree_per_table_and_re_solve(self, trees, m):
-        pts = uniform_points(4, 120, 0.0, 10.0)
-        sol = solve(pts, m)
-        # the instance's table, then one per neighborhood re-solve
-        assert trees == [120] + [t.neighborhood_size for t in sol.traces]
-        assert len(trees) == m
+    @pytest.mark.parametrize("prune", [False, True])
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_solve_builds_one_tree(self, trees, m, prune):
+        # each neighborhood re-solve reads a restriction of the instance's record
+        sol = solve(uniform_points(4, 120, 0.0, 20.0), m, prune=prune)
+        assert trees == [120]
+        assert len(sol.traces) == m - 1
 
     def test_greedy_solve_builds_one_tree(self, trees):
         greedy_solve(uniform_points(4, 120, 0.0, 10.0), 3)
