@@ -33,9 +33,10 @@ Rows:
   builds them (on a tree up to ``ac33c95``, which has no ``distinct_rows``,
   ``packed_coverage(..., distinct=True)``, the same work);
 * ``kernel``: the combination enumeration, on ``most_points(pts, 2,
-  dedup=False)`` for 300:20 seed 5 (the ``bench`` baseline column), ``solve``
-  m=3 on dense 64:10, and ``most_points(pts, 2, dedup=True, prune=True)``
-  on 5000:100 (the ``verify`` oracle), on 2000:40, where the oracle's
+  dedup=False)`` for 300:20 seed 5 (the ``bench`` baseline column) and for
+  1000:40, where 8 % of the pairs lie in a row's window of the k=2 kernel
+  (18 % on 300:20 seed 5), ``solve`` m=3 on dense 64:10, and
+  ``most_points(pts, 2, dedup=True, prune=True)`` on 5000:100 (the ``verify`` oracle), on 2000:40, where the oracle's
   near-list bound leaves the most candidates to build, and on dense 300:6,
   where it joins nearly every candidate in two joins, and ``solve(pts, 6,
   prune=True)`` on 5000:100, five pruned neighborhood re-solves;
@@ -161,6 +162,8 @@ def cases(diskcover, slow: bool) -> list[tuple]:
         ))
     kernel = [
         ("most_points_m2_nodedup 300:20 seed 5", 300, 20.0, 5,
+         lambda pts: most_points(pts, 2, dedup=False)),
+        ("most_points_m2_nodedup 1000:40", 1000, 40.0, SEED,
          lambda pts: most_points(pts, 2, dedup=False)),
         ("solve_m3 64:10", 64, 10.0, SEED, lambda pts: solve(pts, 3)),
         ("most_points_m2_prune 5000:100", 5000, 100.0, SEED,

@@ -36,16 +36,19 @@ tie-breaks are reproducible.  Two optional reductions:
 Both searches score their combinations in blocks of at most BLOCK_WORDS
 words; a block reproduces, combination for combination, the counts and the
 first-maximum-wins order of scoring the combinations one at a time.
-Without prune, k=2 scores each pair on the words where the outer rows of
-its block have points, and k >= 3 builds one table of every pair's union,
-in chunks, and scores each (k - 2)-prefix against it on the words the
-prefix's union touches.
+Without prune, k=2 scores from its words only a pair whose rows' bit spans
+overlap, on the words where the outer rows of its block have points; every
+other pair is disjoint, and scored in closed form as the sum of the two
+counts.  k >= 3 builds one table of every pair's union, in chunks, and
+scores each (k - 2)-prefix against it on the words the prefix's union
+touches.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,31 +109,90 @@ def _union_counts(words: np.ndarray, union: np.ndarray, rows: np.ndarray) -> np.
     return out
 
 
+def _window_ends(words: np.ndarray) -> np.ndarray:
+    """For each row j, a row ``end[j] > j`` from which on no row shares a
+    bit with row j.
+
+    A row spans its lowest set bit ``lo`` to its highest ``hi``; a zero row
+    gets ``lo`` past every bit and ``hi = -1``.  Every row from i on has
+    ``lo`` at least ``smin[i]``, the suffix minimum of ``lo``, which does
+    not decrease, so the rows from the first i with ``smin[i] > hi[j]`` on
+    are disjoint from row j.
+    """
+    n, width = words.shape
+    nonzero = words != 0
+    empty = ~nonzero.any(axis=1)
+    rows = np.arange(n)
+    first = nonzero.argmax(axis=1)
+    last = width - 1 - nonzero[:, ::-1].argmax(axis=1)
+    w = words[rows, first]
+    # trailing zeros of the first nonzero word: the bits below its lowest
+    lo = 64 * first + np.bitwise_count((w & (~w + 1)) - 1)
+    w = words[rows, last]
+    # smeared down, the last nonzero word's popcount is its bit length
+    for s in (1, 2, 4, 8, 16, 32):
+        w |= w >> s
+    hi = 64 * last + np.bitwise_count(w) - 1
+    lo[empty], hi[empty] = 64 * width, -1
+    smin = np.minimum.accumulate(lo[::-1])[::-1]
+    return np.maximum(np.searchsorted(smin, hi, side="right"), rows + 1)
+
+
+def _pair_blocks(end: np.ndarray, span: int) -> Iterator[tuple[int, int, int]]:
+    """The blocks (a, b, E) of outer rows [a, b) of the k=2 kernel, E the
+    largest ``end`` of their rows: from each a, the most rows whose
+    rectangle (b - a) * (E - a) holds at most ``span`` entries, or row a
+    alone."""
+    n = len(end)
+    a = 0
+    while a < n - 1:
+        # both factors grow with b, and (b - a) * (end[a] - a) bounds the
+        # rectangle below, so no more rows than span // (end[a] - a) fit
+        ends = np.maximum.accumulate(end[a : min(n - 1, a + max(1, span // (end[a] - a)))])
+        size = np.arange(1, len(ends) + 1) * (ends - a)
+        b = a + max(1, int(np.searchsorted(size, span, side="right")))
+        yield a, b, int(ends[b - a - 1])
+        a = b
+
+
 def _best_pair(cols: np.ndarray, ncols: np.ndarray, counts: np.ndarray) -> tuple[int, tuple[int, int]]:
     """Best pair j < t of the columns of a word-major matrix, first maximum
     wins: the k=2 kernel.
 
     ``cols[w, j]`` is word w of row j, ``ncols`` is ``~cols`` and
-    ``counts[t]`` is the popcount of row t.  The union of a pair is the
-    disjoint union of row t and row j & ~row t, so its popcount is
-    counts[t] plus popcount(row j & ~row t), summed only over the words in
-    which some row j of the block is nonzero.  A block scores a few outer
-    rows j, from row a on, against every row t > a; a row too long for one
-    block is alone in its block and cut into column blocks, which keeps the
-    order.  No entry needs a mask: one with t < j scores as (t, j), which
-    comes first in the block, and one with t == j > a at most as (a, j), so
-    the row-major argmax of a block is its lexicographically first best pair.
+    ``counts[t]`` is the popcount of row t.  A block of outer rows [a, b)
+    from ``_pair_blocks`` scores exactly only the columns a < t < E, E the
+    largest ``_window_ends`` of its rows, at most BLOCK_WORDS // width
+    entries: the union of a pair is the disjoint union of row t and row j & ~row t, so
+    its popcount is counts[t] plus popcount(row j & ~row t), summed only
+    over the words in which some row j of the block is nonzero.  A row
+    whose window is wider than that is alone in its block and cut into
+    column blocks, which keeps the order.  No entry needs a mask: one with
+    t < j scores as (t, j), which comes first in the block, and one with
+    t == j > a at most as (a, j), so the row-major argmax of a block is its
+    lexicographically first best pair among those columns.
+
+    Rows from E on share no bit with any row of the block, so such a pair
+    scores counts[j] + counts[t], in closed form: its best is the first j
+    of largest count in the block with the first t >= E of largest count,
+    the first "leader" (a row whose count is the suffix maximum of counts
+    from it) at or after E.  It replaces the block's exact best on a larger
+    count, or an equal one as a smaller pair.  When n * n entries fit in one
+    block there is one block, E = n, and nothing is scored in closed form.
     """
     width, n = cols.shape
     span = max(1, BLOCK_WORDS // width)
-    rows_per = max(1, span // n)
+    if n * n <= span:
+        blocks = [(0, n - 1, n)]
+    else:
+        blocks = _pair_blocks(_window_ends(cols.T), span)
+        leaders = np.flatnonzero(counts == np.maximum.accumulate(counts[::-1])[::-1])
     best, pair = -1, (0, 1)
-    for a in range(0, n - 1, rows_per):
-        b = min(a + rows_per, n - 1)
+    for a, b, e in blocks:
         rest = cols[:, a:b]
         touched = rest.any(axis=1).nonzero()[0].tolist()
-        for c0 in range(a + 1, n, span):
-            c1 = min(c0 + span, n)
+        for c0 in range(a + 1, e, span):
+            c1 = min(c0 + span, e)
             # with no word touched every row scores its count, and its first
             # maximum lies in row a
             score = counts[c0:c1]
@@ -140,6 +202,11 @@ def _best_pair(cols: np.ndarray, ncols: np.ndarray, counts: np.ndarray) -> tuple
             if score.flat[flat] > best:
                 j, t = divmod(flat, c1 - c0)
                 best, pair = int(score.flat[flat]), (a + j, c0 + t)
+        if e < n:
+            far = (a + int(counts[a:b].argmax()), int(leaders[np.searchsorted(leaders, e)]))
+            score = int(counts[far[0]] + counts[far[1]])
+            if score > best or (score == best and far < pair):
+                best, pair = score, far
     return best, pair
 
 

@@ -218,10 +218,14 @@ def point_arrays(pts: Sequence[Point]) -> PointArrays:
     ).reshape(-1, 2).T
     # both directions of every pair and each row itself: one sort of row * n + neighbor
     n, own = len(x), np.arange(len(x))
-    key = np.sort(np.concatenate((i, j, own)) * n + np.concatenate((j, i, own)))
+    key = np.concatenate((i, j, own))
+    key *= n
+    key += np.concatenate((j, i, own))
+    key.sort()
     near_row = key // n
     near_ptr = np.concatenate(([0], np.cumsum(np.bincount(near_row, minlength=n))))
-    return PointArrays(x, y, ids[by_id], near_ptr, near_row, key - near_row * n)
+    key -= near_row * n
+    return PointArrays(x, y, ids[by_id], near_ptr, near_row, key)
 
 
 def covered_mask(
@@ -325,7 +329,10 @@ def _kept_centers(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
     """
     close = np.flatnonzero(cx[1:] - cx[:-1] <= CENTER_DEDUP_EPS) + 1
     keep = np.ones(len(cx), dtype=bool)
-    xs, ys = cx.tolist(), cy.tolist()
+    # only a close center can be dropped, so the last kept center before one
+    # is close or just before a close one: only those coordinates are read
+    at = np.concatenate((close - 1, close))
+    xs, ys = (dict(zip(at.tolist(), c[at].tolist())) for c in (cx, cy))
     # the last kept center before i: i - 1 if kept, else that of i - 1
     k = 0
     for i in close.tolist():

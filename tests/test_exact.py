@@ -228,6 +228,16 @@ def assert_enumeration_matches(words, bits, k, full, csr=None):
             assert got[2] == math.comb(len(words), k)
 
 
+def assert_pair_kernel_matches(words, bits):
+    """The k=2 kernel against the lexicographic first-maximum pair loop,
+    under blocks of 1, 3 and 7 words and the default."""
+    counts = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+    want = reference_enumerate(bits, [b.bit_count() for b in bits], 2, False, 64 * words.shape[1])
+    for block_words in (1, 3, 7, exact.BLOCK_WORDS):
+        with patch.object(exact, "BLOCK_WORDS", block_words):
+            assert exact._enumerate_all(words, counts, 2) == want[:2], block_words
+
+
 def assert_kernel_matches_reference(pts, dedup):
     for k, words, bits, csr in kernel_cases(pts, dedup):
         assert_enumeration_matches(words, bits, k, len(pts), csr)
@@ -238,6 +248,33 @@ def packed_rows(bits, width):
     return np.array(
         [[(b >> (64 * w)) & (2**64 - 1) for w in range(width)] for b in bits], dtype=np.uint64
     ).reshape(len(bits), width)
+
+
+def x_local_rows(specs, width):
+    """Python-int rows over ``width`` words shaped like coverage rows in
+    center order, one per ``(kind, step, reach, mask)``: the position moves
+    ``step`` bits a row, and a row holds the bits of ``mask`` within
+    ``reach`` of it, or is zero (kind "zero"), or repeats the row before
+    (kind "repeat")."""
+    top = 64 * width
+    bits, at = [], 0
+    for kind, step, reach, mask in specs:
+        at = min(top - 1, at + step)
+        if kind == "zero":
+            bits.append(0)
+        elif kind == "repeat" and bits:
+            bits.append(bits[-1])
+        else:
+            bits.append((mask & ((2 << 2 * reach) - 1)) << max(0, at - reach) & ((1 << top) - 1))
+    return bits
+
+
+row_specs = st.tuples(
+    st.sampled_from(["local", "local", "local", "zero", "repeat"]),
+    st.integers(0, 10),
+    st.integers(0, 12),
+    st.integers(0, 2**25 - 1),
+)
 
 
 def x_clustered_points(n, seed):
@@ -359,6 +396,71 @@ class TestKernelMatchesReference:
             tracemalloc.stop()
         assert got == want
         assert peak < 300_000, peak
+
+    @given(st.lists(row_specs, min_size=3, max_size=48), st.integers(1, 3))
+    def test_pair_kernel_is_the_first_best_pair(self, specs, width):
+        # windows of overlapping rows, zero rows, repeated rows and small
+        # counts, so that a pair scored exactly often ties one scored in
+        # closed form, under blocks of 1, 3 or 7 words and the default
+        bits = x_local_rows(specs, width)
+        assert_pair_kernel_matches(packed_rows(bits, width), bits)
+
+    @pytest.mark.parametrize(
+        "bits",
+        [
+            # the first best pair, (0, 3), is scored in closed form in the
+            # block of rows 0 and 1 (at 7 words), after the tie (1, 2)
+            [0b1000, 0b100, 0b101000, 0b10100000],
+            # the first best pair, (0, 1), is scored exactly; (0, 2) ties it
+            # in closed form
+            [0b110000, 0b11010000, 0b11000000],
+        ],
+    )
+    def test_pair_kernel_ties_across_the_window_end(self, bits):
+        assert_pair_kernel_matches(packed_rows(bits, 1), bits)
+
+    @pytest.mark.parametrize("shared", [10, 63, 64, 100])
+    def test_pair_kernel_rows_sharing_only_an_end_bit(self, shared):
+        # two rows of 11 bits whose one common bit is the highest of the
+        # first and the lowest of the second, inside a word and at a word's
+        # last and first bit: scored as disjoint, the pair would read 22
+        run = (1 << 11) - 1
+        bits = [run << (shared - 10), run << shared, 1 << 150]
+        assert_pair_kernel_matches(packed_rows(bits, 3), bits)
+
+    def test_pair_kernel_windows_at_the_default_block(self):
+        # 240 coverage-like rows of 3 words: 240^2 entries exceed one block,
+        # so the kernel scores windows, and most pairs in closed form
+        rng = Xoshiro256StarStar(22)
+        specs = [
+            (("local", "local", "local", "zero", "repeat")[rng.randint(0, 4)],
+             rng.randint(0, 1), rng.randint(0, 8), rng.randint(0, 2**17 - 1))
+            for _ in range(240)
+        ]
+        bits = x_local_rows(specs, 3)
+        words = packed_rows(bits, 3)
+        assert len(bits) ** 2 > exact.BLOCK_WORDS // 3
+        assert (exact._window_ends(words) < len(bits)).mean() > 0.5
+        assert_pair_kernel_matches(words, bits)
+
+    def test_pair_kernel_memory_is_bounded_by_block_words(self, monkeypatch):
+        # 3,000 coverage-like rows of 2 words: C(3000, 2) pairs would take
+        # 18 MB as int32 scores, a block of 4,096 words at most 2,048
+        # entries; the blocks, not the pairs, must bound what the kernel
+        # holds at once
+        rng = np.random.default_rng(5)
+        words = packed_rows([int(rng.integers(1, 256)) << (i // 25) for i in range(3000)], 2)
+        counts = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+        want = exact._enumerate_all(words, counts, 2)
+        monkeypatch.setattr(exact, "BLOCK_WORDS", 4096)
+        tracemalloc.start()
+        try:
+            got = exact._enumerate_all(words, counts, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak < 600_000, peak
 
     @pytest.mark.parametrize("n", [129, 160, 200])
     @pytest.mark.parametrize("rows_per_block", [1, 2, 3])
