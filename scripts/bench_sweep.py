@@ -41,7 +41,9 @@ Rows:
   where it joins nearly every candidate in two joins, and ``solve(pts, 6,
   prune=True)`` on 5000:100, five pruned neighborhood re-solves;
 * ``--slow`` adds ``solve`` m=3 on 2000:40: 171,868,741 combos, about
-  0.2 s a run with the shared k >= 3 pair table (``BENCH_20.json``).
+  0.2 s a run with the shared k >= 3 pair table (``BENCH_20.json``), and
+  ``solve(pts, 3, prune=True)`` on dense 60:3, the one pruned row whose
+  search reaches long last levels: 20,582,152 combos, about 1.2 s a run.
 
 Each row also records what the last call returned (coverage, and combos
 where the call counts them), so the two trees can be seen to agree.
@@ -177,6 +179,7 @@ def cases(diskcover, slow: bool) -> list[tuple]:
     if slow:
         n, side = SLOW_SIZE
         kernel.append((f"solve_m3 {n}:{side:g}", n, side, SEED, lambda pts: solve(pts, 3)))
+        kernel.append(("solve_m3_prune 60:3", 60, 3.0, SEED, lambda pts: solve(pts, 3, prune=True)))
     for name, n, side, seed, call in kernel:
         pts = generate(n, side, seed).points
         out.append((f"kernel {name}", lambda call=call, pts=pts: call(pts), tuple, _counts))
@@ -241,7 +244,8 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument(
         "--slow", action="store_true",
-        help=f"also time solve m=3 on {SLOW_SIZE[0]}:{SLOW_SIZE[1]:g} (171,868,741 combos)",
+        help=f"also time solve m=3 on {SLOW_SIZE[0]}:{SLOW_SIZE[1]:g} (171,868,741 combos) "
+        "and pruned solve m=3 on 60:3 (20,582,152 combos)",
     )
     args = parser.parse_args()
     if not args.base or not args.out:

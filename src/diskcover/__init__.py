@@ -9,9 +9,9 @@ Library layout:
   harness      reproducible instances, benchmark, self-verification
   rng          fixed splitmix64/xoshiro256** generator
 
-Point ids must be distinct: ``solve``, ``greedy_solve`` and ``most_points``
-raise ValueError on a repeated id.  ``solve(pts, 1)`` is the single-disk
-optimum.
+Point ids must be distinct and non-negative: ``solve``, ``greedy_solve`` and
+``most_points`` raise ValueError on a negative or repeated id.
+``solve(pts, 1)`` is the single-disk optimum.
 """
 
 from .exact import ExactSolveStats, MultiDiskResult, most_points

@@ -26,12 +26,12 @@ tie-breaks are reproducible.  Two optional reductions:
   the length of the anchor's near list, can take part in a combination better
   than a greedy one (``_pruned_rows``), in center order; then branch-and-bound
   over the rows left by dedup, re-sorted by count descending, from the same
-  greedy pick (``_greedy``) over them: a partial selection is abandoned when
-  its union plus the best remaining counts cannot beat the incumbent, and the
-  search stops once the incumbent covers every point (on dense inputs that
-  bound exceeds the point count and cuts nothing).
-  Never changes the optimum value, but may return a different equally-good
-  disk set.
+  greedy pick (``_greedy``) over them: every level scores in one pass the
+  rows before the first whose loose bound, the union's count plus the best
+  remaining counts, cannot beat the incumbent, and the search stops once
+  the incumbent covers every point (on dense inputs that bound exceeds the
+  point count and cuts nothing).  Never changes the optimum value, but may
+  return a different equally-good disk set.
 
 Both searches score their combinations in blocks of at most BLOCK_WORDS
 words; a block reproduces, combination for combination, the counts and the
@@ -273,105 +273,70 @@ def _enumerate_all(words: np.ndarray, counts: np.ndarray, k: int) -> tuple[int, 
     return best, combo
 
 
-class _PrunedSearch:
-    """Branch-and-bound over the rows in count-descending order.
+def _pruned_search(
+    words: np.ndarray, counts: np.ndarray, k: int, full: int, incumbent: tuple
+) -> tuple[int, tuple[int, ...], int]:
+    """Best k-subset of the coverage rows ``words`` (k < len(words)) as (count,
+    chosen index tuple, complete k-subsets scored): branch-and-bound over the
+    rows in count-descending order from the ``incumbent`` (count, chosen index
+    tuple), which k rows realize, so cutting a branch that can at best tie
+    never loses the optimum value.  ``counts`` are the rows' popcounts as
+    int64; reaching ``full``, the point count, ends the search.
 
-    The incumbent starts at the given one, which k rows realize (in
-    ``most_points``, the ``_greedy`` one), so abandoning branches that can
-    at best tie never loses the optimum value, and reaching ``full`` ends
-    the search.  A level computes the bound of every row it may still take
-    at once: the union with that row plus the counts of the rows that would
-    follow it.  ``ucount + ranked[t]`` is non-increasing in ``t`` and the
-    incumbent never decreases, so the last level stops scoring at the first
-    ``t`` where that sum cannot beat the incumbent, which a block finds from
-    the running maximum of its scores.
+    Every level is one pass.  The loose bound of row t, the union's count
+    plus the counts of the ``remaining`` rows from t on, does not increase
+    with t: a binary search over prefix sums finds ``end``, the first t where
+    it cannot beat the incumbent, and one ``_union_counts`` call scores the
+    rows before it.  Above the last level a row is taken while its score
+    plus the counts after it beats the incumbent; at the last level the
+    scores are the combinations' counts, counted up to the first t whose
+    loose bound cannot beat the incumbent as it stands there (or through the
+    first score of ``full``), and their first maximum replaces the incumbent
+    only if larger.
     """
+    order = np.argsort(-counts, kind="stable")
+    ranked = counts[order]
+    prefix = np.concatenate(([0], np.cumsum(ranked)))
+    # minus the counts of the r rows from each t on, ascending in t
+    minus = {r: prefix[:-r] - prefix[r:] for r in range(1, k + 1)}
+    best, combo = incumbent
+    combos = 0
 
-    def __init__(
-        self, words: np.ndarray, counts: np.ndarray, k: int, full: int, incumbent: tuple
-    ):
-        self.words, self.k, self.full = words, k, full
-        self.order = np.argsort(-counts, kind="stable")
-        self.ranked = counts[self.order]
-        self.prefix = np.concatenate(([0], np.cumsum(self.ranked)))
-        self.best, self.combo = incumbent
-        self.combos = 0
-
-    def run(self) -> tuple[int, tuple[int, ...], int]:
-        if self.best < self.full:
-            self._descend(0, (), np.zeros(self.words.shape[1], dtype=np.uint64), 0)
-        return self.best, self.combo, self.combos
-
-    def _descend(self, pos: int, chosen: tuple[int, ...], union: np.ndarray, ucount: int) -> None:
-        remaining = self.k - len(chosen)
-        if remaining == 1:
-            self._last_level(pos, chosen, union, ucount)
+    def descend(pos: int, chosen: tuple[int, ...], union: np.ndarray, ucount: int) -> None:
+        nonlocal best, combo, combos
+        remaining = k - len(chosen)
+        end = int(np.searchsorted(minus[remaining][pos:], ucount - best))
+        if end == 0:
             return
-        last = len(self.order) - remaining + 1
-        # the counts of the remaining - 1 rows after each t
-        after = self.prefix[pos + remaining : last + remaining] - self.prefix[pos + 1 : last + 1]
-        # ucount + ranked[t] bounds the union with row t and, like after, does
-        # not increase with t: only a prefix of the rows needs the exact bound
-        loose = ucount + self.ranked[pos:last] + after
-        end = pos + int(np.searchsorted(-loose, -self.best))
-        union_counts = _union_counts(self.words, union, self.order[pos:end])
-        bound = union_counts + after[: end - pos]
-        for t in (np.flatnonzero(bound > self.best) + pos).tolist():
-            if self.best == self.full:
-                return
-            if bound[t - pos] <= self.best:
-                continue
-            idx = int(self.order[t])
-            self._descend(
-                t + 1, chosen + (idx,), union | self.words[idx], int(union_counts[t - pos])
-            )
-
-    def _last_level(self, pos: int, chosen: tuple[int, ...], union: np.ndarray, ucount: int) -> None:
-        ranked, order = self.ranked, self.order
-        step = max(1, BLOCK_WORDS // self.words.shape[1])
-        t = pos
-        while True:
-            # from the first t with ucount + ranked[t] <= best on, nothing can
-            # win (-ranked ascends)
-            end = int(np.searchsorted(-ranked, ucount - self.best))
-            if end <= t:
-                return
-            hi = min(end, t + step)
-            score = _union_counts(self.words, union, order[t:hi])
+        scores = _union_counts(words, union, order[pos : pos + end])
+        if remaining == 1:
             # the incumbent as each score is reached
-            before = np.maximum.accumulate(np.concatenate(([self.best], score[:-1])))
-            stop = np.flatnonzero(ucount + ranked[t:hi] <= before)
-            n = int(stop[0]) if len(stop) else hi - t
-            covered_all = np.flatnonzero(score[:n] == self.full)
+            before = np.maximum.accumulate(np.concatenate(([best], scores[:-1])))
+            stop = np.flatnonzero(ucount + ranked[pos : pos + end] <= before)
+            n = int(stop[0]) if len(stop) else end
+            covered_all = np.flatnonzero(scores[:n] == full)
             if len(covered_all):
                 n = int(covered_all[0]) + 1
-            self.combos += n
-            j = int(score[:n].argmax())
-            if score[j] > self.best:
-                self.best, self.combo = int(score[j]), chosen + (int(order[t + j]),)
-            if n < hi - t or self.best == self.full:
+            combos += n
+            j = int(scores[:n].argmax())
+            if scores[j] > best:
+                best, combo = int(scores[j]), chosen + (int(order[pos + j]),)
+            return
+        # the union with row t plus the counts of the remaining - 1 rows after it
+        bound = scores - minus[remaining - 1][pos + 1 : pos + 1 + end]
+        for t in np.flatnonzero(bound > best).tolist():
+            if best == full:
                 return
-            t = hi
+            if bound[t] <= best:
+                continue
+            idx = int(order[pos + t])
+            descend(pos + t + 1, chosen + (idx,), union | words[idx], int(scores[t]))
 
-
-def _enumerate_exact(
-    words: np.ndarray, counts: np.ndarray, k: int, full: int, incumbent: tuple | None = None
-) -> tuple[int, tuple[int, ...], int]:
-    """Best k-subset of the coverage rows ``words`` (k < len(words)).
-
-    ``counts[i]`` is the popcount of row i, as int64 (the pruned search
-    negates it), and ``full`` (the point count) bounds the popcount of every
-    union.  Returns (count, chosen index tuple, combos evaluated), where
-    combos counts complete k-subsets whose union was scored.  Given an
-    ``incumbent`` (count, chosen index tuple) the search is pruned from it.
-    Without one every k-subset is scored, in lexicographic order, and the
-    first maximum wins, which (for center-sorted candidates) realizes the
-    smallest-sorted-center tie-break.
-    """
-    if incumbent is not None:
-        return _PrunedSearch(words, counts, k, full, incumbent).run()
-    count, combo = _enumerate_all(words, counts, k)
-    return count, combo, math.comb(len(words), k)
+    if best < full:
+        descend(0, (), np.zeros(words.shape[1], dtype=np.uint64), 0)
+    # the reference of descend to itself would keep the words alive until a collection
+    del descend
+    return best, combo, combos
 
 
 def _greedy(
@@ -448,8 +413,8 @@ def most_points(
     dedup keeps each set's least center.  If no more rows than k are
     searched, all are used (one combination) and padded by repeating the
     first disk of maximum count in center order.  The ids of ``pts`` must
-    be distinct; a repeated id raises ValueError, as does an empty list or
-    record.
+    be distinct and non-negative; a negative or repeated id raises
+    ValueError, as does an empty list or record.
     """
     if not pts:
         raise ValueError("most_points requires a non-empty point list")
@@ -470,11 +435,14 @@ def most_points(
     centers = built[rows]
     stats = ExactSolveStats(candidates_generated=len(cx), candidates_after_dedup=len(rows))
 
-    if k < len(rows):
-        incumbent = _greedy(indptr, cols, rows, len(pts), k) if prune else None
-        _, combo, stats.combos_evaluated = _enumerate_exact(words, counts, k, len(pts), incumbent)
-    else:
+    if k >= len(rows):
         combo, stats.combos_evaluated = range(len(rows)), 1
+    elif prune:
+        greedy = _greedy(indptr, cols, rows, len(pts), k)
+        _, combo, stats.combos_evaluated = _pruned_search(words, counts, k, len(pts), greedy)
+    else:
+        _, combo = _enumerate_all(words, counts, k)
+        stats.combos_evaluated = math.comb(len(rows), k)
     union = np.bitwise_or.reduce(words[list(combo)])
     centers = centers[list(combo) + [int(counts.argmax())] * (k - len(combo))]
     chosen = [UnitDisk(x, y) for x, y in zip(cx[centers].tolist(), cy[centers].tolist())]

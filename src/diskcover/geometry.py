@@ -205,7 +205,7 @@ class PointArrays:
 
 
 def point_arrays(pts: Sequence[Point]) -> PointArrays:
-    """The record of ``pts``; an empty list or a repeated id raises ValueError."""
+    """The record of ``pts``; an empty list or a negative or repeated id raises ValueError."""
     if not pts:
         raise ValueError("a point list must be non-empty")
     ids = np.array([p.idx for p in pts], dtype=np.int64)
@@ -372,9 +372,11 @@ def packed_coverage(
 
 
 def _distinct_id_order(ids: np.ndarray) -> np.ndarray:
-    """Positions that sort ``ids`` ascending (stably); a repeated id raises."""
+    """Positions that sort ``ids`` ascending (stably); a negative or repeated id raises."""
     order = np.argsort(ids, kind="stable")
     ordered = ids[order]
+    if ordered[0] < 0:
+        raise ValueError(f"point ids must be non-negative; id {int(ordered[0])} is negative")
     repeats = np.flatnonzero(ordered[1:] == ordered[:-1])
     if len(repeats):
         raise ValueError(f"point ids must be distinct; id {int(ordered[repeats[0]])} repeats")

@@ -106,7 +106,7 @@ def solve(pts: list[Point], m: int, prune: bool = False) -> Solution:
     (ties go to the re-solve).  ``prune`` enables branch-and-bound inside the
     neighborhood searches; it changes combo counts, never values.
 
-    The ids of ``pts`` must be distinct; a repeated id raises ValueError.
+    The ids of ``pts`` must be distinct and non-negative, else ValueError.
 
     combos_evaluated in each trace counts the complete disk combinations the
     neighborhood search scored; the greedy branch contributes none.
@@ -160,7 +160,7 @@ def greedy_solve(pts: list[Point], m: int) -> Solution:
 
     Covers at least a (1 - 1/e) fraction of the optimum; used as a baseline
     and as the quality floor the exact solver is tested against.  The ids
-    of ``pts`` must be distinct, as in ``solve``.
+    of ``pts`` must be distinct and non-negative, as in ``solve``.
     """
     if m < 1:
         raise ValueError("greedy_solve requires m >= 1")

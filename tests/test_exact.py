@@ -1,3 +1,4 @@
+import gc
 import itertools
 import math
 import tracemalloc
@@ -123,10 +124,11 @@ class _ReferenceAllCovered(Exception):
 def reference_enumerate(bits, counts, k, prune, full):
     """The enumeration on Python-int bitsets, one combination at a time.
 
-    Returns (count, chosen index tuple, combos evaluated), the contract of
-    ``exact._enumerate_exact``: lexicographic order and first maximum wins
-    without pruning; with it, branch-and-bound over count-descending rows
-    from the greedy incumbent, stopping once every point is covered.
+    Returns (count, chosen index tuple, combos evaluated).  Without pruning
+    it is the contract of ``exact._enumerate_all`` with C(len(bits), k)
+    combos: lexicographic order and first maximum wins.  With it, that of
+    ``exact._pruned_search`` from the greedy incumbent: branch-and-bound over
+    count-descending rows, stopping once every point is covered.
     """
     m = len(bits)
     order = list(range(m))
@@ -213,19 +215,18 @@ def csr_of(bits):
 
 
 def assert_enumeration_matches(words, bits, k, full, csr=None):
-    """The kernel against ``reference_enumerate``, unpruned and pruned from
-    the incumbent of ``exact._greedy`` on the CSR rows of ``bits``, which
-    must be ``reference_greedy``'s."""
+    """The kernels against ``reference_enumerate``: ``_enumerate_all``
+    unpruned, with C(len(words), k) combos, and ``_pruned_search`` from the
+    incumbent of ``exact._greedy`` on the CSR rows of ``bits``, which must be
+    ``reference_greedy``'s."""
     counts = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
     greedy = exact._greedy(*(csr or csr_of(bits)), full, k)
     assert greedy == reference_greedy(bits, k), k
-    for incumbent in (None, greedy):
-        prune = incumbent is not None
-        got = exact._enumerate_exact(words, counts, k, full, incumbent)
+    unpruned = (*exact._enumerate_all(words, counts, k), math.comb(len(words), k))
+    pruned = exact._pruned_search(words, counts, k, full, greedy)
+    for prune, got in ((False, unpruned), (True, pruned)):
         want = reference_enumerate(bits, [b.bit_count() for b in bits], k, prune, full)
         assert got == want, (k, prune)
-        if not prune:
-            assert got[2] == math.comb(len(words), k)
 
 
 def assert_pair_kernel_matches(words, bits):
@@ -310,9 +311,10 @@ class TestKernelMatchesReference:
     @pytest.mark.parametrize("rows_per_block", [1, 2, 3])
     def test_tiny_blocks(self, monkeypatch, rows_per_block):
         # ties and the pruned break point fall across block edges: blocks of
-        # 1-3 rows in the bounds and the last level, 1-3 outer rows (or 1-3
-        # columns of one row) in the k=2 pair kernel, and pair table chunks
-        # of at most 1-3 or 24-72 pairs for k >= 3
+        # 1-3 rows inside the one _union_counts call of each pruned level,
+        # the last level included, 1-3 outer rows (or 1-3 columns of one
+        # row) in the k=2 pair kernel, and pair table chunks of at most 1-3
+        # or 24-72 pairs for k >= 3
         for pts in (
             generate(10, 0.9 * math.sqrt(10), 19).points,
             word_boundary_points(65, 7, duplicates=True),
@@ -602,7 +604,28 @@ class TestMostPoints:
         words, _, counts = packed_coverage(indptr, cols, rows, points)
         greedy = exact._greedy(indptr, cols, rows, 12, 3)
         assert greedy[0] == 11
-        assert exact._enumerate_exact(words, counts, 3, 13, greedy)[2] == 2420
+        assert exact._pruned_search(words, counts, 3, 13, greedy)[2] == 2420
+
+    def test_pruned_search_leaves_no_reference_cycle(self):
+        # a cycle through the search (a closure that calls itself) keeps the
+        # coverage words alive until the cyclic collector runs, and the
+        # packing of the next call slows down meanwhile
+        pts = generate(200, 14.0, 101).points
+        calls = {
+            "most_points k=2": lambda: most_points(pts, 2, prune=True),
+            "most_points k=3": lambda: most_points(pts, 3, prune=True),
+            "solve m=3": lambda: solve(pts, 3, prune=True),
+        }
+        for call in calls.values():
+            call()
+        gc.collect()
+        gc.disable()
+        try:
+            for name, call in calls.items():
+                call()
+                assert gc.collect() == 0, name
+        finally:
+            gc.enable()
 
     def test_stats_invariant(self):
         rng = Xoshiro256StarStar(20)

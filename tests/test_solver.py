@@ -351,20 +351,34 @@ class TestGreedySolve:
 
 
 class TestRepeatedIds:
-    """Point ids must be distinct wherever coverage is counted."""
+    """Point ids must be distinct and non-negative wherever coverage is counted."""
 
-    # two points share id 0: counted by table position they would make 2,
-    # counted by id 1
-    PTS = [Point(0.0, 0.0, 0), Point(0.1, 0.0, 0), Point(5.0, 5.0, 1)]
-
+    @pytest.mark.parametrize(
+        "pts, message",
+        [
+            # two points share id 0: counted by table position they would
+            # make 2, counted by id 1
+            (
+                [Point(0.0, 0.0, 0), Point(0.1, 0.0, 0), Point(5.0, 5.0, 1)],
+                "^point ids must be distinct; id 0 repeats$",
+            ),
+            # a negative id would count 1 where the disk covers 2, or wrap
+            # an index
+            (
+                [Point(0.0, 0.0, -1), Point(0.5, 0.0, 0), Point(5.0, 5.0, 1)],
+                "^point ids must be non-negative; id -1 is negative$",
+            ),
+        ],
+        ids=["repeated", "negative"],
+    )
     @pytest.mark.parametrize(
         "call",
         [solve, greedy_solve, most_points, lambda pts, _: candidate_centers(point_arrays(pts))],
         ids=["solve", "greedy_solve", "most_points", "candidate_centers"],
     )
-    def test_repeated_id_is_rejected(self, call):
-        with pytest.raises(ValueError, match="^point ids must be distinct; id 0 repeats$"):
-            call(self.PTS, 2)
+    def test_repeated_id_is_rejected(self, call, pts, message):
+        with pytest.raises(ValueError, match=message):
+            call(pts, 2)
 
 
 class TestOneRecordPerCall:
