@@ -43,7 +43,8 @@ Rows:
 * ``--slow`` adds ``solve`` m=3 on 2000:40: 171,868,741 combos, about
   0.2 s a run with the shared k >= 3 pair table (``BENCH_20.json``), and
   ``solve(pts, 3, prune=True)`` on dense 60:3, the one pruned row whose
-  search reaches long last levels: 20,582,152 combos, about 1.2 s a run.
+  search reaches long last levels: 20,582,152 combos, about 1.0 s a run
+  (``BENCH_23.json``).
 
 Each row also records what the last call returned (coverage, and combos
 where the call counts them), so the two trees can be seen to agree.
