@@ -17,7 +17,8 @@ tree's median.  Every figure is the median of those over the repeats.
 Instances are ``generate(n, side, 101)`` unless a row names another seed.
 Rows:
 
-* ``sweep``: ``solve(pts, 1)`` on the whole instance (the first disk);
+* ``sweep``: ``solve(pts, 1)`` on the whole instance (the first disk), on
+  sparse 5000:100 and 20000:200 and on dense 500:3;
 * ``greedy_step``: ``solver._greedy_step`` on the points its first disk
   leaves uncovered, the mask of ``solve(pts, 1).covered``.  Each timing
   gets a fresh anchor table, built with its point record and the first step
@@ -73,7 +74,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 101
-STEP_SIZES = [(5000, 100.0), (20000, 200.0)]
+# sparse anchors (about 7 near-list entries each) and dense 500:3 (about 340)
+STEP_SIZES = [(5000, 100.0), (20000, 200.0), (500, 3.0)]
 SOLVE_SIZES = [(1000, 200.0), (5000, 100.0), (20000, 200.0), (2000, 40.0)]
 GEOMETRY_SIZES = [(5000, 100.0), (2000, 40.0)]
 SLOW_SIZE = (2000, 40.0)

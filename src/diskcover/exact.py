@@ -114,28 +114,40 @@ def _window_ends(words: np.ndarray) -> np.ndarray:
     bit with row j.
 
     A row spans its lowest set bit ``lo`` to its highest ``hi``; a zero row
-    gets ``lo`` past every bit and ``hi = -1``.  Every row from i on has
+    gets ``lo`` past every bit and a negative ``hi``.  Every row from i on has
     ``lo`` at least ``smin[i]``, the suffix minimum of ``lo``, which does
     not decrease, so the rows from the first i with ``smin[i] > hi[j]`` on
     are disjoint from row j.
     """
     n, width = words.shape
-    nonzero = words != 0
-    empty = ~nonzero.any(axis=1)
-    rows = np.arange(n)
-    first = nonzero.argmax(axis=1)
-    last = width - 1 - nonzero[:, ::-1].argmax(axis=1)
-    w = words[rows, first]
+    # one pass per word finds each row's first and last nonzero word, and
+    # starts lo at the first bit of the one and hi at the last of the other
+    first, last = np.zeros(n, dtype=np.uint64), np.zeros(n, dtype=np.uint64)
+    lo, hi = np.full(n, 64 * width, dtype=np.int32), np.full(n, -1, dtype=np.int32)
+    for i in range(width):
+        word = words[:, i]
+        nonzero = word != 0
+        np.copyto(last, word, where=nonzero)
+        np.copyto(hi, 64 * i + 63, where=nonzero)
+        nonzero &= lo == 64 * width
+        np.copyto(first, word, where=nonzero)
+        np.copyto(lo, 64 * i, where=nonzero)
     # trailing zeros of the first nonzero word: the bits below its lowest
-    lo = 64 * first + np.bitwise_count((w & (~w + 1)) - 1)
-    w = words[rows, last]
+    w = np.negative(first)
+    w &= first
+    w -= np.uint64(1)
+    lo += np.bitwise_count(w)
     # smeared down, the last nonzero word's popcount is its bit length
     for s in (1, 2, 4, 8, 16, 32):
-        w |= w >> s
-    hi = 64 * last + np.bitwise_count(w) - 1
-    lo[empty], hi[empty] = 64 * width, -1
+        last |= last >> np.uint64(s)
+    hi -= 64 - np.bitwise_count(last)
     smin = np.minimum.accumulate(lo[::-1])[::-1]
-    return np.maximum(np.searchsorted(smin, hi, side="right"), rows + 1)
+    end = np.searchsorted(smin, hi, side="right")
+    # a nonzero row has smin <= lo <= hi at its own index, so only zero
+    # rows need end = j + 1
+    zero = np.flatnonzero(hi < 0)
+    end[zero] = zero + 1
+    return end
 
 
 def _pair_blocks(end: np.ndarray, span: int) -> Iterator[tuple[int, int, int]]:

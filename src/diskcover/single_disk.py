@@ -21,7 +21,9 @@ An anchor covers at most the points of its near list, so each entry starts
 at that list's length, an upper bound, and the table fills as
 ``best_placement`` asks: it sweeps anchors on numpy arrays, in blocks taken
 in bound-descending order, and stops at the first block whose bound is
-below the best count found so far.  On sparse input most anchors' bound is
+below the best count found so far.  A block is one pass over its arcs
+(``_sweep_anchors``): one comparison sort of their endpoints and one radix
+sort by anchor, then one running sum whose per-anchor peak is the count.  On sparse input most anchors' bound is
 below rho and they are never swept.  Covered points are a boolean mask over
 the record's rows, as ``geometry.covered_mask`` gives it for a list of
 disks; the record's ids are distinct, so a count of rows is a count of
@@ -98,91 +100,84 @@ def _pseudo_angle(vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
 def _sweep_anchors(
     table: AnchorTable, anchors: np.ndarray, live: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``_sweep`` of ``anchors`` over their neighbors inside the mask ``live``.
+    """Best ``(count, cx, cy)`` of each of ``anchors``, all inside the mask
+    ``live``, over its neighbors inside ``live``.
 
     An anchor's neighbors are the other points of its near list within
-    2 + PAIR_EPS.  The entry of an anchor with no neighbor outside ``live``
-    is its sweep over the full instance, and is stored in the table.
+    2 + PAIR_EPS.  A center on the unit circle around the anchor covers a
+    neighbor along the closed arc from the neighbor's center right of the
+    direction anchor -> neighbor counterclockwise to the one left of it.  The
+    anchor's own entry and each duplicate (d <= PAIR_EPS) add to the anchor's
+    base depth, and so does an arc that covers angle 0: its start's
+    ``_pseudo_angle`` key is past its end's.  A start's depth is the base
+    plus the number of arcs whose closed key range holds its key, so starts
+    at one key share it.  The count is an anchor's greatest depth, and the
+    disk is the own center of a start at that depth: the least ``(cx, cy)``,
+    then the first in near-list order, since formula centers can be equal
+    with other bits (a signed zero, from -0.0 in the input).  An anchor with
+    no arcs keeps its base and the disk centered on itself.
+
+    The events sort once by (key, start before end), as one integer of the
+    key's bits (a float >= 0 orders like its bits), then stably by anchor, a
+    radix sort.  Every arc adds +1 and -1, so one running sum over all the
+    events returns to zero between anchors.  Within an anchor it peaks only
+    at the last start of a run of equal keys, so the peak of its events
+    (``np.maximum.reduceat``) is its greatest depth less the base, and the
+    starts at that depth are the runs, within the anchor, that end at the
+    peak.  The entry of an anchor with no neighbor outside ``live`` is its
+    sweep over the full instance, and is stored in the table.
     """
     points = table.points
-    at, _ = csr_entries(points.near_ptr, anchors)
-    at = at[points.near_row[at] != points.near[at]]
-    anchor, other = points.near_row[at], points.near[at]
-    d, _, left, right = pair_centers(points.x, points.y, anchor, other)
+    x, y = points.x, points.y
+    at, lengths = csr_entries(points.near_ptr, anchors)
+    group = np.repeat(np.arange(len(anchors), dtype=np.min_scalar_type(len(anchors))), lengths)
+    anchor, other = np.repeat(anchors, lengths), points.near[at]
+    d, _, (ex, ey), (sx, sy) = pair_centers(x, y, anchor, other)
     reach = d <= 2.0 + PAIR_EPS
     kept = reach & live[other]
-    lost = np.bincount(anchor[reach & ~kept], minlength=len(live))
-    # seen from the anchor, the arc runs counterclockwise from the center
-    # right of the direction to the neighbor to the one left of it
-    swept = _sweep(points, anchor[kept], d[kept], [c[kept] for c in right], [c[kept] for c in left])
-    full = anchors[lost[anchors] == 0]
-    for column, new in zip((table.count, table.cx, table.cy), swept):
-        column[full] = new[full]
-    table.swept[full] = True
-    return swept
-
-
-def _sweep(
-    points: PointArrays, anchor: np.ndarray, d: np.ndarray, start: list, end: list
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best ``(count, cx, cy)`` of every anchor over its neighbors' arcs.
-
-    A center on the unit circle around ``anchor[k]`` covers its neighbor k
-    along the closed arc from the k-th center of ``start`` counterclockwise
-    to that of ``end``, each an (x, y) pair of arrays.  A duplicate
-    (``d[k]`` <= PAIR_EPS) adds to the anchor's base depth, and so does an
-    arc that covers angle 0: its start's ``_pseudo_angle`` key is past its
-    end's.  A start's depth is the number of arcs whose closed key range
-    holds its key, so starts at one key share it.  The count is one more
-    than an anchor's greatest depth, and the disk is the own center of a
-    start at that depth: the least ``(cx, cy)``, then the first in
-    near-list order, since formula centers can be equal with other bits (a
-    signed zero, from -0.0 in the input).
-    An anchor with no arcs keeps the disk centered on itself.  Every arc
-    adds +1 and -1, so one running sum over all anchors' events returns to
-    zero between anchors.
-    """
-    x, y = points.x, points.y
-    n = len(x)
-    dup = d <= PAIR_EPS
-    count = 1 + np.bincount(anchor[dup], minlength=n)
-    cx, cy = x.copy(), y.copy()
-    arc = ~dup
-    anchor = anchor[arc]
-    if not len(anchor):
-        return count, cx, cy
-    (sx, sy), (ex, ey) = ([c[arc] for c in start], [c[arc] for c in end])
-    key = np.concatenate((
-        _pseudo_angle(sx - x[anchor], sy - y[anchor]),
-        _pseudo_angle(ex - x[anchor], ey - y[anchor]),
-    ))
-    m = len(anchor)
-    wrap = key[:m] > key[m:]
-    base = count - 1 + np.bincount(anchor[wrap], minlength=n)
-    # sort by (anchor, key, start before end) in two passes, each cheaper
-    # than a lexsort: first by (key, end bit) as one integer (a float >= 0
-    # orders like its bits), then by anchor with that order as the tie-break
-    bits = (key.view(np.uint64) << np.uint64(1)) | (np.arange(2 * m) >= m)
-    order = np.argsort(bits)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(2 * m)
-    order = np.argsort(np.tile(anchor, 2) * (2 * m) + rank)
-    ev_arc, ev_is_end, ev_bits = order % m, order >= m, bits[order]
-    ev_anchor = anchor[ev_arc]
-    depth = base[ev_anchor] + np.cumsum(np.where(ev_is_end, -1, 1))
-    # a run of starts at one key all take the depth after its last one
-    new = (ev_anchor[1:] != ev_anchor[:-1]) | (ev_bits[1:] != ev_bits[:-1])
-    depth = depth[np.flatnonzero(np.append(new, True))][np.append(0, np.cumsum(new))]
-
-    s_arc, s_depth = ev_arc[~ev_is_end], depth[~ev_is_end]
-    deepest = np.zeros(n, dtype=np.int64)
-    np.maximum.at(deepest, anchor[s_arc], s_depth)
-    top = s_arc[s_depth == deepest[anchor[s_arc]]]
-    top = top[np.lexsort((top, sy[top], sx[top], anchor[top]))]
-    top = top[np.concatenate(([True], anchor[top][1:] != anchor[top][:-1]))]
-    swept = anchor[top]
-    count[swept] = deepest[swept] + 1
-    cx[swept], cy[swept] = sx[top], sy[top]
+    lost = np.bincount(group[reach & ~kept], minlength=len(anchors))
+    dup = kept & (d <= PAIR_EPS)
+    count = np.bincount(group[dup], minlength=len(anchors))
+    cx, cy = x[anchors], y[anchors]
+    arc = np.flatnonzero(kept & ~dup)
+    if len(arc):
+        m, g = len(arc), group[arc]
+        sx, sy, xa, ya = sx[arc], sy[arc], x[anchor[arc]], y[anchor[arc]]
+        key = _pseudo_angle(
+            np.concatenate((sx - xa, ex[arc] - xa)), np.concatenate((sy - ya, ey[arc] - ya))
+        )
+        bits = (key.view(np.uint64) << np.uint64(1)) | (np.arange(2 * m) >= m)
+        order = np.argsort(bits)
+        ev = order[np.argsort(np.concatenate((g, g))[order], kind="stable")]
+        depth = np.cumsum(np.where(ev < m, 1, -1))
+        # the anchors with arcs: where their arcs, and their events, begin
+        heads = np.flatnonzero(np.concatenate(([True], g[1:] != g[:-1])))
+        begin = 2 * heads
+        peak = np.maximum.reduceat(depth, begin)
+        top = np.flatnonzero(depth == np.repeat(peak, 2 * np.diff(heads, append=m)))
+        # each start at a peak ends its run of equal keys; walk back over
+        # the run's other starts, within the anchor's events
+        runs, at_key = [top], bits[ev[top]]
+        first = begin[np.searchsorted(begin, top, side="right") - 1]
+        while True:
+            top = top - 1
+            same = (top >= first) & (bits[ev[top]] == at_key)
+            if not same.any():
+                break
+            top, first, at_key = top[same], first[same], at_key[same]
+            runs.append(top)
+        # of each anchor's starts at its peak, the least (cx, cy), then the
+        # first arc, which is the first in near-list order
+        start = ev[np.concatenate(runs)]
+        start = start[np.lexsort((start, sy[start], sx[start], g[start]))]
+        start = start[np.concatenate(([True], g[start][1:] != g[start][:-1]))]
+        swept = g[heads]
+        count[swept] += np.add.reduceat(key[:m] > key[m:], heads, dtype=np.int64) + peak
+        cx[swept], cy[swept] = sx[start], sy[start]
+    full = lost == 0
+    keep = anchors[full]
+    table.count[keep], table.cx[keep], table.cy[keep] = count[full], cx[full], cy[full]
+    table.swept[keep] = True
     return count, cx, cy
 
 
@@ -210,7 +205,10 @@ def best_placement(table: AnchorTable, covered: np.ndarray) -> tuple[int, UnitDi
     cx, cy = table.cx.copy(), table.cy.copy()
     best = count.max()
     todo = np.flatnonzero(live & ~known & (bound >= best))
-    todo = todo[np.argsort(-bound[todo], kind="stable")]
+    # bound-descending, ties in row order: a stable radix sort of the
+    # distance below the largest bound, in the smallest unsigned dtype
+    most = bound.max()
+    todo = todo[np.argsort((most - bound[todo]).astype(np.min_scalar_type(most)), kind="stable")]
     # blocks of about SWEEP_BLOCK pairs, in bound-descending order.  An
     # anchor is swept while its bound is >= the running best, not >: one
     # that can only tie may still win the (cx, cy) tie-break
@@ -221,9 +219,7 @@ def best_placement(table: AnchorTable, covered: np.ndarray) -> tuple[int, UnitDi
         block = block[bound[block] >= best]
         if not len(block):
             break
-        swept = _sweep_anchors(table, block, live)
-        for column, new in zip((count, cx, cy), swept):
-            column[block] = new[block]
+        count[block], cx[block], cy[block] = _sweep_anchors(table, block, live)
         best = max(best, count[block].max())
     top = np.flatnonzero(count == best)
     i = top[np.lexsort((cy[top], cx[top]))[0]]

@@ -462,7 +462,7 @@ class TestKernelMatchesReference:
         finally:
             tracemalloc.stop()
         assert got == want
-        assert peak < 600_000, peak
+        assert peak < 320_000, peak
 
     @pytest.mark.parametrize("n", [129, 160, 200])
     @pytest.mark.parametrize("rows_per_block", [1, 2, 3])

@@ -251,6 +251,17 @@ ARC_ENDPOINT_ON_THE_AXIS = make_points([(0, 0), (1, 1), (1, -1)])
 # at (1, -0.0) and (1, 0.0), equal values with other bits; the first
 # neighbor in near-list order wins.
 SIGNED_ZERO_TIE = make_points([(0.0, -0.0), (2.0, -0.0), (2.0, 0.0)])
+# Equal start keys across an anchor boundary.  Anchor (0, 0) comes just
+# before (10, 0) in the block (its bound, 3, is the last of the largest).
+# Its arc of (1.5, 0) covers angle 0 and starts at its largest key, so its
+# last event is that start; (10, 0) has one arc, of a neighbor 2 away, that
+# starts at the same key bit for bit, so its first event is an equal start.
+# The deepest start of (0, 0) is that of the arc of (0, 1), whose center lies
+# right of the other's: a run of equal keys that crossed the boundary would
+# move the disk of (0, 0) to the shallower start.
+RUN_AT_THE_ANCHOR_BOUNDARY = make_points(
+    [(1.5, 0.0), (0.0, 1.0), (0.0, 0.0), (10.0, 0.0), (11.5, -math.sqrt(1.75))]
+)
 
 
 class TestAnchorTableMatchesReferenceSweep:
@@ -261,6 +272,9 @@ class TestAnchorTableMatchesReferenceSweep:
     @example(DEEPEST_OVERLAP_STRADDLES_X, 1)
     @example(ARC_ENDPOINT_ON_THE_AXIS, 1)
     @example(SIGNED_ZERO_TIE, 1)
+    @example(RUN_AT_THE_ANCHOR_BOUNDARY, 1)
+    @example(RUN_AT_THE_ANCHOR_BOUNDARY, 3)
+    @example(RUN_AT_THE_ANCHOR_BOUNDARY, single_disk.SWEEP_BLOCK)
     def test_first_disk_on_generated_sets(self, pts, block):
         entries = reference_entries(by_id(pts))
         table = table_of(pts)
@@ -269,6 +283,24 @@ class TestAnchorTableMatchesReferenceSweep:
         check_lazy_entries(table, entries)
         sweep_every_anchor(table)
         assert table_entries(table) == [exact_bits(*e) for e in entries]
+
+    def test_equal_start_keys_across_an_anchor_boundary(self):
+        # the premise of RUN_AT_THE_ANCHOR_BOUNDARY, on the loop's keys
+        wrap_from, neighbor, anchor, after, its_neighbor = RUN_AT_THE_ANCHOR_BOUNDARY
+
+        def keys(p, q):
+            _, left, right = through_pair(p, q)
+            return [pseudo_angle(c[0] - p.x, c[1] - p.y) for c in (right, left)]
+
+        start, end = keys(anchor, wrap_from)
+        assert start > end and start > max(keys(anchor, neighbor))
+        assert keys(after, its_neighbor) == [start, start]
+        table = table_of(RUN_AT_THE_ANCHOR_BOUNDARY)
+        assert table.count.tolist() == [3, 3, 3, 2, 2]
+        sweep_every_anchor(table)
+        assert table_entries(table)[anchor.idx] == exact_bits(
+            3, *through_pair(anchor, neighbor)[2]
+        )
 
     def test_every_entry_of_a_multi_block_table(self):
         pts = generate(2000, 40.0, 101).points
