@@ -1,4 +1,4 @@
-"""Time the single-disk sweep, greedy steps, ``solve`` and the combination kernel at two revisions.
+"""Time instance generation, the single-disk sweep, greedy steps, ``solve`` and the combination kernel at two revisions.
 
     python3 scripts/bench_sweep.py --base REV --out BENCH.json [--repeats 5] [--slow]
 
@@ -17,6 +17,11 @@ tree's median.  Every figure is the median of those over the repeats.
 Instances are ``generate(n, side, 101)`` unless a row names another seed.
 Rows:
 
+* ``generate``: ``generate(n, side, 101)`` on 5000:100 and 20000:200, and
+  ``generate(64, 10, seed)`` for the 512 seeds 0–511, a pool as large as
+  perfbench's dense-solve-m3 builds; its summary is a digest of every
+  point's coordinate bits and id, so the trees can be seen to draw the same
+  points;
 * ``sweep``: ``solve(pts, 1)`` on the whole instance (the first disk), on
   sparse 5000:100 and 20000:200 and on dense 500:3;
 * ``greedy_step``: ``solver._greedy_step`` on the points its first disk
@@ -59,6 +64,7 @@ row's spread shows next to its median.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import importlib
 import importlib.util
 import json
@@ -76,6 +82,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SEED = 101
 # sparse anchors (about 7 near-list entries each) and dense 500:3 (about 340)
 STEP_SIZES = [(5000, 100.0), (20000, 200.0), (500, 3.0)]
+GENERATE_SIZES = [(5000, 100.0), (20000, 200.0)]
+GENERATE_POOL = (512, 64, 10.0)  # instances, n, side
 SOLVE_SIZES = [(1000, 200.0), (5000, 100.0), (20000, 200.0), (2000, 40.0)]
 GEOMETRY_SIZES = [(5000, 100.0), (2000, 40.0)]
 SLOW_SIZE = (2000, 40.0)
@@ -93,6 +101,15 @@ def _counts(result) -> dict:
         "combos": result.stats.combos_evaluated,
         "candidates_after_dedup": result.stats.candidates_after_dedup,
     }
+
+
+def _points_digest(instances) -> dict:
+    """Point count and a SHA-256 of every point's coordinates and id."""
+    import numpy as np
+
+    pts = [p for inst in instances for p in inst.points]
+    bits = np.array([(p.x, p.y, p.idx) for p in pts], dtype=np.float64).tobytes()
+    return {"points": len(pts), "sha256": hashlib.sha256(bits).hexdigest()}
 
 
 def cases(diskcover, slow: bool) -> list[tuple]:
@@ -118,6 +135,17 @@ def cases(diskcover, slow: bool) -> list[tuple]:
         }
 
     out = []
+    for n, side in GENERATE_SIZES:
+        out.append((
+            f"generate {n}:{side:g}", lambda n=n, side=side: [generate(n, side, SEED)], tuple,
+            _points_digest,
+        ))
+    count, n, side = GENERATE_POOL
+    out.append((
+        f"generate {count}x{n}:{side:g}",
+        lambda count=count, n=n, side=side: [generate(n, side, seed) for seed in range(count)],
+        tuple, _points_digest,
+    ))
     for n, side in STEP_SIZES:
         pts = generate(n, side, SEED).points
         covered = solve(pts, 1).covered.ids()

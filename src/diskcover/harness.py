@@ -84,16 +84,14 @@ def check_bench_args(m: int, sample_baseline: int | None) -> None:
 def generate(n: int, side: float, seed: int) -> Instance:
     """n points i.i.d. uniform in [0, side]^2, deterministic in the seed.
 
-    Draw order is fixed: x then y per point, points in index order.
+    Draw order is fixed: x then y per point, points in index order, each
+    coordinate ``rng.random() * side``.  The 2n doubles come from one
+    ``random_array`` call and are scaled in numpy, which gives the same
+    bits as drawing and multiplying them one at a time.
     """
     check_generate_args(n, side)
-    rng = Xoshiro256StarStar(seed)
-    pts = []
-    for i in range(n):
-        x = rng.random() * side
-        y = rng.random() * side
-        pts.append(Point(x, y, i))
-    return Instance(pts)
+    u = Xoshiro256StarStar(seed).random_array(2 * n) * side
+    return Instance(list(map(Point, u[0::2].tolist(), u[1::2].tolist(), range(n))))
 
 
 def bench(

@@ -10,9 +10,17 @@ on a runtime's default RNG.  The scheme is the standard pairing of
 both exactly as published by Blackman and Vigna (public-domain reference C
 code).  Doubles are drawn as ``(next_u64() >> 11) * 2**-53``, giving a value
 in [0, 1).  See the README for the byte-exact recipe.
+
+``next_u64``, ``random``, ``uniform`` and ``randint`` follow that recipe one
+draw at a time.  ``random_array`` gives the same doubles, bit for bit, in
+one call: it walks the state in Python ints and scrambles the recorded
+words in numpy ``uint64``, whose arithmetic wraps mod 2**64 as the recipe's
+does, and converts exactly, since each value is below 2**53.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 _MASK = (1 << 64) - 1
 
@@ -59,6 +67,30 @@ class Xoshiro256StarStar:
         """Uniform double in [0, 1): top 53 bits of the next output."""
         return (self.next_u64() >> 11) * (1.0 / (1 << 53))
 
+    def random_array(self, count: int) -> np.ndarray:
+        """The next ``count`` values of ``random()``, as a float64 array.
+
+        Leaves the state where ``count`` calls to ``random()`` would.
+        """
+        if count < 0:
+            raise ValueError(f"random_array requires count >= 0, got {count}")
+        s0, s1, s2, s3 = self._s
+        # the step of next_u64; s1 is the word its output scrambles
+        ones = [0] * count
+        for i in range(count):
+            ones[i] = s1
+            t = (s1 << 17) & _MASK
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & _MASK
+        self._s = [s0, s1, s2, s3]
+        x = np.array(ones, dtype=np.uint64) * np.uint64(5)
+        x = ((x << np.uint64(7)) | (x >> np.uint64(57))) * np.uint64(9)
+        return (x >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+
     def uniform(self, lo: float, hi: float) -> float:
         return lo + (hi - lo) * self.random()
 
@@ -68,5 +100,7 @@ class Xoshiro256StarStar:
         The tiny modulo bias is irrelevant for test-instance sizing and keeps
         the recipe trivial to reproduce.
         """
+        if hi < lo:
+            raise ValueError(f"randint requires lo <= hi, got {lo} > {hi}")
         span = hi - lo + 1
         return lo + self.next_u64() % span

@@ -70,9 +70,14 @@ def reference_candidate_centers(pts):
 
 
 def uniform_points(seed, n, lo, hi):
-    """n points uniform in [lo, hi]^2 from the package RNG (x then y)."""
-    rng = Xoshiro256StarStar(seed)
-    return [Point(rng.uniform(lo, hi), rng.uniform(lo, hi), i) for i in range(n)]
+    """n points uniform in [lo, hi]^2 from the package RNG (x then y).
+
+    Each coordinate is ``lo + (hi - lo) * u``, the operations of
+    ``uniform``, on one batched draw, so the points are those of 2n
+    ``uniform(lo, hi)`` calls.
+    """
+    u = lo + (hi - lo) * Xoshiro256StarStar(seed).random_array(2 * n)
+    return list(map(Point, u[0::2].tolist(), u[1::2].tolist(), range(n)))
 
 
 # Lattice coordinates (a 3 x 3 lattice, so they repeat often) give duplicate

@@ -18,6 +18,7 @@ from diskcover import (
 from diskcover import exact, harness, single_disk
 from diskcover.geometry import candidate_centers, point_arrays
 from diskcover.harness import BENCH_FIELDS, TIMING_FIELDS
+from diskcover.rng import Xoshiro256StarStar
 
 
 def csv_without_timing(path):
@@ -74,6 +75,30 @@ class TestGenerate:
         c = generate(50, 30.0, 10).points
         assert [(p.x, p.y) for p in a] == [(p.x, p.y) for p in b]
         assert [(p.x, p.y) for p in a] != [(p.x, p.y) for p in c]
+
+    def test_first_points_of_seed_zero(self):
+        # the README recipe's bytes, pinned independently of either draw path
+        pts = generate(3, 1.0, 0).points
+        assert [(p.x.hex(), p.y.hex(), p.idx) for p in pts] == [
+            ("0x1.33d8be6d96ebep-1", "0x1.7edc3ef092ac8p-1", 0),
+            ("0x1.a5f849d4933e0p-4", "0x1.aa9653c498b4ap-2", 1),
+            ("0x1.774b5a943f085p-1", "0x1.ffdf06ebb3d79p-1", 2),
+        ]
+
+    @pytest.mark.parametrize("side", [1e-300, 1e300, 3.7, 1.0])
+    @pytest.mark.parametrize("seed", [0, 101, -1, 2**64 - 1])
+    def test_batched_draw_equals_the_scalar_recipe(self, side, seed):
+        rng = Xoshiro256StarStar(seed)
+        expected = []
+        for i in range(200):
+            x = rng.random() * side
+            y = rng.random() * side
+            expected.append(Point(x, y, i))
+        pts = generate(200, side, seed).points
+        assert [(p.x.hex(), p.y.hex(), p.idx) for p in pts] == [
+            (p.x.hex(), p.y.hex(), p.idx) for p in expected
+        ]
+        assert all(type(p) is Point for p in pts)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

@@ -1,3 +1,8 @@
+import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
 from diskcover.rng import Xoshiro256StarStar, splitmix64
 
 
@@ -44,3 +49,31 @@ def test_randint_inclusive_bounds():
     rng = Xoshiro256StarStar(11)
     vals = [rng.randint(2, 4) for _ in range(200)]
     assert set(vals) == {2, 3, 4}
+
+
+@pytest.mark.parametrize("lo, hi", [(5, 4), (5, 3), (5, 2), (0, -100)])
+def test_randint_rejects_an_empty_range(lo, hi):
+    rng = Xoshiro256StarStar(11)
+    with pytest.raises(ValueError):
+        rng.randint(lo, hi)
+
+
+def test_randint_single_value_range():
+    rng = Xoshiro256StarStar(11)
+    assert [rng.randint(5, 5) for _ in range(20)] == [5] * 20
+
+
+@given(st.integers(-(2**70), 2**70), st.integers(0, 300))
+def test_random_array_is_the_scalar_stream(seed, count):
+    batched = Xoshiro256StarStar(seed)
+    scalar = Xoshiro256StarStar(seed)
+    values = batched.random_array(count)
+    assert values.dtype == np.float64 and values.shape == (count,)
+    assert [v.hex() for v in values.tolist()] == [scalar.random().hex() for _ in range(count)]
+    # the state is left where count scalar draws leave it
+    assert batched.next_u64() == scalar.next_u64()
+
+
+def test_random_array_rejects_a_negative_count():
+    with pytest.raises(ValueError):
+        Xoshiro256StarStar(1).random_array(-1)
