@@ -76,9 +76,9 @@ class Xoshiro256StarStar:
             raise ValueError(f"random_array requires count >= 0, got {count}")
         s0, s1, s2, s3 = self._s
         # the step of next_u64; s1 is the word its output scrambles
-        ones = [0] * count
+        words = [0] * count
         for i in range(count):
-            ones[i] = s1
+            words[i] = s1
             t = (s1 << 17) & _MASK
             s2 ^= s0
             s3 ^= s1
@@ -87,7 +87,7 @@ class Xoshiro256StarStar:
             s2 ^= t
             s3 = ((s3 << 45) | (s3 >> 19)) & _MASK
         self._s = [s0, s1, s2, s3]
-        x = np.array(ones, dtype=np.uint64) * np.uint64(5)
+        x = np.array(words, dtype=np.uint64) * np.uint64(5)
         x = ((x << np.uint64(7)) | (x >> np.uint64(57))) * np.uint64(9)
         return (x >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
 
