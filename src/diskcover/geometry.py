@@ -42,13 +42,9 @@ from scipy.spatial import cKDTree
 # absolute; see ``PointArrays`` for the coordinates it serves.
 EPS_COVER = 1e-9
 
-# Two points generate through-pair disks only when their distance is at most
-# 2 + PAIR_EPS; within PAIR_EPS of exactly 2 the two mirror centers coincide
-# and a single midpoint disk is emitted.
+# Two points generate through-pair disks only when their distance is more
+# than PAIR_EPS (closer points are duplicates) and at most 2 + PAIR_EPS.
 PAIR_EPS = 1e-12
-
-# Candidate centers closer than this (per coordinate) are duplicates.
-CENTER_DEDUP_EPS = 1e-12
 
 # Near-list radius of ``PointArrays``: the lists hold the sweep's and the
 # candidates' pairs (within 2 + PAIR_EPS) and every point a center covers
@@ -205,13 +201,19 @@ class PointArrays:
 
 
 def point_arrays(pts: Sequence[Point]) -> PointArrays:
-    """The record of ``pts``; an empty list or a negative or repeated id raises ValueError."""
+    """The record of ``pts``; an empty list, a negative or repeated id, or a
+    span ``ex``, ``ey`` of the coordinates whose ``ex*ex + ey*ey`` overflows
+    (no squared distance would be finite) raises ValueError."""
     if not pts:
         raise ValueError("a point list must be non-empty")
     ids = np.array([p.idx for p in pts], dtype=np.int64)
     by_id = _distinct_id_order(ids)
     x = np.array([p.x for p in pts], dtype=np.float64)[by_id]
     y = np.array([p.y for p in pts], dtype=np.float64)[by_id]
+    # Python floats overflow to inf without a numpy warning
+    ex, ey = float(x.max()) - float(x.min()), float(y.max()) - float(y.min())
+    if not math.isfinite(ex * ex + ey * ey):
+        raise ValueError(f"points span {ex:g} in x and {ey:g} in y; squared distances overflow")
     # a sliding-midpoint tree builds faster than a median-split one
     i, j = cKDTree(np.column_stack([x, y]), balanced_tree=False).query_pairs(
         r=REACH, output_type="ndarray"
@@ -249,43 +251,40 @@ def candidate_centers(points: PointArrays) -> tuple[np.ndarray, np.ndarray, np.n
     """Centers of the finite candidate set and their anchors, as arrays.
 
     Returns (cx, cy, anchor).  The candidates are, for every point, the disk
-    centered on it, and for every pair at distance 0 < d <= 2, the two unit
-    disks whose boundary passes through both points (one disk, at the
-    midpoint, when d is 2 within PAIR_EPS).  They suffice for exact coverage
-    maximization: any disk can be translated until two covered points lie on
-    its boundary or it covers at most one point, so some optimal solution of
-    best-k disks uses only these candidates.  A pair a, b (a the lesser
-    row) gives the left and then the right center of ``pair_centers``, or
-    its midpoint alone.
+    centered on it, and for every pair at distance PAIR_EPS < d <= 2 +
+    PAIR_EPS, the two unit disks whose boundary passes through both points.
+    They suffice for exact coverage maximization: any disk can be translated
+    until two covered points lie on its boundary or it covers at most one
+    point, so some optimal solution of best-k disks uses only these
+    candidates.  A pair a, b (a the lesser row) gives the left and then the
+    right center of ``pair_centers``, the floats the sweep computes, so every
+    disk the sweep returns is one of these centers.
 
     Point centers come first, in row order, then the through-pair centers
-    in the record's pair order; then a stable sort by (cx, cy), and a
-    center within CENTER_DEDUP_EPS (per coordinate) of the last kept one is
-    merged into it.
+    in the record's pair order; then a stable sort by (cx, cy), and a center
+    equal to the one before it (-0.0 equals 0.0) is dropped, so each value
+    is kept once, at its first position.
 
     ``anchor[r]`` is the row of a point that generated center r: the point
     itself, or the member of the pair with the shorter near list (a on
     ties).  Both members lie on the disk's boundary, so either is covered
     (squared distance at most 1 + EPS_COVER), which is what
     ``coverage_rows`` relies on; the shorter list makes the join
-    smaller and its length, which bounds the center's count, tighter.  A
-    merged center keeps the anchor of the center it was merged into.
+    smaller and its length, which bounds the center's count, tighter.
     """
     xs, ys = points.x, points.y
     pair = points.near_row < points.near
     a, b = points.near_row[pair], points.near[pair]
-    d, (mx, my), (lx, ly), (rx, ry) = pair_centers(xs, ys, a, b)
+    d, (lx, ly), (rx, ry) = pair_centers(xs, ys, a, b)
     ok = (d > PAIR_EPS) & (d <= 2.0 + PAIR_EPS)
-    mid = np.abs(d - 2.0) <= PAIR_EPS
-    # per pair: the left center (the midpoint when d == 2), then the right
-    # center unless d == 2; C-order masking keeps pair order
-    both = np.stack((ok, ok & ~mid), axis=1)
-    cx = np.concatenate((xs, np.stack((np.where(mid, mx, lx), rx), axis=1)[both]))
-    cy = np.concatenate((ys, np.stack((np.where(mid, my, ly), ry), axis=1)[both]))
+    # per pair: the left, then the right center
+    cx = np.concatenate((xs, np.column_stack((lx[ok], rx[ok])).ravel()))
+    cy = np.concatenate((ys, np.column_stack((ly[ok], ry[ok])).ravel()))
     # a pair anchors on its member with the shorter near list, a on ties
     n_near = np.diff(points.near_ptr)
+    a, b = a[ok], b[ok]
     short = np.where(n_near[b] < n_near[a], b, a)
-    anchor = np.concatenate((np.arange(len(xs)), np.repeat(short, both.sum(axis=1))))
+    anchor = np.concatenate((np.arange(len(xs)), np.repeat(short, 2)))
     # a stable sort by (cx, cy): one quicksort of cx, then the runs of
     # equal cx re-sorted by (cx, cy, position)
     order = np.argsort(cx)
@@ -294,17 +293,17 @@ def candidate_centers(points: PointArrays) -> tuple[np.ndarray, np.ndarray, np.n
     sub = order[run]
     order[run] = sub[np.lexsort((sub, cy[sub], cx[sub]))]
     cx, cy, anchor = cx[order], cy[order], anchor[order]
-    keep = _kept_centers(cx, cy)
+    keep = np.concatenate(([True], (cx[1:] != cx[:-1]) | (cy[1:] != cy[:-1])))
     return cx[keep], cy[keep], anchor[keep]
 
 
 def pair_centers(x: np.ndarray, y: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
-    """The unit disks through rows ``a[k]`` and ``b[k]``: ``(d, mid, left, right)``.
+    """The unit disks through rows ``a[k]`` and ``b[k]``: ``(d, left, right)``.
 
     For d = |b - a|, m = (a + b) / 2, h = sqrt(max(1 - d^2 / 4, 0)) and
-    u = (b - a) / d, ``mid`` is m, and the centers ``left`` and ``right``,
-    on either side of the direction a -> b, are m + h (-u.y, u.x) and
-    m - h (-u.y, u.x); each is an (x, y) pair of arrays.  IEEE 754 rounds
+    u = (b - a) / d, the centers ``left`` and ``right``, on either side of
+    the direction a -> b, are m + h (-u.y, u.x) and m - h (-u.y, u.x); each
+    is an (x, y) pair of arrays.  At d = 2 both equal m.  IEEE 754 rounds
     + - * / and sqrt correctly, so no bit depends on the platform.  Swapping
     a and b swaps left and right and, when d > 0, changes no bit.  A pair at
     d = 0 gets non-finite centers.
@@ -316,31 +315,7 @@ def pair_centers(x: np.ndarray, y: np.ndarray, a: np.ndarray, b: np.ndarray) -> 
     h = np.sqrt(np.maximum(1.0 - d2 / 4.0, 0.0))
     with np.errstate(divide="ignore", invalid="ignore"):
         ux, uy = dx / d, dy / d
-    return d, (mx, my), (mx - h * uy, my + h * ux), (mx + h * uy, my - h * ux)
-
-
-def _kept_centers(cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-    """Mask of the sorted centers kept: each one within CENTER_DEDUP_EPS of
-    the last kept one is dropped.
-
-    A center whose x exceeds its predecessor's by more than the tolerance is
-    farther than that from every earlier center, so it is kept; only the
-    others need the sequential comparison with the last kept center.
-    """
-    close = np.flatnonzero(cx[1:] - cx[:-1] <= CENTER_DEDUP_EPS) + 1
-    keep = np.ones(len(cx), dtype=bool)
-    # only a close center can be dropped, so the last kept center before one
-    # is close or just before a close one: only those coordinates are read
-    at = np.concatenate((close - 1, close))
-    xs, ys = (dict(zip(at.tolist(), c[at].tolist())) for c in (cx, cy))
-    # the last kept center before i: i - 1 if kept, else that of i - 1
-    k = 0
-    for i in close.tolist():
-        if keep[i - 1]:
-            k = i - 1
-        if abs(xs[i] - xs[k]) <= CENTER_DEDUP_EPS and abs(ys[i] - ys[k]) <= CENTER_DEDUP_EPS:
-            keep[i] = False
-    return keep
+    return d, (mx - h * uy, my + h * ux), (mx + h * uy, my - h * ux)
 
 
 def packed_coverage(

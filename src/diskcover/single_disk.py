@@ -132,7 +132,7 @@ def _sweep_anchors(
     at, lengths = csr_entries(points.near_ptr, anchors)
     group = np.repeat(np.arange(len(anchors), dtype=np.min_scalar_type(len(anchors))), lengths)
     anchor, other = np.repeat(anchors, lengths), points.near[at]
-    d, _, (ex, ey), (sx, sy) = pair_centers(x, y, anchor, other)
+    d, (ex, ey), (sx, sy) = pair_centers(x, y, anchor, other)
     reach = d <= 2.0 + PAIR_EPS
     kept = reach & live[other]
     lost = np.bincount(group[reach & ~kept], minlength=len(anchors))

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 from diskcover import Point, UnitDisk
-from diskcover.geometry import CENTER_DEDUP_EPS, PAIR_EPS, candidate_centers, point_arrays
+from diskcover.geometry import PAIR_EPS, candidate_centers, point_arrays
 from diskcover.rng import Xoshiro256StarStar
 
 # Property tests draw the same examples on every run and have no per-example
@@ -32,9 +32,9 @@ def candidates(pts):
 def reference_candidate_centers(pts):
     """Oracle: the per-pair loop that defines the candidate centers.
 
-    Point centers, then two centers per KD-tree pair (one at the midpoint
-    when the distance is 2 within PAIR_EPS), sorted, each merged into the
-    last kept center when within CENTER_DEDUP_EPS of it per coordinate.
+    Point centers, then the two centers of each KD-tree pair at distance
+    PAIR_EPS < d <= 2 + PAIR_EPS, sorted, each skipped when it equals the
+    last kept center.
     """
     centers = [(p.x, p.y) for p in pts]
     if len(pts) >= 2:
@@ -49,9 +49,6 @@ def reference_candidate_centers(pts):
             if d <= PAIR_EPS or d > 2.0 + PAIR_EPS:
                 continue
             mx, my = (ax + bx) / 2.0, (ay + by) / 2.0
-            if abs(d - 2.0) <= PAIR_EPS:
-                centers.append((mx, my))
-                continue
             h = math.sqrt(max(1.0 - d2 / 4.0, 0.0))
             ux, uy = dx / d, dy / d
             centers.append((mx - h * uy, my + h * ux))
@@ -59,13 +56,8 @@ def reference_candidate_centers(pts):
     centers.sort()
     kept = []
     for c in centers:
-        if (
-            kept
-            and abs(c[0] - kept[-1][0]) <= CENTER_DEDUP_EPS
-            and abs(c[1] - kept[-1][1]) <= CENTER_DEDUP_EPS
-        ):
-            continue
-        kept.append(c)
+        if not kept or c != kept[-1]:
+            kept.append(c)
     return kept
 
 
@@ -82,8 +74,8 @@ def uniform_points(seed, n, lo, hi):
 
 # Lattice coordinates (a 3 x 3 lattice, so they repeat often) give duplicate
 # points and pairs at distance exactly 2; the jitter, a multiple of 4e-13,
-# gives chains of centers closer than CENTER_DEDUP_EPS = 1e-12 to their
-# neighbors but not to each other.
+# gives points and centers within about 1e-12 of one another, and pairs
+# that close to distance 2.
 _coord = st.one_of(
     st.integers(-1, 1).map(float),
     st.floats(-3.0, 3.0, allow_nan=False, allow_infinity=False),

@@ -68,6 +68,13 @@ class TestSolveCommand:
         assert code == 1
         assert "no points" in err
 
+    def test_overflowing_span_one_line_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "far.txt"
+        path.write_text("1e200 0\n0 0\n")
+        code, _, err = run(["solve", "--input", str(path), "--m", "1"], capsys)
+        assert code == 1
+        assert err == "solve: points span 1e+200 in x and 0 in y; squared distances overflow\n"
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(["solve", "--input", str(tmp_path / "nope"), "--m", "1"], capsys)
         assert code == 1

@@ -194,6 +194,25 @@ class TestPointArrays:
         with pytest.raises(ValueError, match="^point ids must be distinct; id 3 repeats$"):
             point_arrays(pts)
 
+    @pytest.mark.parametrize(
+        "far, spans",
+        [
+            ((1.4e154, 0.0), "1.4e+154 in x and 0 in y"),
+            ((1e154, 1e154), "1e+154 in x and 1e+154 in y"),
+        ],
+        ids=["x-only", "diagonal"],
+    )
+    def test_refuses_a_span_whose_square_overflows(self, far, spans):
+        # (1.4e154)^2 and 2 (1e154)^2 exceed the largest double; scipy's
+        # tree would fail on them with a message about its parameter p
+        with pytest.raises(ValueError) as refused:
+            point_arrays(make_points([far, (0.0, 0.0)]))
+        assert str(refused.value) == f"points span {spans}; squared distances overflow"
+
+    def test_accepts_a_span_whose_square_is_finite(self):
+        points = point_arrays(make_points([(1.3e154, 0.0), (0.0, 0.0)]))
+        assert points.near_ptr.tolist() == [0, 1, 2]
+
 
 class TestAnchorJoin:
     """``coverage_rows`` gathers each center's coverage from its
@@ -354,35 +373,36 @@ class TestCandidateDisks:
         # directions give the same floats, signed zeros included, unless d = 0
         x, y = (np.array(c) for c in zip(*coords))
         a, b = (v.ravel() for v in np.meshgrid(np.arange(len(x)), np.arange(len(x))))
-        d, mid, left, right = geometry.pair_centers(x, y, a, b)
-        d_ba, mid_ba, left_ba, right_ba = geometry.pair_centers(x, y, b, a)
+        d, left, right = geometry.pair_centers(x, y, a, b)
+        d_ba, left_ba, right_ba = geometry.pair_centers(x, y, b, a)
         apart = d > 0
 
         def bits(*arrays):
             return [v[apart].view(np.uint64).tolist() for v in arrays]
 
-        assert bits(d, *mid, *left, *right) == bits(d_ba, *mid_ba, *right_ba, *left_ba)
+        assert bits(d, *left, *right) == bits(d_ba, *right_ba, *left_ba)
 
     @given(point_sets(min_size=1))
     def test_matches_reference_loop_bit_for_bit(self, pts):
         got = [(d.cx, d.cy) for d in candidates(pts)]
         assert exact_floats(got) == exact_floats(reference_candidate_centers(pts))
 
-    def test_merge_compares_with_last_kept_center(self):
-        # point centers 0, 4e-13, 8e-13, 1.2e-12 up the y axis (through-pair
-        # centers lie near x = +-1): each is within CENTER_DEDUP_EPS of its
-        # predecessor, but 1.2e-12 is not within it of 0, the last center
-        # kept, so it is kept too
-        pts = make_points([(0, 0), (0, 4e-13), (0, 8e-13), (0, 1.2e-12)])
-        on_axis = [(d.cx, d.cy) for d in candidates(pts) if abs(d.cx) < 0.5]
-        assert on_axis == [(0.0, 0.0), (0.0, 1.2e-12)]
-        # here the third center is farther than the tolerance from the second
-        # (in y) yet within it of the first, which is the last kept
-        pts = make_points([(0, 0), (1e-13, 9e-13), (2e-13, -5e-13)])
-        near_origin = [
-            (d.cx, d.cy) for d in candidates(pts) if abs(d.cx) + abs(d.cy) < 1e-11
-        ]
-        assert near_origin == [(0.0, 0.0)]
+    def test_only_equal_centers_merge(self):
+        # four coincident points: one point center, and no pair is apart
+        assert [(d.cx, d.cy) for d in candidates(make_points([(1.5, 2.5)] * 4))] == [(1.5, 2.5)]
+        # point centers 4e-13 apart up the y axis are distinct values, so all
+        # four are kept (through-pair centers lie near x = +-1)
+        ys = [0.0, 4e-13, 8e-13, 1.2e-12]
+        on_axis = [(d.cx, d.cy) for d in candidates(make_points([(0.0, y) for y in ys]))]
+        assert [c for c in on_axis if abs(c[0]) < 0.5] == [(0.0, y) for y in ys]
+        # a pair exactly 2 apart: its left and right centers are both the
+        # midpoint, one value
+        through = [(d.cx, d.cy) for d in candidates(make_points([(0, 0), (2, 0)]))]
+        assert through == [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
+        # a pair 2 - 4e-13 apart: two centers, about 6.3e-7 either side of the axis
+        pts = make_points([(0, 0), (2 - 4e-13, 0)])
+        through = [(d.cx, d.cy) for d in candidates(pts) if 0.5 < d.cx < 1.5]
+        assert len(through) == 2 and through[0][1] < 0 < through[1][1]
         assert exact_floats(
             [(d.cx, d.cy) for d in candidates(pts)]
         ) == exact_floats(reference_candidate_centers(pts))

@@ -163,6 +163,30 @@ def lattice(k, copies=1):
     return make_points([(x, y) for x in range(k) for y in range(k) for _ in range(copies)])
 
 
+# Point lists with signed zeros, pairs exactly 2 apart and coordinates
+# 4e-13 apart, whose centers can be equal in value with other bits, or
+# about 1e-12 apart.
+_signed_coord = st.one_of(
+    st.sampled_from([-1.0, -0.0, 0.0, 1.0, 2.0, -2.0]),
+    st.floats(-3, 3),
+    st.integers(-4, 4).map(lambda k: k * 4e-13),
+)
+SIGNED_POINT_SETS = st.lists(st.tuples(_signed_coord, _signed_coord), min_size=1, max_size=12).map(
+    make_points
+)
+
+
+def assert_disks_are_candidate_centers(pts):
+    """Every disk of ``solve(pts, 1)`` and ``greedy_solve(pts, 3)`` is a
+    candidate center: an arc start, a through-pair center computed as
+    ``candidate_centers`` computes it, or a point.  Compared as floats, so
+    that -0.0 matches 0.0, the value the candidates keep."""
+    cx, cy, _ = candidate_centers(point_arrays(pts))
+    centers = set(zip(cx.tolist(), cy.tolist()))
+    for disk in solve(pts, 1).disks + greedy_solve(pts, 3).disks:
+        assert (disk.cx, disk.cy) in centers
+
+
 def brute_force_rho(pts):
     """Independent optimum: best coverage count over the candidate set."""
     return max(coverage(d, pts).count for d in candidates(pts))
@@ -228,15 +252,14 @@ class TestSweep:
         + [(k, None, None, copies) for k in (3, 5) for copies in (1, 2, 3)],
     )
     def test_disks_are_candidate_centers(self, n, side, seed, copies):
-        # the sweep returns an arc start, a through-pair center computed as
-        # candidate_centers computes it, or a point; integer lattices add
-        # duplicates and pairs at distance exactly 2.  Jittered sets are left
-        # out: dedup may merge a center into one within CENTER_DEDUP_EPS
-        pts = generate(n, side, seed).points if side else lattice(n, copies)
-        cx, cy, _ = candidate_centers(point_arrays(pts))
-        centers = set(zip(map(float.hex, cx.tolist()), map(float.hex, cy.tolist())))
-        for disk in solve(pts, 1).disks + greedy_solve(pts, 3).disks:
-            assert (disk.cx.hex(), disk.cy.hex()) in centers
+        # integer lattices add duplicates and pairs at distance exactly 2
+        assert_disks_are_candidate_centers(
+            generate(n, side, seed).points if side else lattice(n, copies)
+        )
+
+    @given(st.one_of(point_sets(min_size=1), SIGNED_POINT_SETS))
+    def test_disks_are_candidate_centers_on_point_sets(self, pts):
+        assert_disks_are_candidate_centers(pts)
 
 
 # The wrap rule by name.  An arc that covers angle 0 (start key past its end
