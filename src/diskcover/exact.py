@@ -5,11 +5,12 @@ The search space is the finite candidate set of ``geometry.candidate_centers``
 optimum over arbitrary disk placements.  The candidates and their coverage
 read one ``geometry.PointArrays`` record: the one given, or that of the
 point list given.  Each candidate's coverage is one row of uint64 words
-with a bit per point, built from the points within 2 of the candidate's
-anchor, the point that generated it (``geometry.coverage_rows``, packed by
-``geometry.packed_coverage``, which also returns each row's count).
-Bit l stands for the point of rank l in x, so a disk's bits, and those of
-the nearby disks that follow it in center order, share one or two words.
+with a bit per point the rows searched cover, built from the points within
+2 of the candidate's anchor, the point that generated it
+(``geometry.coverage_rows``, packed by ``geometry.packed_coverage``, which
+also returns each row's count).  Bit l stands for the covered point of
+rank l in x, so a disk's bits, and those of the nearby disks that follow it
+in center order, share one or two words.
 Scoring a combination is an OR of rows and a popcount, and a block of
 combinations is scored by a few numpy expressions.  Every k, k=1
 included, goes through the same enumeration, so this module is an oracle
@@ -22,16 +23,23 @@ tie-breaks are reproducible.  Two optional reductions:
 
 * dedup: candidates with identical coverage are collapsed to the first
   (smallest-center) representative.  Never changes the optimum value.
-* prune: coverage rows are built only for the candidates whose count bound,
-  the length of the anchor's near list, can take part in a combination better
-  than a greedy one (``_pruned_rows``), in center order; then branch-and-bound
-  over the rows left by dedup, re-sorted by count descending, from the same
-  greedy pick (``_greedy``) over them: every level scores in one pass the
-  rows before the first whose loose bound, the union's count plus the best
-  remaining counts, cannot beat the incumbent, and the search stops once
-  the incumbent covers every point (on dense inputs that bound exceeds the
-  point count and cuts nothing).  Never changes the optimum value, but may
-  return a different equally-good disk set.
+* prune: the greedy bound applies twice.  Coverage rows are built only for
+  the candidates whose count bound, the length of the anchor's near list,
+  can take part in a combination better than a greedy one
+  (``_pruned_rows``); then, on their true counts, only the rows above the
+  count floor ``inc - (k - 1) * C``, with ``inc`` the greedy's count over
+  them and C their largest count, and the greedy's own rows, are
+  deduplicated, packed and searched (``_floored_rows``): a combination
+  beating the greedy uses no other row.  The search is branch-and-bound
+  over those rows, re-sorted by count descending, from the greedy pick
+  (``_greedy``): every level scores in one pass the rows before the first
+  whose loose bound, the union's count plus the best remaining counts,
+  cannot beat the incumbent, and the search stops once the incumbent
+  covers every point (on dense inputs that bound exceeds the point count
+  and cuts nothing).  It cuts every branch through a row below the floor,
+  so its result and combos are those of a search over every distinct
+  joined row.  Never changes the optimum value, but may return a different
+  equally-good disk set than the unpruned enumeration.
 
 Both searches score their combinations in blocks of at most BLOCK_WORDS
 words; a block reproduces, combination for combination, the counts and the
@@ -82,7 +90,8 @@ class ExactSolveStats:
     prune (``harness`` derives the faithful enumeration's pair count from
     it).  ``candidates_after_dedup`` is the number of coverage rows searched:
     the candidates left by dedup, all of them without it; under prune only
-    the built candidates are deduplicated, so it counts those.
+    the rows above the count floor and the greedy's are deduplicated, so it
+    counts those (all the distinct built rows if there are at most k).
     ``combos_evaluated`` counts the complete k-combinations scored.
     """
 
@@ -288,7 +297,7 @@ def _enumerate_all(words: np.ndarray, counts: np.ndarray, k: int) -> tuple[int, 
 def _pruned_search(
     words: np.ndarray, counts: np.ndarray, k: int, full: int, incumbent: tuple
 ) -> tuple[int, tuple[int, ...], int]:
-    """Best k-subset of the coverage rows ``words`` (k < len(words)) as (count,
+    """Best k-subset of the coverage rows ``words`` (k <= len(words)) as (count,
     chosen index tuple, complete k-subsets scored): branch-and-bound over the
     rows in count-descending order from the ``incumbent`` (count, chosen index
     tuple), which k rows realize, so cutting a branch that can at best tie
@@ -354,20 +363,23 @@ def _pruned_search(
 def _greedy(
     indptr: np.ndarray, cols: np.ndarray, rows: np.ndarray, n_points: int, k: int
 ) -> tuple[int, tuple[int, ...]]:
-    """Greedy-by-marginal-gain k of the CSR coverage ``rows``, a value k disks
-    realize: each step takes the first row of largest gain among those not
-    yet taken.  Returns the points covered and the positions in ``rows``
-    taken, ascending."""
+    """Greedy-by-marginal-gain k of the CSR coverage ``rows``, a value the
+    rows taken realize: each step takes the first row of largest gain, and
+    the steps stop early once no row gains.  Returns the points covered and
+    the positions in ``rows`` taken, ascending.
+
+    A row taken is the first in ``rows`` of its coverage set: a repeat of a
+    set gains what its first row gains, after it."""
     at, lengths = csr_entries(indptr, rows)
     ptr = np.concatenate(([0], np.cumsum(lengths)))
     row_cols, owner = cols[at], np.repeat(np.arange(len(rows)), lengths)
     covered = np.zeros(n_points, dtype=bool)
     taken: list[int] = []
-    for _ in range(min(k, len(rows))):
+    for _ in range(k):
         gains = lengths - np.bincount(owner[covered[row_cols]], minlength=len(rows))
-        # once every gain is 0, a taken row would be first again
-        gains[taken] = -1
         t = int(gains.argmax())
+        if gains[t] == 0:
+            break
         taken.append(t)
         covered[row_cols[ptr[t] : ptr[t + 1]]] = True
     return int(covered.sum()), tuple(sorted(taken))
@@ -375,15 +387,16 @@ def _greedy(
 
 def _pruned_rows(
     points: PointArrays, cx: np.ndarray, cy: np.ndarray, anchor: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, tuple[int, ...]]]:
     """The candidates whose rows can be in a k-combination better than a
-    greedy one, in join order, and their coverage as CSR rows (indptr, cols).
+    greedy one, in join order, their coverage as CSR rows (indptr, cols),
+    the rows in center order, and ``_greedy`` over those.
 
     A center covers only points of its anchor's near list, so the list's
     length ``ub`` bounds its count.  Each join takes the candidates not yet
     joined with ``ub`` above ``floor``, first those of ``ub`` at least the
     BLOCK_ROWS-th largest (all if there are no more); while some are left,
-    k of the first join's rows taken by ``_greedy`` cover ``inc`` points.
+    the first join's rows that ``_greedy`` takes cover ``inc`` points.
     With C the largest count joined and L the largest ``ub`` not joined, a
     combination using a candidate not joined covers at most L + (k - 1) *
     max(C, L) points, so the next floor is ``inc - (k - 1) * C``.  Once a
@@ -391,6 +404,8 @@ def _pruned_rows(
     bound is at most ``inc``, which the joined rows realize, so their
     optimum is the optimum.  A third join only has candidates of ``ub`` at
     most the first C, so it raises no C: there are at most three joins.
+    A single join, in center order already, returns its rows and its greedy
+    as they are.
     """
     ub = np.diff(points.near_ptr)[anchor]
     floor = np.partition(ub, -BLOCK_ROWS)[-BLOCK_ROWS] - 1 if len(ub) > BLOCK_ROWS else 0
@@ -400,15 +415,70 @@ def _pruned_rows(
         joined[band] = True
         built.append(band)
         parts.append(coverage_rows(cx[band], cy[band], anchor[band], points))
+        if len(parts) == 1:
+            rows = np.arange(len(band))
+            greedy = _greedy(*parts[0], rows, len(points.x), k)
         if joined.all():
             break
         most = max(most, int(np.diff(parts[-1][0]).max()))
-        if len(parts) == 1:
-            inc, _ = _greedy(*parts[0], np.arange(len(band)), len(points.x), k)
-        floor = inc - (k - 1) * most
+        floor = greedy[0] - (k - 1) * most
+    if len(parts) == 1:
+        return built[0], *parts[0], rows, greedy
     starts = itertools.accumulate(len(cols) for _, cols in parts)
     indptr = np.concatenate([parts[0][0], *(p[1:] + s for (p, _), s in zip(parts[1:], starts))])
-    return np.concatenate(built), indptr, np.concatenate([cols for _, cols in parts])
+    cols = np.concatenate([cols for _, cols in parts])
+    built = np.concatenate(built)
+    rows = np.argsort(built)
+    return built, indptr, cols, rows, _greedy(indptr, cols, rows, len(points.x), k)
+
+
+def _floored_rows(
+    indptr: np.ndarray,
+    cols: np.ndarray,
+    rows: np.ndarray,
+    greedy: tuple[int, tuple[int, ...]],
+    k: int,
+    dedup: bool,
+    n_ids: int,
+) -> tuple[np.ndarray, tuple | None]:
+    """The CSR ``rows`` (in center order) that the pruned search over them
+    needs, in order, and its incumbent: the count and the positions taken
+    in the rows returned.  If at most k rows are distinct (at most k rows
+    if not ``dedup``), they are returned, with no incumbent.
+
+    The search runs over D, the distinct rows (all if not ``dedup``), from
+    the greedy over D.  ``greedy``, over all the rows, takes the rows D's
+    would: the first row of largest gain is the first of its set.  Once no
+    row gains, D's greedy takes the first rows of D not yet taken.  Every
+    row of D counts at most C, the largest count, so a k-combination
+    beating the greedy's ``inc`` has every count above the floor ``inc -
+    (k - 1) * C``, and the search cuts every branch through a row at or
+    below it before scoring a combination: the rows above the floor and the
+    greedy's give the same result and combos as D.  A set's first row
+    counts what its repeats do, so deduplicating only those rows keeps D's.
+    D is built whole only to take rows that gain nothing, or to pad: when
+    at most k counts are distinct (more prove more than k distinct rows).
+    """
+    inc, taken = greedy
+    taken = rows[list(taken)]
+    counts = indptr[rows + 1] - indptr[rows]
+    every = None if dedup else rows
+    if dedup and (len(taken) < k or np.count_nonzero(np.bincount(counts)) <= k):
+        every = distinct_rows(indptr, cols, rows, n_ids)
+    if every is not None and len(every) <= k:
+        return every, None
+    if len(taken) < k:
+        taken = np.concatenate((taken, every[~np.isin(every, taken)][: k - len(taken)]))
+    keep = np.zeros(len(indptr) - 1, dtype=bool)
+    keep[rows[counts > inc - (k - 1) * int(counts.max())]] = True
+    keep[taken] = True
+    if every is not None:
+        kept = every[keep[every]]
+    else:
+        kept = distinct_rows(indptr, cols, rows[keep[rows]], n_ids)
+    position = np.zeros(len(indptr) - 1, dtype=np.int64)
+    position[kept] = np.arange(len(kept))
+    return kept, (inc, tuple(sorted(position[taken].tolist())))
 
 
 def most_points(
@@ -422,11 +492,14 @@ def most_points(
     candidate set: k=1 returns the first candidate of maximum count in
     center order, and its stats count candidates and scored candidates like
     any other k.  Rows are searched in center order, under prune too, so
-    dedup keeps each set's least center.  If no more rows than k are
-    searched, all are used (one combination) and padded by repeating the
-    first disk of maximum count in center order.  The ids of ``pts`` must
-    be distinct and non-negative; a negative or repeated id raises
-    ValueError, as does an empty list or record.
+    dedup keeps each set's least center.  If there are no more rows than k
+    (under prune, distinct built rows), all are used (one combination) and
+    padded by repeating the first disk of maximum count in center order.
+    Under prune only the rows whose count can take part in a combination
+    better than the greedy's, and the greedy's own, are searched, with the
+    result and combos of a search over every distinct built row.  The ids
+    of ``pts`` must be distinct and non-negative; a negative or repeated id
+    raises ValueError, as does an empty list or record.
     """
     if not pts:
         raise ValueError("most_points requires a non-empty point list")
@@ -435,23 +508,23 @@ def most_points(
 
     points = pts if isinstance(pts, PointArrays) else point_arrays(pts)
     cx, cy, anchor = candidate_centers(points)
+    incumbent = None
     if prune:
-        built, indptr, cols = _pruned_rows(points, cx, cy, anchor, k)
-        rows = np.argsort(built, kind="stable")
+        built, indptr, cols, rows, greedy = _pruned_rows(points, cx, cy, anchor, k)
+        rows, incumbent = _floored_rows(indptr, cols, rows, greedy, k, dedup, len(pts))
     else:
         built = rows = np.arange(len(cx))
         indptr, cols = coverage_rows(cx, cy, anchor, points)
-    if dedup:
-        rows = distinct_rows(indptr, cols, rows, len(pts))
+        if dedup:
+            rows = distinct_rows(indptr, cols, rows, len(pts))
     words, gids, counts = packed_coverage(indptr, cols, rows, points)
     centers = built[rows]
     stats = ExactSolveStats(candidates_generated=len(cx), candidates_after_dedup=len(rows))
 
-    if k >= len(rows):
+    if incumbent is not None:
+        _, combo, stats.combos_evaluated = _pruned_search(words, counts, k, len(pts), incumbent)
+    elif k >= len(rows):
         combo, stats.combos_evaluated = range(len(rows)), 1
-    elif prune:
-        greedy = _greedy(indptr, cols, rows, len(pts), k)
-        _, combo, stats.combos_evaluated = _pruned_search(words, counts, k, len(pts), greedy)
     else:
         _, combo = _enumerate_all(words, counts, k)
         stats.combos_evaluated = math.comb(len(rows), k)

@@ -22,14 +22,15 @@ of its anchor, so coverage applies the predicate itself to the anchor and
 its neighbors: membership is bit for bit that of ``coverage``, while the
 work grows with the points near each anchor instead of with centers times
 points.  The coverage of many centers is returned packed, one row of uint64
-words per center with a bit per point, the points ranked by x, so a union is
-a row OR and a count a popcount.  A result is reported as a ``CoverageSet``
-over point ids.
+words per center with a bit per point the rows cover, the points ranked by
+x, so a union is a row OR and a count a popcount.  A result is reported as
+a ``CoverageSet`` over point ids.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -52,6 +53,10 @@ PAIR_EPS = 1e-12
 # 2 + 1e-9 (sqrt(1 + EPS_COVER) to each).  The tree's distances differ
 # from the predicate's only by rounding, about 1e-16 times the coordinates.
 REACH = 2.0 + 2e-6
+
+# The largest coordinate magnitude ``point_arrays`` accepts, half the largest
+# double: the sum of any two coordinates, as in a pair's midpoint, is finite.
+MAX_COORD = sys.float_info.max / 2
 
 # Centers joined with their anchors' near lists at once, so that the
 # per-entry arrays of a block stay small next to the words (on 5000:100 the
@@ -201,15 +206,20 @@ class PointArrays:
 
 
 def point_arrays(pts: Sequence[Point]) -> PointArrays:
-    """The record of ``pts``; an empty list, a negative or repeated id, or a
-    span ``ex``, ``ey`` of the coordinates whose ``ex*ex + ey*ey`` overflows
-    (no squared distance would be finite) raises ValueError."""
+    """The record of ``pts``; an empty list, a negative or repeated id, a
+    coordinate above MAX_COORD in magnitude (the sum of two would overflow,
+    and so would a pair's midpoint), or a span ``ex``, ``ey`` of the
+    coordinates whose ``ex*ex + ey*ey`` overflows (no squared distance would
+    be finite) raises ValueError."""
     if not pts:
         raise ValueError("a point list must be non-empty")
     ids = np.array([p.idx for p in pts], dtype=np.int64)
     by_id = _distinct_id_order(ids)
     x = np.array([p.x for p in pts], dtype=np.float64)[by_id]
     y = np.array([p.y for p in pts], dtype=np.float64)[by_id]
+    big = max(float(np.abs(x).max()), float(np.abs(y).max()))
+    if big > MAX_COORD:
+        raise ValueError(f"a coordinate reaches {big:g}, above {MAX_COORD:g}; pair sums overflow")
     # Python floats overflow to inf without a numpy warning
     ex, ey = float(x.max()) - float(x.min()), float(y.max()) - float(y.min())
     if not math.isfinite(ex * ex + ey * ey):
@@ -272,19 +282,7 @@ def candidate_centers(points: PointArrays) -> tuple[np.ndarray, np.ndarray, np.n
     ``coverage_rows`` relies on; the shorter list makes the join
     smaller and its length, which bounds the center's count, tighter.
     """
-    xs, ys = points.x, points.y
-    pair = points.near_row < points.near
-    a, b = points.near_row[pair], points.near[pair]
-    d, (lx, ly), (rx, ry) = pair_centers(xs, ys, a, b)
-    ok = (d > PAIR_EPS) & (d <= 2.0 + PAIR_EPS)
-    # per pair: the left, then the right center
-    cx = np.concatenate((xs, np.column_stack((lx[ok], rx[ok])).ravel()))
-    cy = np.concatenate((ys, np.column_stack((ly[ok], ry[ok])).ravel()))
-    # a pair anchors on its member with the shorter near list, a on ties
-    n_near = np.diff(points.near_ptr)
-    a, b = a[ok], b[ok]
-    short = np.where(n_near[b] < n_near[a], b, a)
-    anchor = np.concatenate((np.arange(len(xs)), np.repeat(short, 2)))
+    cx, cy, anchor = _generated_centers(points)
     # a stable sort by (cx, cy): one quicksort of cx, then the runs of
     # equal cx re-sorted by (cx, cy, position)
     order = np.argsort(cx)
@@ -292,9 +290,31 @@ def candidate_centers(points: PointArrays) -> tuple[np.ndarray, np.ndarray, np.n
     run = np.flatnonzero(np.concatenate(([False], tied)) | np.concatenate((tied, [False])))
     sub = order[run]
     order[run] = sub[np.lexsort((sub, cy[sub], cx[sub]))]
-    cx, cy, anchor = cx[order], cy[order], anchor[order]
+    # one array at a time, so that each old one is freed before the next
+    # is gathered
+    cx = cx[order]
+    cy = cy[order]
+    anchor = anchor[order]
     keep = np.concatenate(([True], (cx[1:] != cx[:-1]) | (cy[1:] != cy[:-1])))
     return cx[keep], cy[keep], anchor[keep]
+
+
+def _generated_centers(points: PointArrays) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The candidates of ``candidate_centers`` and their anchors before the
+    sort: point centers in row order, then per pair the left and the right
+    center, anchored on the member with the shorter near list (a on ties).
+    Its own function, so that the per-pair arrays are freed before the sort."""
+    xs, ys = points.x, points.y
+    pair = points.near_row < points.near
+    a, b = points.near_row[pair], points.near[pair]
+    d, (lx, ly), (rx, ry) = pair_centers(xs, ys, a, b)
+    ok = (d > PAIR_EPS) & (d <= 2.0 + PAIR_EPS)
+    cx = np.concatenate((xs, np.column_stack((lx[ok], rx[ok])).ravel()))
+    cy = np.concatenate((ys, np.column_stack((ly[ok], ry[ok])).ravel()))
+    n_near = np.diff(points.near_ptr)
+    a, b = a[ok], b[ok]
+    short = np.where(n_near[b] < n_near[a], b, a)
+    return cx, cy, np.concatenate((np.arange(len(xs)), np.repeat(short, 2)))
 
 
 def pair_centers(x: np.ndarray, y: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple:
@@ -324,25 +344,33 @@ def packed_coverage(
     """The CSR coverage ``rows`` of ``coverage_rows`` packed into words, in
     the order given.
 
-    Returns (words, gids, counts).  ``words[t]`` is the coverage of CSR row
-    ``rows[t]``: ceil(len(gids) / 64) uint64 words, whatever the magnitude
-    of the ids, in which bit ``l % 64`` of word ``l // 64`` stands for the
-    point of rank ``l`` in x (a stable sort of ``points.x``), whose id is
-    ``gids[l]``, so nearby centers share words.  ``counts[t]`` (int64) is
-    the number of points row t covers.
+    Returns (words, gids, counts).  The bits stand for the points the rows
+    cover, ranked by x (a stable sort of their ``points.x``): ``words[t]``
+    is the coverage of CSR row ``rows[t]``, ceil(len(gids) / 64) uint64
+    words whatever the magnitude of the ids, in which bit ``l % 64`` of word
+    ``l // 64`` stands for the covered point of rank ``l``, whose id is
+    ``gids[l]``, so nearby centers share words.  Rows that include a center
+    covering each point, as every unpruned candidate set does (a point's
+    own center covers it), cover every point.  ``counts[t]`` (int64) is the
+    number of points row t covers.
     """
-    by_x = np.argsort(points.x, kind="stable")
+    at, counts = csr_entries(indptr, rows)
+    col = cols[at]
+    hit = np.zeros(len(points.x), dtype=bool)
+    hit[col] = True
+    covered = np.flatnonzero(hit)
+    by_x = covered[np.argsort(points.x[covered], kind="stable")]
     gids = points.ids[by_x]
     width = -(-len(gids) // 64)
-    at, counts = csr_entries(indptr, rows)
-    rank = np.empty(len(by_x), dtype=np.int64)
+    rank = np.empty(len(points.x), dtype=np.int64)
     rank[by_x] = np.arange(len(by_x))
-    col = rank[cols[at]]
+    col = rank[col]
     words = np.zeros((len(rows), width), dtype=np.uint64)
-    # one scatter sets each covered point's bit in its row's word
+    # one scatter sets each covered point's bit in its row's word: a row's
+    # points are distinct, so its bits never collide and their sum is their OR
     word = np.repeat(np.arange(len(rows)) * width, counts) + (col >> 6)
     bit = np.left_shift(np.uint64(1), (col & 63).astype(np.uint64))
-    np.bitwise_or.at(words.reshape(-1), word, bit)
+    np.add.at(words.reshape(-1), word, bit)
     return words, gids, counts
 
 
@@ -370,8 +398,9 @@ def unpack_coverage(words: np.ndarray, gids: np.ndarray) -> CoverageSet:
 def csr_entries(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Positions of the entries of CSR ``rows``, row after row, and the row lengths."""
     lengths = indptr[rows + 1] - indptr[rows]
-    skip = np.repeat(indptr[rows] - (np.cumsum(lengths) - lengths), lengths)
-    return np.arange(len(skip)) + skip, lengths
+    at = np.repeat(indptr[rows] - (np.cumsum(lengths) - lengths), lengths)
+    at += np.arange(len(at))
+    return at, lengths
 
 
 def coverage_rows(
@@ -392,9 +421,19 @@ def coverage_rows(
     for lo in range(0, len(cx), BLOCK_ROWS):
         at, n_near = csr_entries(points.near_ptr, anchor[lo : lo + BLOCK_ROWS])
         col = points.near[at]
-        dx = points.x[col] - np.repeat(cx[lo : lo + BLOCK_ROWS], n_near)
-        dy = points.y[col] - np.repeat(cy[lo : lo + BLOCK_ROWS], n_near)
-        hit = dx * dx + dy * dy <= 1.0 + EPS_COVER
+        del at
+        # dx * dx + dy * dy in place, the same operations with fewer
+        # block-sized arrays alive at once
+        dx = points.x[col]
+        dx -= np.repeat(cx[lo : lo + BLOCK_ROWS], n_near)
+        dx *= dx
+        dy = points.y[col]
+        dy -= np.repeat(cy[lo : lo + BLOCK_ROWS], n_near)
+        dy *= dy
+        dx += dy
+        del dy
+        hit = dx <= 1.0 + EPS_COVER
+        del dx
         parts.append(col[hit])
         # a near list holds at least its own point, so no segment is empty
         starts = np.cumsum(n_near) - n_near

@@ -75,6 +75,13 @@ class TestSolveCommand:
         assert code == 1
         assert err == "solve: points span 1e+200 in x and 0 in y; squared distances overflow\n"
 
+    def test_overflowing_pair_sum_one_line_exit_1(self, tmp_path, capsys):
+        path = tmp_path / "far.txt"
+        path.write_text("1e308 0\n1e308 1\n1e308 0.5\n")
+        code, _, err = run(["solve", "--input", str(path), "--m", "1"], capsys)
+        assert code == 1
+        assert err == "solve: a coordinate reaches 1e+308, above 8.98847e+307; pair sums overflow\n"
+
     def test_missing_file(self, tmp_path, capsys):
         code, _, err = run(["solve", "--input", str(tmp_path / "nope"), "--m", "1"], capsys)
         assert code == 1

@@ -217,10 +217,13 @@ def csr_of(bits):
 def assert_enumeration_matches(words, bits, k, full, csr=None):
     """The kernels against ``reference_enumerate``: ``_enumerate_all``
     unpruned, with C(len(words), k) combos, and ``_pruned_search`` from the
-    incumbent of ``exact._greedy`` on the CSR rows of ``bits``, which must be
+    incumbent of ``exact._greedy`` on the CSR rows of ``bits``, filled with
+    the first rows not taken once no row gains, which must be
     ``reference_greedy``'s."""
     counts = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
-    greedy = exact._greedy(*(csr or csr_of(bits)), full, k)
+    covered, taken = exact._greedy(*(csr or csr_of(bits)), full, k)
+    # once no row gains, the incumbent takes the first rows not yet taken
+    greedy = covered, tuple(sorted(taken + tuple(i for i in range(len(bits)) if i not in taken)[: k - len(taken)]))
     assert greedy == reference_greedy(bits, k), k
     unpruned = (*exact._enumerate_all(words, counts, k), math.comb(len(words), k))
     pruned = exact._pruned_search(words, counts, k, full, greedy)
@@ -336,13 +339,13 @@ class TestKernelMatchesReference:
     )
     def test_greedy_takes_new_rows_once_nothing_is_left_to_gain(self, xy, k):
         # four points inside one unit disk: the first pick covers them all,
-        # and each later pick gains 0 but must still be a row not yet taken
+        # so the greedy stops there, and the incumbent's later rows gain 0
+        # but must still be rows not yet taken
         pts = make_points(xy)
         _, words, bits, csr = next(case for case in kernel_cases(pts, True) if case[0] == k)
         assert k < len(bits)
         covered, taken = exact._greedy(*csr, 4, k)
-        assert covered == 4 and len(set(taken)) == k
-        assert (covered, taken) == reference_greedy(bits, k)
+        assert (covered, len(taken)) == (4, 1)
         assert_enumeration_matches(words, bits, k, 4, csr)
         res = most_points(pts, k, prune=True)
         assert res.covered.count == 4 and res.stats.combos_evaluated == 0
@@ -690,9 +693,9 @@ def record_joins(monkeypatch):
     return joins
 
 
-def searched_centers(pts, k):
-    """The candidates pruned ``most_points`` joins, their CSR coverage rows
-    (built, indptr, cols), and the candidates whose rows it searches."""
+def searched_centers(pts, k, dedup=True):
+    """The candidates pruned ``most_points`` joins, ascending, those whose
+    rows it packs and searches, and its result."""
     seen = {}
     pruned, pack = exact._pruned_rows, exact.packed_coverage
 
@@ -706,18 +709,58 @@ def searched_centers(pts, k):
 
     with patch.object(exact, "_pruned_rows", record_joined):
         with patch.object(exact, "packed_coverage", record_searched):
-            most_points(pts, k, prune=True)
-    built, indptr, cols = seen["joined"]
-    return (built, indptr, cols), built[seen["rows"]].tolist()
+            res = most_points(pts, k, dedup=dedup, prune=True)
+    built = seen["joined"][0]
+    return sorted(built.tolist()), built[seen["rows"]].tolist(), res
 
 
-def least_centers(built, indptr, cols):
-    """The least joined candidate of each coverage set, ascending: a dict of tuples."""
-    least = {}
-    for c, lo, hi in zip(built.tolist(), indptr[:-1].tolist(), indptr[1:].tolist()):
-        key = tuple(cols[lo:hi].tolist())
-        least[key] = min(least.get(key, c), c)
-    return sorted(least.values())
+def joined_rows(pts, joined, dedup=True):
+    """The ``joined`` candidates ascending, with dedup only the least of each
+    coverage set, and their coverage as Python-int bitsets, from ``coverage``
+    disk by disk."""
+    disks = candidates(pts)
+    rows, bits = [], []
+    for c in sorted(joined):
+        b = coverage(disks[c], pts).bits
+        if not (dedup and b in bits):
+            rows.append(c)
+            bits.append(b)
+    return rows, bits
+
+
+def floored_centers(pts, joined, k):
+    """The least joined candidate of each coverage set that the count floor
+    keeps, ascending: those counting more than inc - (k - 1) * C, inc the
+    count of ``reference_greedy`` over them and C their largest count, and
+    the greedy's own; all of them if there are at most k."""
+    rows, bits = joined_rows(pts, joined)
+    if len(rows) <= k:
+        return rows
+    inc, taken = reference_greedy(bits, k)
+    floor = inc - (k - 1) * max(b.bit_count() for b in bits)
+    return [c for i, (c, b) in enumerate(zip(rows, bits)) if b.bit_count() > floor or i in taken]
+
+
+def reference_pruned(pts, joined, k, dedup):
+    """Pruned ``most_points`` as a search over every joined row (with dedup,
+    the least of each coverage set): (disks as (cx, cy), covered bits,
+    combos).  At most k rows are all taken, padded by the first of largest
+    count; more go through ``reference_enumerate`` from the greedy."""
+    rows, bits = joined_rows(pts, joined, dedup)
+    counts = [b.bit_count() for b in bits]
+    if len(rows) <= k:
+        combo, combos = range(len(rows)), 1
+        pad = [counts.index(max(counts))] * (k - len(rows))
+    else:
+        _, combo, combos = reference_enumerate(bits, counts, k, True, len(pts))
+        pad = []
+    disks = candidates(pts)
+    chosen = sorted((disks[rows[i]] for i in combo), key=lambda d: (d.cx, d.cy))
+    chosen += [disks[rows[i]] for i in pad]
+    union = 0
+    for i in combo:
+        union |= bits[i]
+    return [(d.cx, d.cy) for d in chosen], union, combos
 
 
 def union_of(disks, pts):
@@ -742,38 +785,71 @@ class TestPrunedBuild:
             assert got.stats.candidates_generated == want.stats.candidates_generated
             assert got.stats.candidates_after_dedup <= want.stats.candidates_after_dedup
 
+    @given(point_sets(min_size=1, max_size=12), st.sampled_from([1, 3, 64]), st.booleans())
+    def test_matches_a_search_over_every_joined_row(self, pts, block_rows, dedup):
+        # the count floor leaves the search only the rows that can beat the
+        # greedy; searching every joined row must give the same disks,
+        # covered set and combos
+        for k in (1, 2, 3):
+            with patch.object(exact, "BLOCK_ROWS", block_rows):
+                joined, _, got = searched_centers(pts, k, dedup)
+            result = ([(d.cx, d.cy) for d in got.disks], got.covered.bits, got.stats.combos_evaluated)
+            assert result == reference_pruned(pts, joined, k, dedup), k
+
     def test_a_join_that_raises_the_largest_count_needs_another(self, monkeypatch):
         # 62 candidates, by near-list bound: 1 of 6, 17 of 5, 15 of 4, 23 of
         # 3 and 6 of 2.  The first block is the 18 of bound >= 5 (ties join
         # the 16th), whose largest count is 3, and two of them cover 6; so
         # the 15 of bound > 6 - 3 join next.  One of those covers 4, so the
         # 23 of bound > 6 - 4 join as well, and the 6 of bound 2 never do.
+        # The 30 distinct sets joined have a greedy pair covering 7 and a
+        # largest count of 4, so the search keeps only the one set above
+        # 7 - 4, which the greedy takes too, and the greedy's other set.
         joins = record_joins(monkeypatch)
         monkeypatch.setattr(exact, "BLOCK_ROWS", 16)
         pts = generate(16, 6.0, 50).points
-        got = most_points(pts, 2, prune=True)
+        joined, searched, got = searched_centers(pts, 2)
         assert joins == [18, 15, 23]
+        rows, bits = joined_rows(pts, joined)
+        assert len(rows) == 30 and max(b.bit_count() for b in bits) == 4
+        assert reference_greedy(bits, 2)[0] == 7
+        assert searched == floored_centers(pts, joined, 2)
         want = most_points(pts, 2)
         assert got.covered == want.covered and got.covered.count == 7
-        assert (got.stats.candidates_generated, got.stats.candidates_after_dedup) == (62, 30)
+        assert (got.stats.candidates_generated, got.stats.candidates_after_dedup) == (62, 2)
         assert want.stats.candidates_after_dedup == 34
 
     def test_dedup_across_joins_keeps_the_least_center(self, monkeypatch):
-        # the joins come back in join order: 18, 15 and 23 candidates, each
-        # ascending, so a set met in two joins must keep its least center
+        # two joins of 29 and 12 candidates, each ascending: the chosen set
+        # of count 4 is met at candidates 23, 27 and 44 in the second join
+        # and at 36 in the first, so dedup must keep 23, its least center
         joins = record_joins(monkeypatch)
         monkeypatch.setattr(exact, "BLOCK_ROWS", 16)
-        joined, searched = searched_centers(generate(16, 6.0, 50).points, 2)
-        assert joins == [18, 15, 23]
-        assert searched == least_centers(*joined)
-        assert len(searched) == 30
+        pts = generate(16, 6.0, 12).points
+        joined, searched, got = searched_centers(pts, 2)
+        assert joins == [29, 12]
+        disks = candidates(pts)
+        same = [c for c in joined if coverage(disks[c], pts) == coverage(disks[23], pts)]
+        assert same == [23, 27, 36, 44] and same[0] in searched
+        assert disks[23] in got.disks
+        assert searched == floored_centers(pts, joined, 2)
 
     @given(point_sets(min_size=1, max_size=12), st.sampled_from([1, 3]))
     def test_searched_rows_are_the_least_centers_in_center_order(self, pts, block_rows):
         for k in (1, 2, 3):
             with patch.object(exact, "BLOCK_ROWS", block_rows):
-                joined, searched = searched_centers(pts, k)
-            assert searched == least_centers(*joined), k
+                joined, searched, _ = searched_centers(pts, k)
+            assert searched == floored_centers(pts, joined, k), k
+
+    def test_rows_that_gain_nothing_are_the_first_new_sets(self):
+        # one disk covers all four points, so the greedy gains once; the
+        # incumbent's three other rows must be the first distinct sets not
+        # taken, in center order, although repeats of a set come first
+        pts = make_points([(0, 0), (0.5, 0), (1, 0), (1.5, 0)])
+        joined, _, got = searched_centers(pts, 4)
+        result = ([(d.cx, d.cy) for d in got.disks], got.covered.bits, got.stats.combos_evaluated)
+        assert result == reference_pruned(pts, joined, 4, True)
+        assert len(set(result[0])) == 4
 
     def test_padding_when_k_reaches_the_built_rows(self, monkeypatch):
         # two stacks of 4 coincident points and a lone point: the first
@@ -794,6 +870,8 @@ class TestPrunedBuild:
         full = most_points(pts, 1)
         assert got.stats.candidates_generated == full.stats.candidates_generated == 36130
         assert 3 * got.stats.candidates_after_dedup < full.stats.candidates_after_dedup
+        # of the 4,646 distinct sets joined, the count floor leaves 3
+        assert got.stats.candidates_after_dedup == 3
         assert got.covered.count == 19
         assert union_of(got.disks, pts) == got.covered.bits
 

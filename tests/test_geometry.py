@@ -14,14 +14,17 @@ from diskcover import (
     coverage,
     covers,
     exclusive_cover,
+    most_points,
     parse_points,
     save_points,
     load_points,
+    solve,
     union_cover,
 )
 from diskcover import geometry
 from diskcover.geometry import (
     EPS_COVER,
+    MAX_COORD,
     REACH,
     candidate_centers,
     coverage_rows,
@@ -212,6 +215,28 @@ class TestPointArrays:
     def test_accepts_a_span_whose_square_is_finite(self):
         points = point_arrays(make_points([(1.3e154, 0.0), (0.0, 0.0)]))
         assert points.near_ptr.tolist() == [0, 1, 2]
+
+    @pytest.mark.parametrize(
+        "xy, big",
+        [
+            ([(1e308, 0.0), (1e308, 1.0), (1e308, 0.5)], "1e+308"),
+            ([(0.0, -1.7e308), (0.0, -1.7e308 + 1e293)], "1.7e+308"),
+        ],
+        ids=["x-column", "negative-y"],
+    )
+    def test_refuses_a_coordinate_whose_pair_sums_overflow(self, xy, big):
+        # the spans are finite and small, but the sum of two coordinates,
+        # as in a pair's midpoint, is not: solve put the disk through the
+        # first three points at (inf, 0.25), covering none of them
+        with pytest.raises(ValueError) as refused:
+            point_arrays(make_points(xy))
+        assert str(refused.value) == f"a coordinate reaches {big}, above 8.98847e+307; pair sums overflow"
+
+    def test_accepts_coordinates_at_half_the_largest_double(self):
+        pts = make_points([(MAX_COORD, 0.0), (MAX_COORD, 1.0), (MAX_COORD, 0.5)])
+        assert point_arrays(pts).near_ptr.tolist() == [0, 3, 6, 9]
+        assert solve(pts, 1).disks == [UnitDisk(MAX_COORD, 0.25)]
+        assert solve(pts, 1).rho == most_points(pts, 1).covered.count == 3
 
 
 class TestAnchorJoin:
