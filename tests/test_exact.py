@@ -223,7 +223,8 @@ def assert_enumeration_matches(words, bits, k, full, csr=None):
     counts = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
     covered, taken = exact._greedy(*(csr or csr_of(bits)), full, k)
     # once no row gains, the incumbent takes the first rows not yet taken
-    greedy = covered, tuple(sorted(taken + tuple(i for i in range(len(bits)) if i not in taken)[: k - len(taken)]))
+    fill = [i for i in range(len(bits)) if i not in taken][: k - len(taken)]
+    greedy = covered, tuple(sorted(taken + tuple(fill)))
     assert greedy == reference_greedy(bits, k), k
     unpruned = (*exact._enumerate_all(words, counts, k), math.comb(len(words), k))
     pruned = exact._pruned_search(words, counts, k, full, greedy)
