@@ -39,9 +39,11 @@ Rows:
   builds them (on a tree up to ``ac33c95``, which has no ``distinct_rows``,
   ``packed_coverage(..., distinct=True)``, the same work);
 * ``kernel``: the combination enumeration, on ``most_points(pts, 2,
-  dedup=False)`` for 300:20 seed 5 (the ``bench`` baseline column) and for
-  1000:40, where 8 % of the pairs lie in a row's window of the k=2 kernel
-  (18 % on 300:20 seed 5), ``solve`` m=3 on dense 64:10, and
+  dedup=False)`` for 300:20 seed 5 (the ``bench`` baseline column), for
+  1000:40 and for dense 300:6, where the count floor keeps 98 of 2,890,
+  55 of 8,560 and 1,821 of 21,684 rows, on unpruned ``most_points(pts,
+  3)`` for dense 40:3, where the floor keeps every row (its cost where it
+  cuts nothing), ``solve`` m=3 on dense 64:10, and
   ``most_points(pts, 2, dedup=True, prune=True)`` on 5000:100 (the ``verify`` oracle), on 2000:40, where the oracle's
   near-list bound leaves the most candidates to build, and on dense 300:6,
   where it joins nearly every candidate in two joins, and ``solve(pts, 6,
@@ -198,6 +200,9 @@ def cases(diskcover, slow: bool) -> list[tuple]:
          lambda pts: most_points(pts, 2, dedup=False)),
         ("most_points_m2_nodedup 1000:40", 1000, 40.0, SEED,
          lambda pts: most_points(pts, 2, dedup=False)),
+        ("most_points_m2_nodedup 300:6", 300, 6.0, SEED,
+         lambda pts: most_points(pts, 2, dedup=False)),
+        ("most_points_m3 40:3", 40, 3.0, SEED, lambda pts: most_points(pts, 3)),
         ("solve_m3 64:10", 64, 10.0, SEED, lambda pts: solve(pts, 3)),
         ("most_points_m2_prune 5000:100", 5000, 100.0, SEED,
          lambda pts: most_points(pts, 2, dedup=True, prune=True)),

@@ -19,7 +19,14 @@ scored is recorded: for k=2 it is exactly the "pairs of disks processed"
 cost metric the benchmark harness compares across solvers.
 
 Enumeration is lexicographic over candidates sorted by center, so stats and
-tie-breaks are reproducible.  Two optional reductions:
+tie-breaks are reproducible.  A greedy answer confines every search: a
+k-combination covering at least ``inc`` points, the count of a greedy one
+(``_greedy``), has every row's count at or above the count floor
+``inc - (k - 1) * C``, C the largest count (``_count_floor``).  Without
+prune only the rows at or above it are packed and enumerated
+(``_reaching_rows``), and their first maximum is that of every row; the
+stats still count what the enumeration stands for, every row and
+C(rows, k) combinations.  Two optional reductions:
 
 * dedup: candidates with identical coverage are collapsed to the first
   (smallest-center) representative.  Never changes the optimum value.
@@ -27,10 +34,9 @@ tie-breaks are reproducible.  Two optional reductions:
   the candidates whose count bound, the length of the anchor's near list,
   can take part in a combination better than a greedy one
   (``_pruned_rows``); then, on their true counts, only the rows above the
-  count floor ``inc - (k - 1) * C``, with ``inc`` the greedy's count over
-  them and C their largest count, and the greedy's own rows, are
-  deduplicated, packed and searched (``_floored_rows``): a combination
-  beating the greedy uses no other row.  The search is branch-and-bound
+  count floor, with ``inc`` the greedy's count over them, and the greedy's
+  own rows, are deduplicated, packed and searched (``_floored_rows``): a
+  combination beating the greedy uses no other row.  The search is branch-and-bound
   over those rows, re-sorted by count descending, from the greedy pick
   (``_greedy``): every level scores in one pass the rows before the first
   whose loose bound, the union's count plus the best remaining counts,
@@ -88,11 +94,14 @@ class ExactSolveStats:
 
     ``candidates_generated`` is every candidate center, with or without
     prune (``harness`` derives the faithful enumeration's pair count from
-    it).  ``candidates_after_dedup`` is the number of coverage rows searched:
-    the candidates left by dedup, all of them without it; under prune only
-    the rows above the count floor and the greedy's are deduplicated, so it
-    counts those (all the distinct built rows if there are at most k).
-    ``combos_evaluated`` counts the complete k-combinations scored.
+    it).  Without prune, ``candidates_after_dedup`` and
+    ``combos_evaluated`` count what the enumeration stands for, not the
+    rows it packs (those at or above the count floor): the candidates left
+    by dedup, all of them without it, and C(that, k) combinations, or 1 if
+    there are at most k.  Under prune they count the rows searched and the
+    complete k-combinations scored; only the rows above the count floor and
+    the greedy's are deduplicated, so it counts those (all the distinct
+    built rows if there are at most k).
     """
 
     combos_evaluated: int = 0
@@ -385,6 +394,13 @@ def _greedy(
     return int(covered.sum()), tuple(sorted(taken))
 
 
+def _count_floor(inc: int, most: int, k: int) -> int:
+    """The least count of a row in a k-combination that covers at least
+    ``inc`` points, when no row counts more than ``most``: the other k - 1
+    rows cover at most (k - 1) * most of them."""
+    return inc - (k - 1) * most
+
+
 def _pruned_rows(
     points: PointArrays, cx: np.ndarray, cy: np.ndarray, anchor: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, tuple[int, tuple[int, ...]]]:
@@ -421,7 +437,7 @@ def _pruned_rows(
         if joined.all():
             break
         most = max(most, int(np.diff(parts[-1][0]).max()))
-        floor = greedy[0] - (k - 1) * most
+        floor = _count_floor(greedy[0], most, k)
     if len(parts) == 1:
         return built[0], *parts[0], rows, greedy
     starts = itertools.accumulate(len(cols) for _, cols in parts)
@@ -470,7 +486,7 @@ def _floored_rows(
     if len(taken) < k:
         taken = np.concatenate((taken, every[~np.isin(every, taken)][: k - len(taken)]))
     keep = np.zeros(len(indptr) - 1, dtype=bool)
-    keep[rows[counts > inc - (k - 1) * int(counts.max())]] = True
+    keep[rows[counts > _count_floor(inc, int(counts.max()), k)]] = True
     keep[taken] = True
     if every is not None:
         kept = every[keep[every]]
@@ -479,6 +495,24 @@ def _floored_rows(
     position = np.zeros(len(indptr) - 1, dtype=np.int64)
     position[kept] = np.arange(len(kept))
     return kept, (inc, tuple(sorted(position[taken].tolist())))
+
+
+def _reaching_rows(indptr: np.ndarray, cols: np.ndarray, rows: np.ndarray, n_points: int, k: int) -> np.ndarray:
+    """The CSR ``rows`` (more than k, in center order) that a k-combination
+    covering as many points as the greedy's can use, in order: those
+    counting at least the count floor of ``_greedy``'s count over them.
+
+    The greedy's rows, padded with any others, give a k-combination
+    covering its count, so every first maximum of the k-combinations of
+    ``rows`` uses only rows at or above the floor: at least k of them,
+    whose first maximum in order is that of ``rows``.  The floor must
+    keep a row equal to it, which can be in the first maximum although no
+    combination through it beats the greedy.
+    """
+    counts = indptr[rows + 1] - indptr[rows]
+    inc, _ = _greedy(indptr, cols, rows, n_points, k)
+    keep = counts >= _count_floor(inc, int(counts.max()), k)
+    return rows if keep.all() else rows[keep]
 
 
 def most_points(
@@ -495,9 +529,12 @@ def most_points(
     dedup keeps each set's least center.  If there are no more rows than k
     (under prune, distinct built rows), all are used (one combination) and
     padded by repeating the first disk of maximum count in center order.
-    Under prune only the rows whose count can take part in a combination
-    better than the greedy's, and the greedy's own, are searched, with the
-    result and combos of a search over every distinct built row.  The ids
+    Without prune only the rows whose count can take part in a combination
+    reaching the greedy's are packed and enumerated, with the result of an
+    enumeration of every row and its stats.  Under prune only the rows
+    whose count can take part in a combination better than the greedy's,
+    and the greedy's own, are searched, with the result and combos of a
+    search over every distinct built row.  The ids
     of ``pts`` must be distinct and non-negative; a negative or repeated id
     raises ValueError, as does an empty list or record.
     """
@@ -517,17 +554,19 @@ def most_points(
         indptr, cols = coverage_rows(cx, cy, anchor, points)
         if dedup:
             rows = distinct_rows(indptr, cols, rows, len(pts))
+    stats = ExactSolveStats(candidates_generated=len(cx), candidates_after_dedup=len(rows))
+    if incumbent is None and k < len(rows):
+        rows = _reaching_rows(indptr, cols, rows, len(pts), k)
     words, gids, counts = packed_coverage(indptr, cols, rows, points)
     centers = built[rows]
-    stats = ExactSolveStats(candidates_generated=len(cx), candidates_after_dedup=len(rows))
 
     if incumbent is not None:
         _, combo, stats.combos_evaluated = _pruned_search(words, counts, k, len(pts), incumbent)
-    elif k >= len(rows):
-        combo, stats.combos_evaluated = range(len(rows)), 1
     else:
-        _, combo = _enumerate_all(words, counts, k)
-        stats.combos_evaluated = math.comb(len(rows), k)
+        # the enumeration stands for every combination of the rows counted
+        # above; at most k rows are its one combination
+        stats.combos_evaluated = math.comb(stats.candidates_after_dedup, k) or 1
+        combo = range(len(rows)) if k >= len(rows) else _enumerate_all(words, counts, k)[1]
     union = np.bitwise_or.reduce(words[list(combo)])
     centers = centers[list(combo) + [int(counts.argmax())] * (k - len(combo))]
     chosen = [UnitDisk(x, y) for x, y in zip(cx[centers].tolist(), cy[centers].tolist())]

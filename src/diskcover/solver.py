@@ -108,8 +108,10 @@ def solve(pts: list[Point], m: int, prune: bool = False) -> Solution:
 
     The ids of ``pts`` must be distinct and non-negative, else ValueError.
 
-    combos_evaluated in each trace counts the complete disk combinations the
-    neighborhood search scored; the greedy branch contributes none.
+    combos_evaluated in each trace is the neighborhood search's
+    (``ExactSolveStats``): without prune every k-combination of its
+    distinct rows, which the count floor accounts for without scoring each,
+    and under prune those scored; the greedy branch contributes none.
     """
     if m < 1:
         raise ValueError("solve requires m >= 1")

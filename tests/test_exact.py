@@ -489,9 +489,17 @@ class TestKernelMatchesReference:
                     assert_enumeration_matches(words, bits, k, n, csr)
 
 
+# k, then points few enough for the k-combination loop of reference_best_k
+# (at most 49 candidates for k=3, about 18,000 triples)
+K_AND_POINTS = st.sampled_from([1, 2, 3]).flatmap(
+    lambda k: st.tuples(st.just(k), point_sets(min_size=1, max_size=12 if k < 3 else 7))
+)
+
+
 class TestMostPoints:
-    @given(point_sets(min_size=1, max_size=12), st.sampled_from([1, 2]), st.booleans())
-    def test_matches_reference_pair_loop(self, pts, k, dedup):
+    @given(K_AND_POINTS, st.booleans())
+    def test_matches_reference_pair_loop(self, k_and_pts, dedup):
+        k, pts = k_and_pts
         res = most_points(pts, k, dedup=dedup)
         got = (
             [(d.cx, d.cy) for d in res.disks],
@@ -679,6 +687,44 @@ class TestMostPoints:
         for pts in ([], empty):
             with pytest.raises(ValueError, match="^most_points requires a non-empty point list$"):
                 most_points(pts, 1)
+
+
+class TestCountFloor:
+    """Without prune only the rows counting at least the floor inc - (k - 1)
+    * C, inc the greedy's count and C the largest, are packed and
+    enumerated; the stats still count every row."""
+
+    def test_a_row_at_the_floor_can_be_in_the_first_maximum(self):
+        # rows in center order {1, 2}, {3, 4, 5} and {3, 4, 6}: the greedy
+        # pair covers 5 and the largest count is 3, so the floor is 2, the
+        # count of row 0.  The first best pair is rows 0 and 1, covering 5;
+        # a floor that dropped row 0 would leave only rows 1 and 2, covering 4
+        bits = [0b110, 0b111000, 0b1011000]
+        indptr, cols, rows = csr_of(bits)
+        assert exact._greedy(indptr, cols, rows, 7, 2)[0] == 5
+        assert exact._count_floor(5, 3, 2) == 2
+        kept = exact._reaching_rows(indptr, cols, rows, 7, 2)
+        assert kept.tolist() == [0, 1, 2]
+        words = packed_rows([bits[i] for i in kept.tolist()], 1)
+        counts = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+        assert exact._enumerate_all(words, counts, 2) == (5, (0, 1))
+
+    def test_baseline_packs_only_the_rows_that_reach_the_greedy(self):
+        # the bench baseline column: 2,890 rows without dedup, of which the
+        # floor leaves 98 to pack; the stats are those of all 2,890
+        seen = {}
+        pack = exact.packed_coverage
+
+        def record_packed(indptr, cols, rows, points):
+            seen["rows"] = rows
+            return pack(indptr, cols, rows, points)
+
+        with patch.object(exact, "packed_coverage", record_packed):
+            res = most_points(generate(300, 20.0, 5).points, 2, dedup=False)
+        assert len(seen["rows"]) < 200
+        assert res.stats.candidates_generated == res.stats.candidates_after_dedup == 2890
+        assert res.stats.combos_evaluated == 4_174_605 == math.comb(2890, 2)
+        assert res.covered.count == 17
 
 
 def record_joins(monkeypatch):
