@@ -36,13 +36,13 @@ C(rows, k) combinations.  Two optional reductions:
   (``_pruned_rows``); then, on their true counts, only the rows above the
   count floor, with ``inc`` the greedy's count over them, and the greedy's
   own rows, are deduplicated, packed and searched (``_floored_rows``): a
-  combination beating the greedy uses no other row.  The search is branch-and-bound
-  over those rows, re-sorted by count descending, from the greedy pick
-  (``_greedy``): every level scores in one pass the rows before the first
-  whose loose bound, the union's count plus the best remaining counts,
-  cannot beat the incumbent, and the search stops once the incumbent
-  covers every point (on dense inputs that bound exceeds the point count
-  and cuts nothing).  It cuts every branch through a row below the floor,
+  combination beating the greedy uses no other row.  The search is
+  branch-and-bound over those rows, re-sorted by count descending, from
+  the greedy pick: every level scores in one pass the rows before the
+  first whose loose bound, the union's count plus the best remaining
+  counts, cannot beat the incumbent, and the search stops once the
+  incumbent covers every point (on dense inputs that bound exceeds the
+  point count and cuts nothing).  It cuts every branch through a row below the floor,
   so its result and combos are those of a search over every distinct
   joined row.  Never changes the optimum value, but may return a different
   equally-good disk set than the unpruned enumeration.
@@ -497,17 +497,19 @@ def _floored_rows(
     return kept, (inc, tuple(sorted(position[taken].tolist())))
 
 
-def _reaching_rows(indptr: np.ndarray, cols: np.ndarray, rows: np.ndarray, n_points: int, k: int) -> np.ndarray:
+def _reaching_rows(
+    indptr: np.ndarray, cols: np.ndarray, rows: np.ndarray, n_points: int, k: int
+) -> np.ndarray:
     """The CSR ``rows`` (more than k, in center order) that a k-combination
     covering as many points as the greedy's can use, in order: those
     counting at least the count floor of ``_greedy``'s count over them.
 
-    The greedy's rows, padded with any others, give a k-combination
-    covering its count, so every first maximum of the k-combinations of
-    ``rows`` uses only rows at or above the floor: at least k of them,
-    whose first maximum in order is that of ``rows``.  The floor must
-    keep a row equal to it, which can be in the first maximum although no
-    combination through it beats the greedy.
+    The greedy's rows, padded with any others, make a k-combination
+    covering its count, so every maximum of the k-combinations of ``rows``
+    is made of k rows at or above the floor, and the first maximum over
+    those, in order, is the first over ``rows``.  A row at the floor stays:
+    it can be in the first maximum although no combination through it
+    beats the greedy.
     """
     counts = indptr[rows + 1] - indptr[rows]
     inc, _ = _greedy(indptr, cols, rows, n_points, k)
@@ -534,9 +536,9 @@ def most_points(
     enumeration of every row and its stats.  Under prune only the rows
     whose count can take part in a combination better than the greedy's,
     and the greedy's own, are searched, with the result and combos of a
-    search over every distinct built row.  The ids
-    of ``pts`` must be distinct and non-negative; a negative or repeated id
-    raises ValueError, as does an empty list or record.
+    search over every distinct built row.  The ids of ``pts`` must be
+    distinct and non-negative; a negative or repeated id raises ValueError,
+    as does an empty list or record.
     """
     if not pts:
         raise ValueError("most_points requires a non-empty point list")
