@@ -42,17 +42,20 @@ Rows:
   dedup=False)`` for 300:20 seed 5 (the ``bench`` baseline column), for
   1000:40 and for dense 300:6, where the count floor keeps 98 of 2,890,
   55 of 8,560 and 1,821 of 21,684 rows, on unpruned ``most_points(pts,
-  3)`` for dense 40:3, where the floor keeps every row (its cost where it
-  cuts nothing), ``solve`` m=3 on dense 64:10, and
-  ``most_points(pts, 2, dedup=True, prune=True)`` on 5000:100 (the ``verify`` oracle), on 2000:40, where the oracle's
-  near-list bound leaves the most candidates to build, and on dense 300:6,
-  where it joins nearly every candidate in two joins, and ``solve(pts, 6,
-  prune=True)`` on 5000:100, five pruned neighborhood re-solves;
-* ``--slow`` adds ``solve`` m=3 on 2000:40: 171,868,741 combos, about
-  0.2 s a run with the shared k >= 3 pair table (``BENCH_20.json``), and
-  ``solve(pts, 3, prune=True)`` on dense 60:3, the one pruned row whose
-  search reaches long last levels: 20,582,152 combos, about 1.0 s a run
-  (``BENCH_23.json``).
+  3)`` for dense 40:3, where the floor keeps every row and dominance 266
+  of its 745, ``solve`` m=3 on dense 64:10 and on 2000:40
+  (171,868,741 combos, about 35 ms a run before the k >= 3 cuts and 16
+  after), unpruned ``solve(pts, 4)`` on 5000:100 (about 0.3 s before the
+  cuts and 20 ms after), and ``most_points(pts, 2, dedup=True,
+  prune=True)`` on 5000:100 (the ``verify`` oracle), on 2000:40, where the
+  oracle's near-list bound leaves the most candidates to build, and on
+  dense 300:6, where it joins nearly every candidate in two joins, and
+  ``solve(pts, 6, prune=True)`` on 5000:100, five pruned neighborhood
+  re-solves;
+* ``--slow`` adds ``solve(pts, 3, prune=True)`` on dense 60:3, the one
+  pruned row whose search reaches long last levels: 20,582,152 combos,
+  about 1.0 s a run (``BENCH_23.json``), and unpruned ``solve(pts, 3)``
+  there, about 0.9 s a run before the k >= 3 cuts and 50 ms after.
 
 Each row also records what the last call returned (coverage, and combos
 where the call counts them), so the two trees can be seen to agree.
@@ -88,7 +91,6 @@ GENERATE_SIZES = [(5000, 100.0), (20000, 200.0)]
 GENERATE_POOL = (512, 64, 10.0)  # instances, n, side
 SOLVE_SIZES = [(1000, 200.0), (5000, 100.0), (20000, 200.0), (2000, 40.0)]
 GEOMETRY_SIZES = [(5000, 100.0), (2000, 40.0)]
-SLOW_SIZE = (2000, 40.0)
 # timings of a row per tree in one repeat, of which it records the median
 INNER = 5
 
@@ -204,6 +206,8 @@ def cases(diskcover, slow: bool) -> list[tuple]:
          lambda pts: most_points(pts, 2, dedup=False)),
         ("most_points_m3 40:3", 40, 3.0, SEED, lambda pts: most_points(pts, 3)),
         ("solve_m3 64:10", 64, 10.0, SEED, lambda pts: solve(pts, 3)),
+        ("solve_m3 2000:40", 2000, 40.0, SEED, lambda pts: solve(pts, 3)),
+        ("solve_m4 5000:100", 5000, 100.0, SEED, lambda pts: solve(pts, 4)),
         ("most_points_m2_prune 5000:100", 5000, 100.0, SEED,
          lambda pts: most_points(pts, 2, dedup=True, prune=True)),
         ("most_points_m2_prune 2000:40", 2000, 40.0, SEED,
@@ -213,9 +217,8 @@ def cases(diskcover, slow: bool) -> list[tuple]:
         ("solve_m6_prune 5000:100", 5000, 100.0, SEED, lambda pts: solve(pts, 6, prune=True)),
     ]
     if slow:
-        n, side = SLOW_SIZE
-        kernel.append((f"solve_m3 {n}:{side:g}", n, side, SEED, lambda pts: solve(pts, 3)))
         kernel.append(("solve_m3_prune 60:3", 60, 3.0, SEED, lambda pts: solve(pts, 3, prune=True)))
+        kernel.append(("solve_m3 60:3", 60, 3.0, SEED, lambda pts: solve(pts, 3)))
     for name, n, side, seed, call in kernel:
         pts = generate(n, side, seed).points
         out.append((f"kernel {name}", lambda call=call, pts=pts: call(pts), tuple, _counts))
@@ -280,8 +283,8 @@ def main() -> None:
     parser.add_argument("--repeats", type=int, default=5)
     parser.add_argument(
         "--slow", action="store_true",
-        help=f"also time solve m=3 on {SLOW_SIZE[0]}:{SLOW_SIZE[1]:g} (171,868,741 combos) "
-        "and pruned solve m=3 on 60:3 (20,582,152 combos)",
+        help="also time pruned solve m=3 on dense 60:3 (20,582,152 combos) and unpruned "
+        "solve m=3 there",
     )
     args = parser.parse_args()
     if not args.base or not args.out:

@@ -55,7 +55,12 @@ overlap, on the words where the outer rows of its block have points; every
 other pair is disjoint, and scored in closed form as the sum of the two
 counts.  k >= 3 builds one table of every pair's union, in chunks, and
 scores each (k - 2)-prefix against it on the words the prefix's union
-touches.
+touches, after three exact cuts (``_enumerate_all``): rows inside an
+earlier row are dropped (all but the first k), a prefix whose union's
+count plus its best pair's cannot beat the best is skipped, and once the
+best covers every point the rows cover only smaller prefixes are scanned.
+The first maximum, and the stats' C(rows, k), are those of the whole
+enumeration.
 """
 
 from __future__ import annotations
@@ -96,12 +101,14 @@ class ExactSolveStats:
     prune (``harness`` derives the faithful enumeration's pair count from
     it).  Without prune, ``candidates_after_dedup`` and
     ``combos_evaluated`` count what the enumeration stands for, not the
-    rows it packs (those at or above the count floor): the candidates left
-    by dedup, all of them without it, and C(that, k) combinations, or 1 if
-    there are at most k.  Under prune they count the rows searched and the
-    complete k-combinations scored; only the rows above the count floor and
-    the greedy's are deduplicated, so it counts those (all the distinct
-    built rows if there are at most k).
+    rows it packs (those at or above the count floor) or the combinations
+    k >= 3 scores after its cuts (dominated rows, bounded prefixes, the
+    full-cover stop): the candidates left by dedup, all of them without
+    it, and C(that, k) combinations, or 1 if there are at most k.  Under
+    prune they count the rows searched and the complete k-combinations
+    scored; only the rows above the count floor and the greedy's are
+    deduplicated, so it counts those (all the distinct built rows if there
+    are at most k).
     """
 
     combos_evaluated: int = 0
@@ -240,12 +247,57 @@ def _best_pair(cols: np.ndarray, ncols: np.ndarray, counts: np.ndarray) -> tuple
     return best, pair
 
 
+def _dominated(words: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the rows t >= k whose bits all lie in an earlier row's:
+    ``words[t] & ~words[j] == 0`` for some j < t.
+
+    Rows [t0, t1) are tested against every row before t1 at once, one word
+    at a time: a block of (t1 - t0) * t1 * width word tests, at most
+    BLOCK_WORDS (at least one row t).
+    """
+    n, width = words.shape
+    cols = np.ascontiguousarray(words.T)
+    ncols = ~cols
+    out = np.zeros(n, dtype=bool)
+    cap = BLOCK_WORDS // width
+    t0 = k
+    while t0 < n:
+        # the most rows t1 - t0 with (t1 - t0) * t1 <= cap
+        t1 = min(n, max(t0 + 1, (t0 + math.isqrt(t0 * t0 + 4 * cap)) // 2))
+        outside = cols[0, t0:t1, None] & ncols[0, None, :t1]
+        for w in range(1, width):
+            outside |= cols[w, t0:t1, None] & ncols[w, None, :t1]
+        inside = outside == 0
+        del outside
+        # of the rows of the block, only those before t count
+        inside[:, t0:] &= np.tri(t1 - t0, k=-1, dtype=bool)
+        out[t0:t1] = inside.any(axis=1)
+        t0 = t1
+    return out
+
+
 def _enumerate_all(words: np.ndarray, counts: np.ndarray, k: int) -> tuple[int, tuple[int, ...]]:
     """First maximum of all k-subsets in lexicographic order (k < len(words)).
 
     k=1 is the first row of largest count and k=2 one ``_best_pair`` over
-    all rows.  For k >= 3 a subset is a (k - 2)-prefix and a pair j < t of
-    later rows, and one table holds every pair in lexicographic order:
+    all rows.  For k >= 3 three exact cuts confine the search:
+
+    * dominance: a row t >= k inside an earlier row j (``_dominated``) is
+      dropped.  The first maximum never uses it: with j outside the
+      combination, j in place of t, and with j inside it, the smallest row
+      not in it (there is one before t), would give a lexicographically
+      smaller combination covering at least as many points.  The first k
+      rows stay, so at least k are left; exactly k are the one combination;
+    * prefix bound: a prefix with union U scores no pair above popcount(U)
+      plus the largest pc among its pairs, a suffix maximum of the chunk's
+      pc; a prefix whose bound cannot beat the best, or can only tie it
+      from a larger prefix, is skipped;
+    * full cover: once the best covers every point the rows cover, their
+      OR, a prefix can at most tie it, so a chunk's scan stops at the first
+      prefix not smaller than the best's.
+
+    A subset of the rows left is a (k - 2)-prefix and a pair j < t of later
+    rows, and one table holds every pair in lexicographic order:
     ``~(row j | row t)`` word-major and pc = popcount(row j | row t).  A
     prefix with union U scores a pair as pc + popcount(U & ~(row j | row
     t)), summed only over the words U touches.  The table is built in chunks
@@ -255,14 +307,21 @@ def _enumerate_all(words: np.ndarray, counts: np.ndarray, k: int) -> tuple[int, 
     is its lexicographically first best pair.  A result replaces the best
     on a larger count, or on an equal one if its prefix is smaller: the
     best then comes from an earlier chunk, whose pairs all come first.
+    The result is in positions of ``words``, as without the cuts.
     """
     if k == 1:
         i = int(counts.argmax())
         return int(counts[i]), (i,)
-    cols = np.ascontiguousarray(words.T)
     if k == 2:
+        cols = np.ascontiguousarray(words.T)
         return _best_pair(cols, ~cols, counts.astype(np.int32))
+    keep = np.flatnonzero(~_dominated(words, k))
+    words = words[keep]
     n, width = words.shape
+    full = int(np.bitwise_count(np.bitwise_or.reduce(words)).sum())
+    if n == k:
+        return full, tuple(range(k))
+    cols = np.ascontiguousarray(words.T)
     rows = words.tolist()
     # holds the popcount of any union
     dtype = np.min_scalar_type(64 * width)
@@ -284,11 +343,20 @@ def _enumerate_all(words: np.ndarray, counts: np.ndarray, k: int) -> tuple[int, 
         del t
         pc = np.bitwise_count(nw).sum(axis=0, dtype=dtype)
         np.invert(nw, out=nw)
+        # the largest pc of the pairs from each j's first on
+        top = np.maximum.accumulate(pc[::-1])[::-1][starts[:-1]].tolist()
+        first = starts[:-1].tolist()
         for prefix in itertools.combinations(range(j1 - 1), k - 2):
+            if best == full and prefix >= combo[:-2]:
+                break
             union = rows[prefix[0]]
             for r in prefix[1:]:
                 union = [a | b for a, b in zip(union, rows[r])]
-            s = int(starts[max(0, prefix[-1] + 1 - j0)])
+            i = max(0, prefix[-1] + 1 - j0)
+            s = first[i]
+            bound = sum(u.bit_count() for u in union) + top[i]
+            if bound < best or (bound == best and prefix >= combo[:-2]):
+                continue
             score = pc[s:]
             for w, u in enumerate(union):
                 if u:
@@ -300,7 +368,7 @@ def _enumerate_all(words: np.ndarray, counts: np.ndarray, k: int) -> tuple[int, 
                 j = int(np.searchsorted(starts, f, side="right")) - 1
                 best, combo = count, prefix + (j0 + j, j0 + j + 1 + f - int(starts[j]))
         j0 = j1
-    return best, combo
+    return best, tuple(keep[list(combo)].tolist())
 
 
 def _pruned_search(

@@ -274,17 +274,18 @@ def test_criterion_9_solver_matches_milp_optimum():
         seed = rng.next_u64()
         pts = generate(n, side, seed).points
         recount, bound = _milp_optimum(pts, m)
-        sol = solve(pts, m, prune=True)
-        if (
-            abs(bound - recount) > 1e-6
-            or sol.covered.count != recount
-            or _recount(sol.disks, pts) != recount
-        ):
-            bad.append((n, side, seed, m, sol.covered.count, recount, bound))
+        for prune in (True, False):
+            sol = solve(pts, m, prune=prune)
+            if (
+                abs(bound - recount) > 1e-6
+                or sol.covered.count != recount
+                or _recount(sol.disks, pts) != recount
+            ):
+                bad.append((n, side, seed, m, prune, sol.covered.count, recount, bound))
     _verdict(
         9,
         not bad,
-        f"solve(prune=True) == certified MILP optimum on {MILP_CORPUS_SIZE} instances "
+        f"solve, pruned and unpruned, == certified MILP optimum on {MILP_CORPUS_SIZE} instances "
         "(n in [8,40], m in 4..6, dense and sparse)",
     )
     assert not bad, bad[:5]

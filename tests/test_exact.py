@@ -1,6 +1,9 @@
+import collections
 import gc
+import inspect
 import itertools
 import math
+import sys
 import tracemalloc
 from contextlib import suppress
 from unittest.mock import patch
@@ -255,6 +258,37 @@ def packed_rows(bits, width):
     ).reshape(len(bits), width)
 
 
+def bit_span(lo, hi):
+    """The Python-int row of bits lo to hi - 1."""
+    return ((1 << (hi - lo)) - 1) << lo
+
+
+def cut_hits(call):
+    """How often ``exact._enumerate_all`` ran its one ``break`` (the
+    full-cover stop) and its one ``continue`` (the prefix bound) during
+    ``call()``, by line events."""
+    code = exact._enumerate_all.__code__
+    lines, first = inspect.getsourcelines(exact._enumerate_all)
+    at = {
+        stmt: [first + i for i, line in enumerate(lines) if line.strip() == stmt]
+        for stmt in ("break", "continue")
+    }
+    assert all(len(found) == 1 for found in at.values()), at
+    hits = collections.Counter()
+
+    def local(frame, event, arg):
+        if event == "line":
+            hits[frame.f_lineno] += 1
+        return local
+
+    sys.settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        call()
+    finally:
+        sys.settrace(None)
+    return {stmt: hits[found[0]] for stmt, found in at.items()}
+
+
 def x_local_rows(specs, width):
     """Python-int rows over ``width`` words shaped like coverage rows in
     center order, one per ``(kind, step, reach, mask)``: the position moves
@@ -383,6 +417,36 @@ class TestKernelMatchesReference:
             monkeypatch.setattr(exact, "BLOCK_WORDS", rows_per_block * cols * 3)
             for k in (2, 3, 4, 5):
                 assert_enumeration_matches(words, bits, k, 192)
+
+    def test_the_first_k_rows_stay_although_dominated(self):
+        # row 1 lies inside row 0 but is one of the first k rows, which
+        # stay: (0, 1, 2) is the first combination covering all 4 points,
+        # (0, 2, 3) the first without row 1
+        bits = [0b111, 0b1, 0b1000, 0b1000]
+        words = packed_rows(bits, 1)
+        assert exact._dominated(words, 3).tolist() == [False, False, False, True]
+        counts = np.bitwise_count(words).sum(axis=1, dtype=np.int64)
+        assert exact._enumerate_all(words, counts, 3) == (4, (0, 1, 2))
+        assert_enumeration_matches(words, bits, 3, 4)
+
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_dominance_prefix_bound_and_full_cover_stop(self, monkeypatch, k):
+        # B1, B2 and B3 partition the 100 points, so the optimum covers
+        # every point; M and the two-point crossers are inside no earlier
+        # row, and the crossers with M or each other make prefixes whose
+        # bound cannot beat, or only ties, the best of the first prefix
+        b1, b2, b3, m = bit_span(0, 40), bit_span(40, 70), bit_span(70, 100), bit_span(40, 60)
+        cross = [1 << (60 + i) | 1 << (69 - i) for i in range(5)]
+        bits = [
+            m, *cross[:3], b1, b1 & ~bit_span(0, 3), b1 & bit_span(5, 30), cross[3], b2, b2,
+            b3, b3 & ~(1 << 80), cross[4], m, b3, bit_span(30, 50), bit_span(55, 75),
+        ]
+        words = packed_rows(bits, 2)
+        assert exact._dominated(words, k).sum() == 7
+        for block_words in (1, 3, 7, exact.BLOCK_WORDS):
+            monkeypatch.setattr(exact, "BLOCK_WORDS", block_words)
+            hits = cut_hits(lambda: assert_enumeration_matches(words, bits, k, 100))
+            assert hits["break"] > 0 and hits["continue"] > 0, (block_words, hits)
 
     def test_pair_table_memory_is_bounded_by_block_words(self, monkeypatch):
         # 200 rows of 3 words: the whole k >= 3 pair table is 19,900 pairs of
