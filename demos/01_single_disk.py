@@ -11,9 +11,11 @@ disk through it can reach, and the work follows local density instead of
 n^2.  An anchor with d neighbors covers at most d + 1
 points, so the table of each anchor's best placement is filled lazily:
 anchors are swept in blocks, highest bound first, until the bound falls
-below the best count found.  The best entry is the answer, and a greedy
-solver later sweeps only the anchors whose bound on the uncovered points
-can still reach its best.
+below the best count found.  Once a best is known, the anchors left are
+bounded more tightly: a disk through an anchor reaches no neighbor more
+than about 1 beyond it on the side facing away from the disk's center.
+The best entry is the answer, and a greedy solver later sweeps only the
+anchors whose bound on the uncovered points can still reach its best.
 """
 
 import numpy as np
@@ -44,7 +46,8 @@ print(f"the first disk swept {int(table.swept.sum())} of {len(pts)} anchors "
 large = anchor_table(point_arrays(generate(n=5000, side=100.0, seed=2024).points))
 best_placement(large, np.zeros(5000, dtype=bool))
 print(f"on 5000 points in [0, 100]^2 it sweeps {int(large.swept.sum())} of 5000 "
-      f"anchors: the others have too few neighbors to reach the best")
+      f"anchors: the others have too few neighbors a disk through them can "
+      f"cover to reach the best")
 
 # independent check: the best disk among all candidate disks
 cx, cy, _ = candidate_centers(points)

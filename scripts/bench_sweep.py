@@ -23,7 +23,8 @@ Rows:
   point's coordinate bits and id, so the trees can be seen to draw the same
   points;
 * ``sweep``: ``solve(pts, 1)`` on the whole instance (the first disk), on
-  sparse 5000:100 and 20000:200 and on dense 500:3;
+  sparse 5000:100 and 20000:200, on 2000:40 (rho = 14, where the far-side
+  bound cuts the first disk's anchors from 1,424 to 651) and on dense 500:3;
 * ``greedy_step``: ``solver._greedy_step`` on the points its first disk
   leaves uncovered, the mask of ``solve(pts, 1).covered``.  Each timing
   gets a fresh anchor table, built with its point record and the first step
@@ -85,8 +86,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEED = 101
-# sparse anchors (about 7 near-list entries each) and dense 500:3 (about 340)
-STEP_SIZES = [(5000, 100.0), (20000, 200.0), (500, 3.0)]
+# sparse anchors (about 7 near-list entries each), 2000:40 (about 16) and
+# dense 500:3 (about 340)
+STEP_SIZES = [(5000, 100.0), (20000, 200.0), (2000, 40.0), (500, 3.0)]
 GENERATE_SIZES = [(5000, 100.0), (20000, 200.0)]
 GENERATE_POOL = (512, 64, 10.0)  # instances, n, side
 SOLVE_SIZES = [(1000, 200.0), (5000, 100.0), (20000, 200.0), (2000, 40.0)]

@@ -116,6 +116,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     configs = _parse_configs(args.config)
     seeds = _parse_list(args.seeds, "--seeds", "integers such as 1,2,3", int)
     check_bench_args(args.m, args.sample_baseline)
+    if args.json_out and os.path.realpath(args.json_out) == os.path.realpath(args.out):
+        # the JSON would overwrite the CSV
+        raise ValueError(f"--out and --json-out name one file, {args.out}")
     for path in (args.out, args.json_out):
         if path:
             _check_writable(path)

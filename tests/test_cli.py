@@ -228,6 +228,23 @@ class TestBenchCommand:
         assert csv_out.read_text() == "keep\n"
         assert not json_out.exists()
 
+    @pytest.mark.parametrize("json_name", ["r.csv", "./r.csv", "link.csv"])
+    def test_one_file_for_both_outputs_is_refused(self, json_name, tmp_path, capsys, monkeypatch):
+        # the JSON would overwrite the CSV; a relative path or a symlink to
+        # the same file is the same file
+        calls = []
+        monkeypatch.setattr(cli_module, "bench", lambda *a, **kw: calls.append(a) or [])
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link.csv").symlink_to(tmp_path / "r.csv")
+        argv = ["bench", "--config", "10:5", "--seeds", "1", "--out", str(tmp_path / "r.csv")]
+        code, out, err = run(argv + ["--json-out", json_name], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("bench: ") and len(err.strip().splitlines()) == 1
+        assert "--out and --json-out" in err
+        assert calls == []
+        assert not (tmp_path / "r.csv").exists()
+
     def test_bad_config_exits_1(self, tmp_path, capsys):
         code, _, err = run(
             ["bench", "--config", "abc", "--seeds", "1", "--out", str(tmp_path / "x.csv")],

@@ -7,7 +7,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
-from diskcover import coverage, generate, greedy_solve, solve
+from diskcover import Point, coverage, generate, greedy_solve, solve
 from diskcover.geometry import PAIR_EPS, candidate_centers, point_arrays
 from diskcover import single_disk
 from diskcover.single_disk import anchor_table, best_placement
@@ -407,9 +407,49 @@ class TestAnchorTableMatchesReferenceSweep:
         assert best_placement(table_of(pts), mask_of(pts, [0, 1])) is None
 
 
+# Translations up to 1e8, added to both coordinates of every point.
+_SHIFT = st.sampled_from([0.0, 0.0, -1.0, 1e3, -3.5e5, 1e7, 1e8, -1e8])
+
+
+class TestFarSideBound:
+    """``_far_side_bound`` never undercuts what the sweep finds."""
+
+    @given(st.one_of(point_sets(min_size=1), SIGNED_POINT_SETS), _SHIFT, _SHIFT, st.data())
+    def test_bound_is_at_least_the_sweep_count(self, pts, ox, oy, data):
+        # point_sets has duplicates and pairs exactly 2 apart, the signed
+        # sets signed zeros; the live mask is any subset
+        pts = [Point(p.x + ox, p.y + oy, p.idx) for p in pts]
+        table = table_of(pts)
+        n = len(pts)
+        live = np.array(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        anchors = np.flatnonzero(live)
+        count, _, _ = single_disk._sweep_anchors(table, anchors, live)
+        bound = single_disk._far_side_bound(table, anchors, live)
+        entries = table.points.near_row[live[table.points.near]]
+        assert (bound >= count).all()
+        assert (bound <= np.bincount(entries, minlength=n)[anchors]).all()
+
+    @pytest.mark.parametrize("turns", range(4))
+    def test_disk_just_east_of_the_anchor(self, turns):
+        # anchor (0, 0), q1 0.993 west and q2 1.004 east of it, both 1 north:
+        # only centers near (0.0055, 0.99), just east of the anchor, cover
+        # all three, so the bound must keep q1 on the east side although
+        # it lies more than 0.99 west.  Turned by 90 degrees 0-3 times, so
+        # each side's margin is tested
+        pts = [(0.0, 0.0), (-0.993, 1.0), (1.004, 1.0)]
+        for _ in range(turns):
+            pts = [(-y, x) for x, y in pts]
+        table = table_of(make_points(pts))
+        everyone = np.ones(3, dtype=bool)
+        count, _, _ = single_disk._sweep_anchors(table, np.array([0]), everyone)
+        assert count.tolist() == [3]
+        assert single_disk._far_side_bound(table, np.array([0]), everyone).tolist() == [3]
+
+
 class TestLazyTable:
     """The table sweeps only anchors whose bound, 1 + their uncovered
-    neighbors, reaches the running best; answers still equal the loop's."""
+    neighbors or their far-side bound, reaches the running best; answers
+    still equal the loop's."""
 
     @pytest.mark.parametrize("block", [1, single_disk.SWEEP_BLOCK])
     def test_anchor_whose_bound_ties_the_best(self, block):
@@ -424,6 +464,10 @@ class TestLazyTable:
         pts = make_points(star + [(0.0, 0.0), (0.5, 0.0), (0.25, 0.4)])
         table = table_of(pts)
         assert table.count.tolist() == [9] + [3] * 11
+        # the far-side bound: any disk through the center misses one arm pair
+        # in x and one in y (both 1.5 and 1.6 out, beyond REACH / 2)
+        everyone = np.ones(len(pts), dtype=bool)
+        assert single_disk._far_side_bound(table, np.array([0]), everyone).tolist() == [5]
         with sweep_block(block):
             choice = table_choice(table)
         assert choice == exact_bits(*reference_sweep(pts))
@@ -468,13 +512,15 @@ class TestLazyTable:
 
     def test_sparse_instance_sweeps_few_anchors(self):
         # on 5000:100 (rho = 10) most anchors have fewer than 9 neighbors,
-        # so the first disk sweeps fewer than half of them; the second step
-        # sweeps some it skipped and still equals the loop
+        # and the far-side bound drops most of the others once the first
+        # block has found a best: the first disk sweeps 430 anchors (952
+        # without the far-side bound); the second step sweeps some it
+        # skipped and still equals the loop
         pts = generate(5000, 100.0, 101).points
         table = table_of(pts)
         count, disk = best_placement(table, np.zeros(len(pts), dtype=bool))
         assert count == 10
-        assert table.swept.sum() < len(pts) / 2
+        assert table.swept.sum() < 500
         first_swept = table.swept.copy()
         covered = mask_of(pts, coverage(disk, pts).ids())
         assert table_choice(table, covered) == exact_bits(*reference_sweep(residual(pts, covered)))
